@@ -56,7 +56,7 @@ test:
 # TestRunManyParallelMatchesSerial, TestIngestHammer,
 # TestParallelReplayHammer, ...) all run in -short mode.
 race:
-	$(GO) test -race -short ./internal/oracle ./internal/exp ./internal/core ./internal/engine ./internal/serve ./internal/trace ./internal/replay ./internal/wire ./internal/cluster
+	$(GO) test -race -short ./internal/oracle ./internal/exp ./internal/core ./internal/engine ./internal/serve ./internal/trace ./internal/wire ./internal/cluster
 
 # Fuzz targets run their seed corpora as plain tests — a cheap
 # regression net over the decoders and analyses without a fuzzing

@@ -28,7 +28,7 @@ func main() {
 		profiler = flag.String("profiler", "gshare-4KB", "2D-profiler predictor configuration")
 		target   = flag.String("target", "gshare-4KB", "target-machine predictor (defines ground truth)")
 		workers  = engine.AddWorkersFlag(flag.CommandLine, 0,
-			"worker-pool size for the experiment engine and cache pre-warming (0 = all CPUs, 1 = serial; output is identical at any setting)", "j", "parallel")
+			"worker-pool size for the experiment engine and cache pre-warming (0 = all CPUs, 1 = serial; output is identical at any setting)")
 		verify = flag.Bool("verify", false, "re-check the repository's reproduction claims (artifact evaluation)")
 		outDir = flag.String("o", "", "also write each artifact to <dir>/<id>.txt")
 	)

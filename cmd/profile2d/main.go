@@ -29,7 +29,6 @@ import (
 	"twodprof/internal/engine"
 	"twodprof/internal/metrics"
 	"twodprof/internal/progs"
-	"twodprof/internal/replay"
 	"twodprof/internal/spec"
 	"twodprof/internal/trace"
 )
@@ -41,7 +40,7 @@ func main() {
 		input     = flag.String("input", "train", "input set name")
 		traceFile = flag.String("trace", "", `trace file (BTR1 or BTR2) to profile instead of a benchmark ("-" reads the trace from stdin, so traces can be piped without temp files)`)
 		workers   = engine.AddWorkersFlag(flag.CommandLine, 1,
-			"profiling workers (0 = all CPUs, 1 = sequential; parallel decode needs a BTR2 -trace, other sources shard only the profile)", "parallel")
+			"profiling workers (0 = all CPUs, 1 = sequential; parallel decode needs a BTR2 -trace, other sources shard only the profile)")
 		predName = flag.String("predictor", bpred.NameGshare4KB, "profiler branch predictor")
 		metric   = flag.String("metric", "accuracy", "profiled metric: accuracy or bias")
 		slice    = flag.Int64("slice", 0, "slice size in branches (0 = default)")
@@ -121,12 +120,12 @@ func main() {
 			}
 			defer f.Close()
 		}
-		// replay.Profile validates the predictor name itself and, on
-		// BTR2 traces, decodes and profiles across -workers; the report
-		// is byte-identical to a sequential pass either way. A trace
-		// carries no program identity, so the static prefilter column
-		// needs -kernel to name the program that produced it.
-		opts := replay.Options{Workers: *workers}
+		// engine.ProfileStream validates the predictor name itself and,
+		// on BTR2/BTR3 traces, decodes and profiles across -workers; the
+		// report is byte-identical to a sequential pass either way. A
+		// trace carries no program identity, so the static prefilter
+		// column needs -kernel to name the program that produced it.
+		opts := engine.Options{Workers: *workers, Predictor: *predName}
 		if *kernel != "" {
 			k, ok := progs.KernelByName(*kernel)
 			if !ok {
@@ -135,7 +134,7 @@ func main() {
 			}
 			opts.Static = asmcheck.StaticClasses(k.Prog)
 		}
-		r, err := replay.Profile(f, cfg, *predName, opts)
+		r, err := engine.ProfileStream(f, cfg, opts)
 		if err != nil {
 			fail(err)
 		}

@@ -50,7 +50,7 @@ func main() {
 		wireA   = flag.String("wire-addr", "", "binary wire-protocol listen address (empty = disabled)")
 		maxAct  = flag.Int("max-active", 0, "cap on concurrently streaming sessions; excess is shed with 429 (0 = unlimited)")
 		workers = engine.AddWorkersFlag(flag.CommandLine, cfg.Shards,
-			"profiler shard workers per session (0 = all CPUs)", "shards")
+			"profiler shard workers per session (0 = all CPUs)")
 		batch   = flag.Int("batch", cfg.BatchSize, "events per shard batch")
 		queue   = flag.Int("queue", cfg.QueueDepth, "per-shard queue depth, in batches")
 		pred    = flag.String("predictor", cfg.Predictor, "profiler branch predictor")

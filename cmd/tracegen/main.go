@@ -332,9 +332,9 @@ func cmdInfo(args []string) {
 }
 
 // infoSink gathers every cmdInfo statistic in one pass. It implements
-// the batch path itself (rather than composing through trace.Tee,
-// whose fan-out is per-event and so would collapse the contexts)
-// because only trace.Event carries the execution context.
+// trace.CtxSink itself (rather than composing through trace.Tee, whose
+// fan-out is plain Branch and so would collapse the contexts), so
+// replay hands it every event's execution context.
 type infoSink struct {
 	c     trace.Counter
 	taken int64
@@ -342,23 +342,15 @@ type infoSink struct {
 }
 
 // Branch implements trace.Sink; events on this path are context 0.
-func (s *infoSink) Branch(pc trace.PC, taken bool) {
+func (s *infoSink) Branch(pc trace.PC, taken bool) { s.BranchCtx(0, pc, taken) }
+
+// BranchCtx implements trace.CtxSink.
+func (s *infoSink) BranchCtx(ctx trace.Context, pc trace.PC, taken bool) {
 	s.c.Branch(pc, taken)
 	if taken {
 		s.taken++
 	}
-	s.ctx.add(0, 1)
-}
-
-// BranchBatch implements trace.BatchSink, preserving the contexts.
-func (s *infoSink) BranchBatch(events []trace.Event) {
-	for _, e := range events {
-		s.c.Branch(e.PC, e.Taken)
-		if e.Taken {
-			s.taken++
-		}
-		s.ctx.add(e.Ctx, 1)
-	}
+	s.ctx.add(ctx, 1)
 }
 
 // ctxCounter tallies events per execution context.

@@ -94,36 +94,13 @@ func (p *Perceptron) train(pc trace.PC, taken bool) {
 	}
 }
 
-// PredictUpdateBatch implements BatchPredictor. Unlike the naive
+// PredictUpdateBatchSoA implements SoABatchPredictor: the perceptron's
+// native SoA batch kernel. It walks the batch one 64-event bitmap word
+// at a time, accumulating hit bits in a register. Unlike the naive
 // Predict-then-Update composition it computes the dot product once per
 // event and reuses it for both the prediction and the training
-// threshold — bit-identical, since Update's own output() call would see
-// unchanged state.
-func (p *Perceptron) PredictUpdateBatch(ev []trace.Event, hits []bool) {
-	for i, e := range ev {
-		y := p.output(e.PC)
-		pred := y >= 0
-		if pred != e.Taken || abs32(y) <= p.theta {
-			p.train(e.PC, e.Taken)
-		}
-		p.hist.Push(e.Taken)
-		hits[i] = pred == e.Taken
-	}
-}
-
-// UpdateBatch implements BatchPredictor.
-func (p *Perceptron) UpdateBatch(ev []trace.Event) {
-	for _, e := range ev {
-		p.Update(e.PC, e.Taken)
-	}
-}
-
-// PredictUpdateBatchSoA implements SoABatchPredictor: the perceptron's
-// native SoA batch kernel (the last predictor that still took the
-// per-event fallback in batch mode). It walks the batch one 64-event
-// bitmap word at a time, accumulating hit bits in a register, with one
-// dot product per event shared between prediction and the training
-// threshold.
+// threshold — bit-identical, since Update's own output() call would
+// see unchanged state.
 func (p *Perceptron) PredictUpdateBatchSoA(pcs []trace.PC, taken, hits []uint64) {
 	for w := 0; w*64 < len(pcs); w++ {
 		tw := taken[w]

@@ -4,14 +4,17 @@ import "twodprof/internal/trace"
 
 // Struct-of-arrays predictor batch paths.
 //
-// The AoS batch path (batch.go) already devirtualizes the per-event
-// interface calls; the SoA path removes the remaining memory overhead.
+// The Predict/Update interface costs two dynamic dispatches per branch,
+// which dominates replay once trace decode is batched. Predictors that
+// implement SoABatchPredictor expose concrete-type loops over whole
+// batches: the interface boundary is crossed once per batch, table and
+// history state stay in registers, and the batch methods are exact —
+// bit-identical predictor state and outcomes to the per-event calls.
 // Events arrive as a flat []PC plus a packed taken bitmap (the exact
-// shape trace.Chunk.DecodeSoA produces), outcomes leave as a packed hit
+// shape trace.SoABatch carries), outcomes leave as a packed hit
 // bitmap, and the inner loops touch nothing but those arrays and the
 // counter table: per event, one 8-byte PC load, one counter byte
-// load/store and pure ALU work — no 16-byte Event structs, no []bool
-// hit bytes, no branches on event data.
+// load/store and pure ALU work — no branches on event data.
 
 // SoABatchPredictor is implemented by predictors with a
 // struct-of-arrays batch path. taken and hits are packed bitmaps (bit i
@@ -73,8 +76,10 @@ func UpdateBatchSoA(p Predictor, pcs []trace.PC, taken []uint64) {
 
 // PredictUpdateBatchSoA implements SoABatchPredictor. The loop walks
 // the batch one 64-event bitmap word at a time, accumulating the word's
-// hit bits in a register before a single store; per event it runs the
-// same branchless counter/history math as PredictUpdateBatch.
+// hit bits in a register before a single store; per event the counter
+// moves via ctrUpd's mask arithmetic and the taken bit shifts into the
+// history register as a 0/1 integer, so the loop is branchless on
+// event data.
 func (g *Gshare) PredictUpdateBatchSoA(pcs []trace.PC, taken, hits []uint64) {
 	mask := uint64(1)<<uint(g.indexBits) - 1
 	h := g.hist.bits

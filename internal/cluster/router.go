@@ -583,6 +583,7 @@ type relaySink struct {
 	sess   *wire.Session
 	owner  string
 	done   bool
+	evs    []trace.Event // Send's input, reused across chunks
 }
 
 func (rs *relaySink) finish() {
@@ -594,12 +595,14 @@ func (rs *relaySink) finish() {
 }
 
 // Events relays one decoded chunk. (The chunk was decoded by the
-// router's wire server and is re-encoded by the client session — the
-// codec is cheap and symmetric, and reusing the normal client path
-// keeps flow control end to end: node backpressure stalls the router's
-// relay, which stalls the origin client.)
-func (rs *relaySink) Events(events []trace.Event, rawBytes int) error {
-	if err := rs.sess.Send(events); err != nil {
+// router's wire server and is re-encoded by the client session, so
+// here the router is a producer feeding Send the []trace.Event it
+// takes. The codec is cheap and symmetric, and reusing the normal
+// client path keeps flow control end to end: node backpressure stalls
+// the router's relay, which stalls the origin client.)
+func (rs *relaySink) Events(b *trace.SoABatch, rawBytes int) error {
+	rs.evs = b.AppendEvents(rs.evs[:0])
+	if err := rs.sess.Send(rs.evs); err != nil {
 		rs.finish()
 		return err
 	}

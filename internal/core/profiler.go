@@ -75,10 +75,8 @@ type Profiler struct {
 	finRep  *Report
 	finExec int64
 
-	// hits is BranchBatch's scratch buffer for per-event predictor
-	// outcomes, reused across batches; hitWords is its packed-bitmap
-	// counterpart for the SoA path.
-	hits     []bool
+	// hitWords is BranchBatchSoA's packed predictor-outcome scratch,
+	// reused across batches.
 	hitWords []uint64
 }
 
@@ -164,92 +162,6 @@ func (p *Profiler) Branch(pc trace.PC, taken bool) {
 	p.record(pc, taken, hit)
 }
 
-// BranchBatch implements trace.BatchSink: it is exactly equivalent to
-// calling Branch for each event in order (slice boundaries still fall
-// mid-batch wherever the clock says), but the predictor runs through
-// its devirtualized batch path, amortising the two interface dispatches
-// per event that dominate accuracy-metric replay.
-func (p *Profiler) BranchBatch(events []trace.Event) {
-	if p.external {
-		panic("core: BranchBatch on a hardware profiler; use BranchOutcome")
-	}
-	switch p.cfg.Metric {
-	case MetricAccuracy:
-		if cap(p.hits) < len(events) {
-			p.hits = make([]bool, len(events))
-		}
-		hits := p.hits[:len(events)]
-		bpred.ApplyBatch(p.pred, events, hits)
-		p.OutcomeBatch(events, hits)
-	case MetricBias:
-		p.OutcomeBatch(events, nil)
-	}
-}
-
-// OutcomeBatch is the batched BranchOutcome: a run of externally
-// observed events applied in order. correct[i] carries event i's
-// prediction correctness; for MetricBias profilers correct is ignored
-// and may be nil.
-func (p *Profiler) OutcomeBatch(events []trace.Event, correct []bool) {
-	if p.manualSlice {
-		p.applyAoS(events, correct)
-		return
-	}
-	for len(events) > 0 {
-		n := len(events)
-		if room := p.cfg.SliceSize - p.sliceExec; int64(n) > room {
-			n = int(room)
-		}
-		p.applyAoS(events[:n], correct)
-		events = events[n:]
-		if correct != nil {
-			correct = correct[n:]
-		}
-		if p.sliceExec >= p.cfg.SliceSize {
-			p.endSlice()
-		}
-	}
-}
-
-// applyAoS is applyBits for AoS batches known not to cross a slice
-// boundary: same per-event shape (dense lookup, branchless hit math,
-// whole-program counters folded in once at the end).
-func (p *Profiler) applyAoS(events []trace.Event, correct []bool) {
-	var hitSum int64
-	if p.cfg.Metric == MetricBias {
-		for _, e := range events {
-			r := p.lookup(e.PC)
-			if r.exec == 0 {
-				p.active = append(p.active, r)
-			}
-			h := int64(b2i(e.Taken))
-			r.exec++
-			r.totExec++
-			r.hit += h
-			r.totHit += h
-			hitSum += h
-		}
-	} else {
-		for i, e := range events {
-			r := p.lookup(e.PC)
-			if r.exec == 0 {
-				p.active = append(p.active, r)
-			}
-			h := int64(b2i(correct[i]))
-			r.exec++
-			r.totExec++
-			r.hit += h
-			r.totHit += h
-			hitSum += h
-		}
-	}
-	n := int64(len(events))
-	p.sliceExec += n
-	p.totalExec += n
-	p.sliceHit += hitSum
-	p.totalHit += hitSum
-}
-
 // BranchBatchSoA implements trace.SoABatchSink: a whole decoded batch
 // in struct-of-arrays form, exactly equivalent to calling Branch for
 // each event in order. This is the hot replay path — the predictor runs
@@ -274,13 +186,13 @@ func (p *Profiler) BranchBatchSoA(b *trace.SoABatch) {
 	}
 }
 
-// OutcomeBatchSoA is the struct-of-arrays OutcomeBatch: a run of
-// externally observed events whose directions and prediction
-// correctness arrive as packed bitmaps. Bit bitOff+i of the bitmaps
-// belongs to pcs[i], so callers can pass sub-ranges of a larger batch
-// without re-packing (engine spans split batches at slice boundaries,
-// which rarely fall on a 64-bit word edge). correct may be nil for
-// MetricBias profilers.
+// OutcomeBatchSoA is the batched BranchOutcome: a run of externally
+// observed events whose directions and prediction correctness arrive
+// as packed bitmaps. Bit bitOff+i of the bitmaps belongs to pcs[i],
+// so callers can pass sub-ranges of a larger batch without re-packing
+// (engine spans split batches at slice boundaries, which rarely fall
+// on a 64-bit word edge). correct may be nil for MetricBias
+// profilers.
 func (p *Profiler) OutcomeBatchSoA(pcs []trace.PC, taken, correct []uint64, bitOff int) {
 	bits := correct
 	if p.cfg.Metric == MetricBias {

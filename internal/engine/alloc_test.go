@@ -111,10 +111,10 @@ func TestBTR2ReplayIngestZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEngineSpanRoutingZeroAlloc drives warmed AoS and SoA batches
-// through the engine's span routing (slice clock, slice-boundary
-// broadcast, single-shard inline apply) and asserts zero steady-state
-// allocations on both entry points.
+// TestEngineSpanRoutingZeroAlloc drives a warmed SoA batch through the
+// engine's span routing (slice clock, slice-boundary broadcast,
+// single-shard inline apply) and asserts zero steady-state
+// allocations.
 func TestEngineSpanRoutingZeroAlloc(t *testing.T) {
 	events := allocStream(10000)
 	var soa trace.SoABatch
@@ -129,15 +129,6 @@ func TestEngineSpanRoutingZeroAlloc(t *testing.T) {
 					eng.BranchBatchSoA(&soa)
 				}); allocs != 0 {
 					t.Fatalf("steady-state SoA span routing: %v allocs/run, want 0", allocs)
-				}
-			})
-			t.Run("BranchBatch", func(t *testing.T) {
-				eng := newAllocEngine(t, metric)
-				eng.BranchBatch(events) // warm-up
-				if allocs := testing.AllocsPerRun(10, func() {
-					eng.BranchBatch(events)
-				}); allocs != 0 {
-					t.Fatalf("steady-state AoS span routing: %v allocs/run, want 0", allocs)
 				}
 			})
 		})

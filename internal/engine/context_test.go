@@ -56,29 +56,18 @@ func ctxConfig() core.Config {
 	return cfg
 }
 
-// feedAoS / feedSoA / feedPerEvent drive the same event stream into
-// the engine through each ingress surface. The SoA path converts in
-// odd-sized chunks so context runs straddle chunk edges and bitmap
-// words — exercising the word-aligned span repacking.
-func feedAoS(eng *engine.Engine, events []trace.Event) {
-	for i := 0; i < len(events); i += 1009 {
-		j := i + 1009
-		if j > len(events) {
-			j = len(events)
+// feedSoA / feedPerEvent drive the same event stream into the engine
+// through its two ingress surfaces. The SoA path converts in odd-sized
+// batches (size n, neither word- nor slice-aligned) so context runs
+// straddle batch edges and bitmap words — exercising the word-aligned
+// span repacking.
+func feedSoA(n int) func(*engine.Engine, []trace.Event) {
+	return func(eng *engine.Engine, events []trace.Event) {
+		var b trace.SoABatch
+		for i := 0; i < len(events); i += n {
+			b.FromEvents(events[i:min(i+n, len(events))])
+			eng.BranchBatchSoA(&b)
 		}
-		eng.BranchBatch(events[i:j])
-	}
-}
-
-func feedSoA(eng *engine.Engine, events []trace.Event) {
-	var b trace.SoABatch
-	for i := 0; i < len(events); i += 777 {
-		j := i + 777
-		if j > len(events) {
-			j = len(events)
-		}
-		b.FromEvents(events[i:j])
-		eng.BranchBatchSoA(&b)
 	}
 }
 
@@ -104,7 +93,7 @@ func TestPrivateContextsMatchIndependent(t *testing.T) {
 	}
 
 	feeds := map[string]func(*engine.Engine, []trace.Event){
-		"aos": feedAoS, "soa": feedSoA, "per-event": feedPerEvent,
+		"soa": feedSoA(777), "soa-1009": feedSoA(1009), "per-event": feedPerEvent,
 	}
 	for name, feed := range feeds {
 		for _, workers := range []int{1, 4} {
@@ -147,7 +136,7 @@ func TestSharedModeIgnoresContexts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		feedSoA(eng, events)
+		feedSoA(777)(eng, events)
 		rep, err := eng.Finish()
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +160,7 @@ func TestPrivateSingleContextMatchesShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedAoS(eng, events)
+	feedSoA(1009)(eng, events)
 	rep, err := eng.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +181,7 @@ func TestMultiContextMergedAccessorsRefuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedAoS(eng, events)
+	feedSoA(1009)(eng, events)
 	if _, err := eng.Report(); !errors.Is(err, engine.ErrMultiContext) {
 		t.Errorf("Report() = %v, want ErrMultiContext", err)
 	}

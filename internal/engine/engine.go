@@ -27,10 +27,14 @@
 // lives inline in the Engine — the single-context hot path allocates
 // nothing and touches no map.
 //
-// internal/replay, internal/serve, internal/exp and the profile2d /
-// profiled CLIs are thin adapters over this package; none of them
-// carries its own router, shard pool or slice-broadcast logic any more
-// (DESIGN.md §3e).
+// internal/serve, internal/exp and the profile2d / profiled CLIs are
+// thin adapters over this package; none of them carries its own
+// router, shard pool or slice-broadcast logic any more (DESIGN.md
+// §3e).
+//
+// Batches move through every layer as trace.SoABatch — PCs plus a
+// packed outcome bitmap — and so do the shard buffers: the front-end
+// hands each shard its PCs plus the bit the profiler counts.
 package engine
 
 import (
@@ -39,6 +43,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"twodprof/internal/bpred"
 	"twodprof/internal/core"
@@ -100,15 +105,27 @@ type Options struct {
 	OnSlice func()
 }
 
-// buffer is one pending shard batch under construction: a run of
-// events plus, for accuracy-metric runs, the parallel per-event
-// prediction outcomes. Buffers recycle through a pool between the
-// front-end and the workers — without recycling, steady-state ingest
-// allocates one buffer per BatchSize events per shard and the GC churn
-// eats into the throughput the sharding buys.
+// buffer is one pending shard batch under construction: a run of PCs
+// plus a packed bitmap of the bit the profiler counts for each —
+// prediction correctness for MetricAccuracy, direction for MetricBias
+// (bit i of word i/64 belongs to pcs[i]). Buffers recycle through a
+// pool between the front-end and the workers — without recycling,
+// steady-state ingest allocates one buffer per BatchSize events per
+// shard and the GC churn eats into the throughput the sharding buys.
 type buffer struct {
-	events  []trace.Event
-	correct []bool // nil for MetricBias
+	pcs  []trace.PC
+	hits []uint64
+}
+
+// add appends one event's PC and counted bit (0 or 1).
+func (b *buffer) add(pc trace.PC, hit uint64) {
+	i := len(b.pcs)
+	b.pcs = append(b.pcs, pc)
+	if i&63 == 0 {
+		b.hits = append(b.hits, hit)
+	} else {
+		b.hits[i>>6] |= hit << uint(i&63)
+	}
 }
 
 // batch is the unit of work handed to a shard: an optional buffer
@@ -160,7 +177,7 @@ func (s *shard) apply(b batch) {
 	s.mu.Lock()
 	p := s.profFor(b.ctx)
 	if b.buf != nil {
-		p.OutcomeBatch(b.buf.events, b.buf.correct)
+		p.OutcomeBatchSoA(b.buf.pcs, b.buf.hits, b.buf.hits, 0)
 	}
 	if b.endSlice {
 		p.EndSlice()
@@ -202,7 +219,6 @@ type ctxFE struct {
 	ctx      trace.Context
 	pred     bpred.Predictor // nil for MetricBias
 	pending  []*buffer       // per shard
-	hits     []bool          // scratch for the batched predictor path
 	hitWords []uint64        // scratch for the SoA predictor path
 
 	sliceExec int64 // retired branches since the context's last boundary
@@ -210,14 +226,15 @@ type ctxFE struct {
 
 // Engine is one sharded profiling run: the sequential front-end state
 // (per-context predictor, slice clock and pending batches) plus the
-// shard workers. It implements trace.Sink, trace.BatchSink,
-// trace.SoABatchSink and trace.CtxSink, so any event source — live VM
-// hooks, trace readers, the BTR2/BTR3 parallel decode pipeline, HTTP
-// ingest loops — can drive it directly.
+// shard workers. It implements trace.Sink, trace.SoABatchSink and
+// trace.CtxSink, so any event source — live VM hooks, trace readers,
+// the BTR2/BTR3 parallel decode pipeline, HTTP and wire ingest loops,
+// WAL replay — can drive it directly.
 //
-// The feeding goroutine owns Branch/BranchBatch/Finish/Abort; they
-// must not be called concurrently. Report and QueueDepths are safe
-// from other goroutines while feeding continues (live reports).
+// The feeding goroutine owns Branch/BranchCtx/BranchBatchSoA/Finish/
+// Abort; they must not be called concurrently. Report and QueueDepths
+// are safe from other goroutines while feeding continues (live
+// reports).
 type Engine struct {
 	cfg  core.Config
 	opts Options
@@ -234,8 +251,10 @@ type Engine struct {
 	pool    sync.Pool
 	soaSpan trace.SoABatch // scratch for private-mode SoA span repacking
 
-	drained  bool
-	final    *core.Report
+	drained bool
+	// final is the report Finish fixed; atomic because Report reads it
+	// from live-report goroutines while the owner finishes.
+	final    atomic.Pointer[core.Report]
 	finalCtx map[trace.Context]*core.Report
 }
 
@@ -352,15 +371,14 @@ func (e *Engine) shardOf(pc trace.PC) int {
 func (e *Engine) getBuf() *buffer {
 	if v := e.pool.Get(); v != nil {
 		b := v.(*buffer)
-		b.events = b.events[:0]
-		b.correct = b.correct[:0]
+		b.pcs = b.pcs[:0]
+		b.hits = b.hits[:0]
 		return b
 	}
-	b := &buffer{events: make([]trace.Event, 0, e.opts.BatchSize)}
-	if e.cfg.Metric == core.MetricAccuracy {
-		b.correct = make([]bool, 0, e.opts.BatchSize)
+	return &buffer{
+		pcs:  make([]trace.PC, 0, e.opts.BatchSize),
+		hits: make([]uint64, 0, (e.opts.BatchSize+63)/64),
 	}
-	return b
 }
 
 // dispatch hands a batch to shard i: through its queue when workers
@@ -374,17 +392,12 @@ func (e *Engine) dispatch(i int, b batch) {
 }
 
 // Branch implements trace.Sink: the per-event front-end — predict
-// (accuracy metric), route to the owning shard, advance the slice
-// clock. Blocks when the owning shard's queue is full; that is the
-// backpressure path. Per-event events belong to context 0; context-
-// tagged producers use BranchCtx or the batch paths.
+// (accuracy metric), append to the owning shard's buffer, advance the
+// slice clock. Blocks when the owning shard's queue is full; that is
+// the backpressure path. Per-event events belong to context 0;
+// context-tagged producers use BranchCtx or the SoA batch path.
 func (e *Engine) Branch(pc trace.PC, taken bool) {
-	hit := taken
-	if e.c0.pred != nil {
-		hit = e.c0.pred.Predict(pc) == taken
-		e.c0.pred.Update(pc, taken)
-	}
-	e.route(&e.c0, trace.Event{PC: pc, Taken: taken}, hit)
+	e.branch(&e.c0, pc, taken)
 }
 
 // BranchCtx implements trace.CtxSink: Branch observed on an execution
@@ -396,77 +409,39 @@ func (e *Engine) BranchCtx(ctx trace.Context, pc trace.PC, taken bool) {
 		e.Branch(pc, taken)
 		return
 	}
-	fe := e.fe(ctx)
+	e.branch(e.fe(ctx), pc, taken)
+}
+
+// branch is the per-event front-end for one context.
+func (e *Engine) branch(fe *ctxFE, pc trace.PC, taken bool) {
 	hit := taken
 	if fe.pred != nil {
 		hit = fe.pred.Predict(pc) == taken
 		fe.pred.Update(pc, taken)
 	}
-	e.route(fe, trace.Event{PC: pc, Ctx: ctx, Taken: taken}, hit)
+	e.enqueue(fe, pc, b2u(hit))
+	fe.sliceExec++
+	if fe.sliceExec >= e.cfg.SliceSize {
+		e.broadcastSliceEnd(fe)
+		fe.sliceExec = 0
+	}
 }
 
-// BranchBatch implements trace.BatchSink. Accuracy-metric runs thread
-// the whole batch through the predictor's devirtualized fast path
-// (bpred.ApplyBatch) before routing, amortising the two interface
-// dispatches per event that dominate replay. Routing then advances the
-// slice clock a span at a time — the only place a batch must split is
-// a slice boundary, so the per-event work inside a span collapses to
-// an append. The result is exactly equivalent to calling Branch (or,
-// under private aggregation, BranchCtx) for each event in order;
-// private mode first splits the batch into same-context runs.
-func (e *Engine) BranchBatch(events []trace.Event) {
-	if e.private() {
-		for i := 0; i < len(events); {
-			ctx := events[i].Ctx
-			j := i + 1
-			for j < len(events) && events[j].Ctx == ctx {
-				j++
-			}
-			e.branchBatch(e.fe(ctx), events[i:j])
-			i = j
-		}
-		return
+// b2u converts a bool to the 0/1 bit a shard buffer carries.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	e.branchBatch(&e.c0, events)
-}
-
-// branchBatch is BranchBatch for one context's front-end.
-func (e *Engine) branchBatch(fe *ctxFE, events []trace.Event) {
-	var hits []bool
-	if fe.pred != nil {
-		if cap(fe.hits) < len(events) {
-			fe.hits = make([]bool, len(events))
-		}
-		hits = fe.hits[:len(events)]
-		bpred.ApplyBatch(fe.pred, events, hits)
-	}
-	for len(events) > 0 {
-		n := int(e.cfg.SliceSize - fe.sliceExec)
-		if n > len(events) {
-			n = len(events)
-		}
-		var h []bool
-		if hits != nil {
-			h = hits[:n]
-			hits = hits[n:]
-		}
-		e.routeSpan(fe, events[:n], h)
-		events = events[n:]
-		fe.sliceExec += int64(n)
-		if fe.sliceExec >= e.cfg.SliceSize {
-			e.broadcastSliceEnd(fe)
-			fe.sliceExec = 0
-		}
-	}
+	return 0
 }
 
 // BranchBatchSoA implements trace.SoABatchSink: a whole decoded batch
-// in struct-of-arrays form, exactly equivalent to calling Branch for
-// each event in order. The predictor runs its SoA kernel into a packed
-// hit bitmap; routing then hands bitmap sub-ranges (bit offsets, no
-// re-packing) to the shard layer a slice-span at a time. Combined with
-// the single-shard fast path below, a 1-worker BTR2 replay runs
-// decode→predict→profile with no intermediate []Event at all.
+// in struct-of-arrays form, exactly equivalent to calling Branch (or,
+// under private aggregation, BranchCtx) for each event in order. The
+// predictor runs its SoA kernel into a packed hit bitmap; routing then
+// advances the slice clock a span at a time — the only place a batch
+// must split is a slice boundary — handing bitmap sub-ranges (bit
+// offsets, no re-packing) to the shard layer.
 //
 // Under private aggregation a batch with a context lane is split into
 // same-context spans; each span is repacked word-aligned (trace.
@@ -534,7 +509,7 @@ func (e *Engine) singleShard(fe *ctxFE) *shard {
 	if len(e.shards) != 1 || e.shards[0].ch != nil {
 		return nil
 	}
-	if b := fe.pending[0]; b != nil && len(b.events) > 0 {
+	if b := fe.pending[0]; b != nil && len(b.pcs) > 0 {
 		e.dispatch(0, batch{buf: b, ctx: fe.ctx})
 		fe.pending[0] = nil
 	}
@@ -545,8 +520,8 @@ func (e *Engine) singleShard(fe *ctxFE) *shard {
 // bits bitOff..bitOff+len(pcs) of the bitmaps belong to the span.
 // correct is nil exactly when the metric needs no outcomes
 // (MetricBias). With one shard the span is applied inline with its
-// packed bitmaps; sharded runs unpack per event into the owning
-// shard's AoS buffer.
+// packed bitmaps; sharded runs append each event's PC and counted bit
+// to the owning shard's buffer.
 func (e *Engine) routeSpanSoA(fe *ctxFE, pcs []trace.PC, taken, correct []uint64, bitOff int) {
 	if s := e.singleShard(fe); s != nil {
 		s.mu.Lock()
@@ -554,6 +529,12 @@ func (e *Engine) routeSpanSoA(fe *ctxFE, pcs []trace.PC, taken, correct []uint64
 		s.mu.Unlock()
 		return
 	}
+	bits := correct
+	if bits == nil {
+		bits = taken
+	}
+	// The loop body is enqueue, written out: the call per event costs
+	// the sharded replay path more than the buffer append itself.
 	for i, pc := range pcs {
 		j := bitOff + i
 		s := e.shardOf(pc)
@@ -562,66 +543,27 @@ func (e *Engine) routeSpanSoA(fe *ctxFE, pcs []trace.PC, taken, correct []uint64
 			b = e.getBuf()
 			fe.pending[s] = b
 		}
-		b.events = append(b.events, trace.Event{PC: pc, Ctx: fe.ctx, Taken: taken[j>>6]>>uint(j&63)&1 != 0})
-		if b.correct != nil {
-			b.correct = append(b.correct, correct[j>>6]>>uint(j&63)&1 != 0)
-		}
-		if len(b.events) >= e.opts.BatchSize {
+		b.add(pc, bits[j>>6]>>uint(j&63)&1)
+		if len(b.pcs) >= e.opts.BatchSize {
 			e.dispatch(s, batch{buf: b, ctx: fe.ctx})
 			fe.pending[s] = nil
 		}
 	}
 }
 
-// routeSpan routes a run of events known not to cross a slice
-// boundary. hits is nil exactly when the metric needs no outcomes
-// (MetricBias). With a single shard the span is applied to the profiler
-// inline — no buffer copy, no queue; sharded runs pick a worker per
-// event, but skip the per-event clock arithmetic route pays.
-func (e *Engine) routeSpan(fe *ctxFE, events []trace.Event, hits []bool) {
-	if s := e.singleShard(fe); s != nil {
-		s.mu.Lock()
-		s.profFor(fe.ctx).OutcomeBatch(events, hits)
-		s.mu.Unlock()
-		return
-	}
-	for i, ev := range events {
-		s := e.shardOf(ev.PC)
-		b := fe.pending[s]
-		if b == nil {
-			b = e.getBuf()
-			fe.pending[s] = b
-		}
-		b.events = append(b.events, ev)
-		if b.correct != nil {
-			b.correct = append(b.correct, hits[i])
-		}
-		if len(b.events) >= e.opts.BatchSize {
-			e.dispatch(s, batch{buf: b, ctx: fe.ctx})
-			fe.pending[s] = nil
-		}
-	}
-}
-
-func (e *Engine) route(fe *ctxFE, ev trace.Event, hit bool) {
-	i := e.shardOf(ev.PC)
-	b := fe.pending[i]
+// enqueue appends one event to its shard's pending buffer, handing the
+// buffer to the shard once it holds BatchSize events.
+func (e *Engine) enqueue(fe *ctxFE, pc trace.PC, hit uint64) {
+	s := e.shardOf(pc)
+	b := fe.pending[s]
 	if b == nil {
 		b = e.getBuf()
-		fe.pending[i] = b
+		fe.pending[s] = b
 	}
-	b.events = append(b.events, ev)
-	if b.correct != nil {
-		b.correct = append(b.correct, hit)
-	}
-	if len(b.events) >= e.opts.BatchSize {
-		e.dispatch(i, batch{buf: b, ctx: fe.ctx})
-		fe.pending[i] = nil
-	}
-	fe.sliceExec++
-	if fe.sliceExec >= e.cfg.SliceSize {
-		e.broadcastSliceEnd(fe)
-		fe.sliceExec = 0
+	b.add(pc, hit)
+	if len(b.pcs) >= e.opts.BatchSize {
+		e.dispatch(s, batch{buf: b, ctx: fe.ctx})
+		fe.pending[s] = nil
 	}
 }
 
@@ -666,7 +608,7 @@ func (e *Engine) drain() {
 
 func (e *Engine) drainFE(fe *ctxFE) {
 	for i := range e.shards {
-		if b := fe.pending[i]; b != nil && len(b.events) > 0 {
+		if b := fe.pending[i]; b != nil && len(b.pcs) > 0 {
 			e.dispatch(i, batch{buf: b, ctx: fe.ctx})
 		}
 		fe.pending[i] = nil
@@ -700,15 +642,15 @@ func (e *Engine) flushPartial(fe *ctxFE) {
 // has no single merged report; Finish still drains, then returns
 // ErrMultiContext (use FinishContexts).
 func (e *Engine) Finish() (*core.Report, error) {
-	if e.final != nil {
-		return e.final, nil
+	if rep := e.final.Load(); rep != nil {
+		return rep, nil
 	}
 	e.finishFlush()
 	rep, err := e.Report()
 	if err != nil {
 		return nil, err
 	}
-	e.final = rep
+	e.final.Store(rep)
 	return rep, nil
 }
 
@@ -741,8 +683,8 @@ func (e *Engine) Abort() { e.drain() }
 // owner keeps feeding. Returns ErrMultiContext once a private-mode
 // stream has carried more than one context.
 func (e *Engine) Report() (*core.Report, error) {
-	if e.final != nil {
-		return e.final, nil
+	if rep := e.final.Load(); rep != nil {
+		return rep, nil
 	}
 	if len(e.ctxs) > 0 {
 		return nil, ErrMultiContext
@@ -832,7 +774,6 @@ func (e *Engine) Workers() int { return len(e.shards) }
 // compile-time interface checks.
 var (
 	_ trace.Sink         = (*Engine)(nil)
-	_ trace.BatchSink    = (*Engine)(nil)
 	_ trace.SoABatchSink = (*Engine)(nil)
 	_ trace.CtxSink      = (*Engine)(nil)
 )

@@ -195,7 +195,7 @@ func TestQueueDepthsShape(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesPerEvent pins the BranchBatch fast path to the
+// TestBatchMatchesPerEvent pins the BranchBatchSoA fast path to the
 // per-event front-end: identical events, byte-identical report.
 func TestBatchMatchesPerEvent(t *testing.T) {
 	rec := trace.NewRecorder(0)
@@ -213,13 +213,12 @@ func TestBatchMatchesPerEvent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Deliberately awkward batch boundaries.
+		// Deliberately awkward batch boundaries: neither word- nor
+		// slice-aligned.
+		var soa trace.SoABatch
 		for i := 0; i < len(rec.Events); i += 777 {
-			end := i + 777
-			if end > len(rec.Events) {
-				end = len(rec.Events)
-			}
-			batched.BranchBatch(rec.Events[i:end])
+			soa.FromEvents(rec.Events[i:min(i+777, len(rec.Events))])
+			batched.BranchBatchSoA(&soa)
 		}
 		a, err := one.Finish()
 		if err != nil {
@@ -232,7 +231,7 @@ func TestBatchMatchesPerEvent(t *testing.T) {
 		ja, _ := json.Marshal(a)
 		jb, _ := json.Marshal(b)
 		if string(ja) != string(jb) {
-			t.Errorf("metric %v: BranchBatch report differs from per-event report", metric)
+			t.Errorf("metric %v: BranchBatchSoA report differs from per-event report", metric)
 		}
 	}
 }

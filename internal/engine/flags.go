@@ -2,16 +2,11 @@ package engine
 
 import (
 	"flag"
-	"fmt"
 	"runtime"
-	"strconv"
 )
 
-// Worker-count CLI plumbing. Every engine-backed command takes the
-// same canonical -workers flag; the historical per-command spellings
-// (profile2d -parallel, profiled -shards, experiments -j/-parallel)
-// remain as deprecated aliases sharing the value, so existing scripts
-// keep working.
+// Worker-count CLI plumbing. Every engine-backed command (profile2d,
+// profiled, experiments) takes the same canonical -workers flag.
 
 // ResolveWorkers normalises a worker-count setting the way Options
 // does: non-positive means one worker per available CPU.
@@ -22,32 +17,8 @@ func ResolveWorkers(n int) int {
 	return n
 }
 
-// AddWorkersFlag registers the canonical -workers flag on fs plus any
-// deprecated alias names; aliases share the returned value, last one
-// set wins. def is the default worker count.
-func AddWorkersFlag(fs *flag.FlagSet, def int, usage string, aliases ...string) *int {
-	p := fs.Int("workers", def, usage)
-	for _, a := range aliases {
-		fs.Var((*workersValue)(p), a, "deprecated alias for -workers")
-	}
-	return p
-}
-
-// workersValue aliases an int flag destination.
-type workersValue int
-
-func (v *workersValue) String() string {
-	if v == nil {
-		return "0"
-	}
-	return strconv.Itoa(int(*v))
-}
-
-func (v *workersValue) Set(s string) error {
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return fmt.Errorf("invalid worker count %q", s)
-	}
-	*v = workersValue(n)
-	return nil
+// AddWorkersFlag registers the canonical -workers flag on fs. def is
+// the default worker count.
+func AddWorkersFlag(fs *flag.FlagSet, def int, usage string) *int {
+	return fs.Int("workers", def, usage)
 }

@@ -16,7 +16,6 @@ import (
 	"twodprof/internal/core"
 	"twodprof/internal/engine"
 	"twodprof/internal/progs"
-	"twodprof/internal/replay"
 	"twodprof/internal/serve"
 	"twodprof/internal/trace"
 	"twodprof/internal/wire"
@@ -49,9 +48,10 @@ func marshal(t testing.TB, rep *core.Report) []byte {
 }
 
 // referenceReport is the ground truth every path must reproduce: a
-// plain, unsharded core.Profiler driven sequentially — the pre-engine
-// code path, kept in the test on purpose so the engine is pinned to
-// the primitive it replaced.
+// plain, unsharded core.Profiler driven one event at a time through
+// Branch — the pre-engine code path, kept in the test on purpose so
+// the engine is pinned to the primitive it replaced, sharing no batch
+// code with the paths under test.
 func referenceReport(t testing.TB, events []trace.Event, cfg core.Config) *core.Report {
 	t.Helper()
 	var pred bpred.Predictor
@@ -62,7 +62,9 @@ func referenceReport(t testing.TB, events []trace.Event, cfg core.Config) *core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof.BranchBatch(events)
+	for _, e := range events {
+		prof.Branch(e.PC, e.Taken)
+	}
 	return prof.Finish()
 }
 
@@ -315,7 +317,7 @@ func TestCrossPathIdentityMatrix(t *testing.T) {
 			}
 
 			// BTR1 replay (always a sequential decode).
-			rep, err := replay.Profile(bytes.NewReader(btr1), cfg, matrixPredictor, replay.Options{Workers: 1})
+			rep, err := engine.ProfileStream(bytes.NewReader(btr1), cfg, engine.Options{Workers: 1, Predictor: matrixPredictor})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,12 +326,12 @@ func TestCrossPathIdentityMatrix(t *testing.T) {
 			// BTR2/BTR3 replay across worker counts (parallel chunk
 			// decode; BTR3 adds the context-run table to every chunk).
 			for _, workers := range []int{1, 4, 8} {
-				rep, err := replay.Profile(bytes.NewReader(btr2), cfg, matrixPredictor, replay.Options{Workers: workers})
+				rep, err := engine.ProfileStream(bytes.NewReader(btr2), cfg, engine.Options{Workers: workers, Predictor: matrixPredictor})
 				if err != nil {
 					t.Fatal(err)
 				}
 				check(fmt.Sprintf("btr2/workers=%d", workers), marshal(t, rep))
-				rep, err = replay.Profile(bytes.NewReader(btr3), cfg, matrixPredictor, replay.Options{Workers: workers})
+				rep, err = engine.ProfileStream(bytes.NewReader(btr3), cfg, engine.Options{Workers: workers, Predictor: matrixPredictor})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -383,8 +385,8 @@ func TestAnnotatedLiveMatchesAnnotatedReplay(t *testing.T) {
 	}
 	want := marshal(t, live)
 
-	replayed, err := replay.Profile(bytes.NewReader(btr1), cfg, matrixPredictor,
-		replay.Options{Workers: 4, Static: classes})
+	replayed, err := engine.ProfileStream(bytes.NewReader(btr1), cfg,
+		engine.Options{Workers: 4, Predictor: matrixPredictor, Static: classes})
 	if err != nil {
 		t.Fatal(err)
 	}

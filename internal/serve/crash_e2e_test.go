@@ -12,8 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"twodprof/internal/bpred"
-	"twodprof/internal/core"
 	"twodprof/internal/wal"
 )
 
@@ -241,14 +239,7 @@ func TestCrashRecoveryMidStream(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("report after mid-stream crash: %d: %s", code, got)
 	}
-	cfg := testConfig(4)
-	prof, err := core.NewProfiler(cfg.Profile, bpred.MustNew(cfg.Predictor))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof.BranchBatch(events[:salvaged])
-	want := marshalReport(t, prof.Finish())
-	if !bytes.Equal(got, want) {
+	if want := referenceReport(t, testConfig(4), events[:salvaged]); !bytes.Equal(got, want) {
 		t.Errorf("recovered report differs from an offline run over the %d salvaged events", salvaged)
 	}
 }

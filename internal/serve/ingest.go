@@ -24,12 +24,6 @@ import (
 // many events.
 const ingestFlushEvery = 4096
 
-// ingestBatchEvents is the decode granularity of the HTTP ingest loop:
-// events decoded (and WAL-teed, engine-fed) per ReadBatch round. Larger
-// batches amortise the per-round session bookkeeping; 4 K events is
-// 64 KB of decoded buffer, well under a slice.
-const ingestBatchEvents = 4096
-
 // ingestBodyBuffer is the bufio window over the request body.
 const ingestBodyBuffer = 128 << 10
 
@@ -277,12 +271,12 @@ func (s *Server) beginSession(p ingestParams) (*ingestRun, *ingestError) {
 
 // events applies one decoded batch: WAL first, engine second, counters
 // folded every ingestFlushEvery events.
-func (ir *ingestRun) events(events []trace.Event) error {
-	if err := ir.session.logEvents(events); err != nil {
+func (ir *ingestRun) events(b *trace.SoABatch) error {
+	if err := ir.session.logEvents(b); err != nil {
 		return fmt.Errorf("writing session log: %w", err)
 	}
-	ir.eng.BranchBatch(events)
-	if ir.local += int64(len(events)); ir.local >= ingestFlushEvery {
+	ir.eng.BranchBatchSoA(b)
+	if ir.local += int64(b.Len()); ir.local >= ingestFlushEvery {
 		ir.flushCounters()
 	}
 	return nil
@@ -344,13 +338,14 @@ func (ir *ingestRun) failSummary(reason error) ingestSummary {
 	}
 }
 
-// handleIngest services POST /v1/ingest: it decodes a BTR1 or BTR2
-// stream (either optionally gzip-wrapped) from the request body, feeds
-// it into one internal/engine run (sequential predictor front-end,
-// PC-sharded profiler workers), and on EOF fixes the session's final
-// report. Backpressure is end to end: a full shard queue blocks the
-// decode loop, which stops reading the body, which stalls the client
-// through TCP flow control.
+// handleIngest services POST /v1/ingest: it decodes a BTR1, BTR2 or
+// BTR3 stream (any of them optionally gzip-wrapped) from the request
+// body one SoA batch at a time — up to trace.ReadBatchEvents events of
+// BTR1, one chunk of BTR2/BTR3 — feeds it into one internal/engine run
+// (sequential predictor front-end, PC-sharded profiler workers), and
+// on EOF fixes the session's final report. Backpressure is end to
+// end: a full shard queue blocks the decode loop, which stops reading
+// the body, which stalls the client through TCP flow control.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "ingest wants POST", http.StatusMethodNotAllowed)
@@ -383,10 +378,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	evbuf := make([]trace.Event, ingestBatchEvents)
+	var batch trace.SoABatch
 	for {
-		k, rerr := tr.ReadBatch(evbuf)
-		if werr := run.events(evbuf[:k]); werr != nil {
+		rerr := tr.ReadBatch(&batch)
+		if werr := run.events(&batch); werr != nil {
 			writeJSON(w, http.StatusBadRequest, run.fail(werr))
 			return
 		}

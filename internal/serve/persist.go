@@ -28,10 +28,12 @@ import (
 //	recBegin   JSON sessionMeta — resolved profiling config, predictor,
 //	           shard count and (optional) kernel name. Always first.
 //	recEvents  wal.EncodeEvents batch, appended ahead of the in-memory
-//	           engine in exact stream order. Batches carrying execution
-//	           contexts use recEventsCtx (wal.EncodeEventsCtx) instead;
-//	           logs from before contexts existed contain only recEvents
-//	           and replay as context 0 unchanged.
+//	           engine in exact stream order (a decoded batch larger than
+//	           wal.MaxEventsPerRecord spans several records). Batches
+//	           carrying execution contexts use recEventsCtx
+//	           (wal.EncodeEventsCtx) instead; logs from before contexts
+//	           existed contain only recEvents and replay as context 0
+//	           unchanged.
 //	recDone /  JSON terminalRecord — the merged engine snapshot
 //	recFail    (core.Snapshot) plus event/byte totals (and the failure
 //	           reason for recFail). Always last; nothing follows it.
@@ -169,7 +171,8 @@ type sessionLog struct {
 	st     *Store
 	id     string
 	l      *wal.Log
-	encBuf []byte // event-codec scratch, reused across batches
+	encBuf []byte         // event-codec scratch, reused across batches
+	span   trace.SoABatch // record-sized piece of an oversized batch
 }
 
 func (sl *sessionLog) append(typ byte, payload []byte) error {
@@ -181,22 +184,33 @@ func (sl *sessionLog) append(typ byte, payload []byte) error {
 }
 
 // appendEvents logs one decoded batch, picking the context-carrying
-// record type only when some event needs it.
-func (sl *sessionLog) appendEvents(events []trace.Event) error {
-	if len(events) == 0 {
+// record type only when some event needs it. A batch larger than
+// wal.MaxEventsPerRecord (a big BTR2 chunk) is logged as several
+// records, in order.
+func (sl *sessionLog) appendEvents(b *trace.SoABatch) error {
+	if n := b.Len(); n > wal.MaxEventsPerRecord {
+		for i := 0; i < n; i += wal.MaxEventsPerRecord {
+			b.Span(&sl.span, i, min(i+wal.MaxEventsPerRecord, n))
+			if err := sl.appendEvents(&sl.span); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if b.Len() == 0 {
 		return nil
 	}
 	typ := recEvents
-	for _, ev := range events {
-		if ev.Ctx != 0 {
+	for _, ctx := range b.Ctxs {
+		if ctx != 0 {
 			typ = recEventsCtx
 			break
 		}
 	}
 	if typ == recEventsCtx {
-		sl.encBuf = wal.EncodeEventsCtx(sl.encBuf[:0], events)
+		sl.encBuf = wal.EncodeEventsCtx(sl.encBuf[:0], b)
 	} else {
-		sl.encBuf = wal.EncodeEvents(sl.encBuf[:0], events)
+		sl.encBuf = wal.EncodeEvents(sl.encBuf[:0], b)
 	}
 	return sl.append(typ, sl.encBuf)
 }
@@ -468,20 +482,20 @@ func (st *Store) replay(meta sessionMeta, events []wal.Record, static map[trace.
 	}
 	var (
 		replayed int64
-		evbuf    []trace.Event
+		batch    trace.SoABatch
 	)
 	for _, rec := range events {
 		if rec.Type == recEventsCtx {
-			evbuf, err = wal.DecodeEventsCtx(evbuf[:0], rec.Payload)
+			err = wal.DecodeEventsCtx(&batch, rec.Payload)
 		} else {
-			evbuf, err = wal.DecodeEvents(evbuf[:0], rec.Payload)
+			err = wal.DecodeEvents(&batch, rec.Payload)
 		}
 		if err != nil {
 			eng.Abort()
 			return 0, nil, fmt.Errorf("decoding event record: %w", err)
 		}
-		eng.BranchBatch(evbuf)
-		replayed += int64(len(evbuf))
+		eng.BranchBatchSoA(&batch)
+		replayed += int64(batch.Len())
 	}
 	// Finish, not Abort: the durable prefix is treated as a complete
 	// run, applying the same trailing-partial-slice rule an

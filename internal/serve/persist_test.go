@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,20 +57,26 @@ func traceEvents(t testing.TB, raw []byte) []trace.Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var (
-		out []trace.Event
-		buf [512]trace.Event
-	)
-	for {
-		k, err := tr.ReadBatch(buf[:])
-		out = append(out, buf[:k]...)
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	rec := trace.NewRecorder(0)
+	if _, err := tr.Replay(rec); err != nil {
+		t.Fatal(err)
 	}
+	return rec.Events
+}
+
+// referenceReport is the independent ground truth for recovered
+// sessions: one offline profiler driven through Branch, one event at a
+// time, over the given events.
+func referenceReport(t testing.TB, cfg Config, events []trace.Event) []byte {
+	t.Helper()
+	prof, err := core.NewProfiler(cfg.Profile, bpred.MustNew(cfg.Predictor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		prof.Branch(e.PC, e.Taken)
+	}
+	return marshalReport(t, prof.Finish())
 }
 
 // TestDurableRestartReport: a finished session survives a clean daemon
@@ -147,12 +152,10 @@ func TestMidStreamRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var b trace.SoABatch
 	for off := 0; off < len(prefix); off += 512 {
-		end := off + 512
-		if end > len(prefix) {
-			end = len(prefix)
-		}
-		if err := plog.appendEvents(prefix[off:end]); err != nil {
+		b.FromEvents(prefix[off:min(off+512, len(prefix))])
+		if err := plog.appendEvents(&b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,13 +187,7 @@ func TestMidStreamRecovery(t *testing.T) {
 	}
 	// The independent ground truth: one offline profiler over the same
 	// durable prefix.
-	prof, err := core.NewProfiler(cfg.Profile, bpred.MustNew(cfg.Predictor))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof.BranchBatch(prefix)
-	want := marshalReport(t, prof.Finish())
-	if !bytes.Equal(got, want) {
+	if want := referenceReport(t, cfg, prefix); !bytes.Equal(got, want) {
 		t.Error("recovered report differs from an offline run over the durable prefix")
 	}
 
@@ -344,5 +341,111 @@ func TestCapEvictedSessionServedFromDisk(t *testing.T) {
 	// And re-registering the evicted id is refused — its log still owns it.
 	if code, _ := postTrace(t, srv, "/v1/ingest?session=old", raw); code != 409 {
 		t.Errorf("re-ingest of a persisted id: status %d, want 409", code)
+	}
+}
+
+// TestDurableIngestOversizedChunk: a BTR2 body whose one chunk holds
+// more events than a WAL record may carry is logged as several event
+// records, and the session recovers from them — with the terminal
+// record dropped, as if the daemon died right after logging the
+// chunk — to the report of an offline run over the same events.
+func TestDurableIngestOversizedChunk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("million-event session")
+	}
+	cfg := durableConfig(t, 1)
+	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
+	events := make([]trace.Event, wal.MaxEventsPerRecord+1000)
+	state := uint64(0x9e3779b97f4a7c15)
+	for i := range events {
+		state = state*6364136223846793005 + 1442695040888963407
+		events[i] = trace.Event{PC: trace.PC(0x400000 + 4*(state>>54)), Taken: state>>40&3 != 0}
+	}
+	var body bytes.Buffer
+	w, err := trace.NewBTR2Writer(&body, trace.BTR2Options{ChunkEvents: len(events)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.BranchBatch(events)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := startServer(t, cfg)
+	if code, resp := postTrace(t, srv, "/v1/ingest?session=big", body.Bytes()); code != 200 {
+		t.Fatalf("ingest: %d: %s", code, resp)
+	}
+	_, live := get(t, srv, "/v1/report?session=big")
+	if err := srv.Shutdown(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(cfg.DataDir, "big.wal")
+	recs, _, err := wal.ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eventRecs int
+	for _, rec := range recs {
+		if rec.Type == recEvents {
+			eventRecs++
+		}
+	}
+	if eventRecs != 2 {
+		t.Fatalf("chunk of %d events logged as %d event records, want 2", len(events), eventRecs)
+	}
+	if err := wal.Rewrite(path, recs[:len(recs)-1]); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := startServer(t, cfg)
+	if info := findSession(t, sessionList(t, srv2), "big"); info.Events != int64(len(events)) {
+		t.Errorf("recovered %d events, want %d", info.Events, len(events))
+	}
+	code, got := get(t, srv2, "/v1/report?session=big")
+	if code != 200 {
+		t.Fatalf("report after recovery: %d: %s", code, got)
+	}
+	want := referenceReport(t, cfg, events)
+	if !bytes.Equal(got, want) {
+		t.Error("recovered report differs from an offline run over the same events")
+	}
+	if !bytes.Equal(live, want) {
+		t.Error("live report differs from an offline run over the same events")
+	}
+}
+
+// TestDurableIngestZeroAlloc extends the engine's zero-alloc contract
+// through the durable tee: once warmed up, applying a decoded batch to
+// a 1-shard durable session at -fsync never — WAL encode, append,
+// engine — allocates nothing.
+func TestDurableIngestZeroAlloc(t *testing.T) {
+	cfg := durableConfig(t, 1)
+	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, ierr := srv.beginSession(ingestParams{ID: "alloc"})
+	if ierr != nil {
+		t.Fatal(ierr)
+	}
+	events := make([]trace.Event, trace.ReadBatchEvents)
+	for i := range events {
+		events[i] = trace.Event{PC: trace.PC(0x400000 + 4*(i*7%61)), Taken: i%3 != 0}
+	}
+	var b trace.SoABatch
+	b.FromEvents(events)
+	apply := func() {
+		if err := run.events(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply() // warm-up: session setup is where allocation is allowed
+	if allocs := testing.AllocsPerRun(20, apply); allocs != 0 {
+		t.Fatalf("steady-state durable ingest: %v allocs/batch, want 0", allocs)
+	}
+	if _, err := run.complete(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -118,11 +118,11 @@ func (s *Session) enablePersist(plog *sessionLog, store *Store, kernel string, s
 // is always at least buffered in the log). Only the owning ingest
 // goroutine calls this, so plog needs no lock here; the terminal
 // transition that clears it runs on the same goroutine.
-func (s *Session) logEvents(events []trace.Event) error {
+func (s *Session) logEvents(b *trace.SoABatch) error {
 	if s.plog == nil {
 		return nil
 	}
-	return s.plog.appendEvents(events)
+	return s.plog.appendEvents(b)
 }
 
 // complete drains the engine, fixes the final report, appends the

@@ -65,10 +65,10 @@ type wireSink struct{ run *ingestRun }
 
 // Events applies one decoded chunk; rawBytes is the on-wire chunk body
 // size, standing in for the HTTP body bytes the other front meters.
-func (ws *wireSink) Events(events []trace.Event, rawBytes int) error {
+func (ws *wireSink) Events(b *trace.SoABatch, rawBytes int) error {
 	ws.run.session.bytes.Add(int64(rawBytes))
 	ws.run.s.metrics.Bytes.Add(int64(rawBytes))
-	if err := ws.run.events(events); err != nil {
+	if err := ws.run.events(b); err != nil {
 		ws.run.fail(err)
 		return err
 	}

@@ -13,27 +13,6 @@ import (
 	"twodprof/internal/wire"
 )
 
-// decodeTrace turns raw BTR bytes back into the event slice a wire
-// client would stream.
-func decodeTrace(t testing.TB, raw []byte) []trace.Event {
-	t.Helper()
-	tr, err := trace.OpenReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		events []trace.Event
-		buf    [512]trace.Event
-	)
-	for {
-		k, rerr := tr.ReadBatch(buf[:])
-		events = append(events, buf[:k]...)
-		if rerr != nil {
-			return events
-		}
-	}
-}
-
 // startWireServer boots a server with both fronts bound to loopback.
 func startWireServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
@@ -57,7 +36,7 @@ func dialWire(t testing.TB, srv *Server) *wire.Client {
 // therefore, by TestEndToEndMatchesOffline, to the offline profiler).
 func TestWireIngestMatchesHTTP(t *testing.T) {
 	raw := kernelTrace(t, "fsm", "train", false)
-	events := decodeTrace(t, raw)
+	events := traceEvents(t, raw)
 	srv := startWireServer(t, testConfig(2))
 
 	if status, body := postTrace(t, srv, "/v1/ingest?session=http", raw); status != http.StatusOK {
@@ -215,7 +194,7 @@ func TestWireDrainRefusesBegins(t *testing.T) {
 // model DESIGN.md §3g's cluster aggregation rests on).
 func TestSnapshotEndpoint(t *testing.T) {
 	raw := kernelTrace(t, "fsm", "train", false)
-	events := decodeTrace(t, raw)
+	events := traceEvents(t, raw)
 	srv := startWireServer(t, testConfig(1))
 	c := dialWire(t, srv)
 

@@ -160,7 +160,7 @@ func (b *BTR2Writer) BranchCtx(ctx Context, pc PC, taken bool) {
 	}
 }
 
-// BranchBatch implements BatchSink.
+// BranchBatch buffers a run of events in one call.
 func (b *BTR2Writer) BranchBatch(events []Event) {
 	for len(events) > 0 {
 		n := b.opts.ChunkEvents - len(b.events)
@@ -379,8 +379,11 @@ func (c *Chunk) eventErr(i, pos, sz int) error {
 }
 
 // Decode appends the chunk's events to dst and returns the extended
-// slice. The chunk's payload is not modified; Decode is safe to call
-// from any goroutine as long as each call has its own dst.
+// slice. It is the scalar reference decoder: every reader decodes
+// through DecodeSoA, and the fuzz targets and the hot-path bench pin
+// DecodeSoA against this loop. The chunk's payload is not modified;
+// Decode is safe to call from any goroutine as long as each call has
+// its own dst.
 func (c *Chunk) Decode(dst []Event) ([]Event, error) {
 	base := len(dst)
 	payload, err := c.inflated()
@@ -528,8 +531,8 @@ type BTR2Reader struct {
 	br  *bufio.Reader
 	ver byte // 2 = BTR2, 3 = BTR3 (zero value behaves as 2)
 
-	cur []Event // decoded events of the current chunk
-	pos int
+	cur SoABatch // the chunk Next is reading
+	pos int      // Next's position in cur
 
 	nextIndex int64 // expected StartIndex of the next chunk
 	chunks    int64 // data chunks consumed so far
@@ -541,7 +544,6 @@ type BTR2Reader struct {
 	// buffers grow to the chunk size and is allocation-free thereafter.
 	scratch Chunk
 	soa     SoABatch
-	evs     []Event // AoS bridge buffer for non-SoA sinks
 }
 
 // NewBTR2Reader validates the header and returns a sequential reader.
@@ -773,104 +775,54 @@ func eofToCorrupt(err error) error {
 	return err
 }
 
-// refill decodes the next chunk into the current-event buffer. The
-// frame (payload included) and the event buffer are both reused, so a
-// long sequential read settles into a zero-allocation steady state.
-func (r *BTR2Reader) refill() error {
-	if err := r.ReadChunkInto(&r.scratch); err != nil {
-		return err
-	}
-	evs, err := r.scratch.Decode(r.cur[:0])
-	if err != nil {
-		return err
-	}
-	r.cur, r.pos = evs, 0
-	return nil
-}
-
 // Next returns the next event, or io.EOF at end of stream.
 func (r *BTR2Reader) Next() (Event, error) {
-	for r.pos >= len(r.cur) {
-		if err := r.refill(); err != nil {
+	for r.pos >= r.cur.Len() {
+		if err := r.ReadBatch(&r.cur); err != nil {
 			return Event{}, err
 		}
+		r.pos = 0
 	}
-	e := r.cur[r.pos]
+	i := r.pos
 	r.pos++
-	return e, nil
+	return Event{PC: r.cur.PCs[i], Ctx: r.cur.Ctx(i), Taken: r.cur.TakenBit(i)}, nil
 }
 
-// ReadBatch decodes up to len(dst) events into dst, mirroring
-// (*Reader).ReadBatch's contract: (0, io.EOF) at end of stream, short
-// batches otherwise allowed.
-func (r *BTR2Reader) ReadBatch(dst []Event) (int, error) {
-	n := 0
-	for n < len(dst) {
-		if r.pos >= len(r.cur) {
-			if err := r.refill(); err != nil {
-				if err == io.EOF && n > 0 {
-					return n, nil
-				}
-				return n, err
-			}
-		}
-		k := copy(dst[n:], r.cur[r.pos:])
-		r.pos += k
-		n += k
+// ReadBatch decodes the next chunk into b through the 8-wide kernel.
+// Events a preceding Next call decoded but did not return come first,
+// as a batch of their own. A chunk that fails to decode leaves b
+// empty.
+func (r *BTR2Reader) ReadBatch(b *SoABatch) error {
+	if r.pos < r.cur.Len() {
+		r.cur.Span(b, r.pos, r.cur.Len())
+		r.pos = r.cur.Len()
+		return nil
 	}
-	return n, nil
+	err := r.ReadChunkInto(&r.scratch)
+	if err == nil {
+		err = r.scratch.DecodeSoA(b)
+	}
+	if err != nil {
+		b.Reset()
+	}
+	return err
 }
 
 // Replay feeds all remaining events into sink and returns the number of
-// events delivered. Sinks implementing SoABatchSink receive whole
-// chunks decoded straight into struct-of-arrays batches through the
-// 8-wide kernel (no []Event is ever materialised); sinks implementing
-// only BatchSink receive whole decoded chunks at a time.
+// events delivered. Chunk frames are read into a reused buffer and
+// decoded 8 events per iteration into a reused SoA batch — zero
+// allocations per chunk once the scratch buffers have grown to the
+// stream's chunk size.
 func (r *BTR2Reader) Replay(sink Sink) (int64, error) {
-	if ss, ok := sink.(SoABatchSink); ok {
-		return r.replaySoA(ss)
-	}
 	var n int64
 	for {
-		if r.pos < len(r.cur) {
-			deliver(sink, r.cur[r.pos:])
-			n += int64(len(r.cur) - r.pos)
-			r.pos = len(r.cur)
-		}
-		if err := r.refill(); err != nil {
+		if err := r.ReadBatch(&r.soa); err != nil {
 			if err == io.EOF {
 				return n, nil
 			}
 			return n, err
 		}
-	}
-}
-
-// replaySoA is Replay's struct-of-arrays fast path: chunk frames are
-// read into a reused buffer, decoded 8 events per iteration into a
-// reused SoA batch, and handed to the sink — zero allocations per chunk
-// once the scratch buffers have grown to the stream's chunk size.
-func (r *BTR2Reader) replaySoA(sink SoABatchSink) (int64, error) {
-	var n int64
-	if r.pos < len(r.cur) {
-		// Events already decoded by earlier Next/ReadBatch calls keep
-		// their original order ahead of the SoA stream.
-		r.soa.FromEvents(r.cur[r.pos:])
-		sink.BranchBatchSoA(&r.soa)
-		n += int64(len(r.cur) - r.pos)
-		r.pos = len(r.cur)
-	}
-	for {
-		if err := r.ReadChunkInto(&r.scratch); err != nil {
-			if err == io.EOF {
-				return n, nil
-			}
-			return n, err
-		}
-		if err := r.scratch.DecodeSoA(&r.soa); err != nil {
-			return n, err
-		}
-		sink.BranchBatchSoA(&r.soa)
+		deliverSoA(sink, &r.soa)
 		n += int64(r.soa.Len())
 	}
 }

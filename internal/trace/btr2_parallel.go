@@ -18,8 +18,8 @@ import (
 //
 // The sink sees exactly the sequential event stream; only the decode
 // runs concurrently. Consumers that parallelise further (PC-sharded
-// bias profiling) layer their own fan-out behind the sink (see
-// internal/replay).
+// profiling) layer their own fan-out behind the sink (see
+// internal/engine).
 //
 // Chunk frames (payload backing arrays included) and decode buffers are
 // recycled through sync.Pools, so the steady state allocates nothing
@@ -33,34 +33,31 @@ type decodeJob struct {
 	chunk *Chunk
 }
 
-// decodeResult is one decoded chunk (or the error that killed it). For
-// SoA-capable sinks the events arrive in soa; otherwise in evs.
+// decodeResult is one decoded chunk (or the error that killed it).
 type decodeResult struct {
 	seq   int64
 	chunk *Chunk // returned to the frame pool after delivery
-	evs   []Event
 	soa   *SoABatch
 	err   error
 }
 
 // ParallelReplay decodes the remaining chunks across a bounded pool of
 // workers and feeds the events to sink in program order. It is
-// equivalent to Replay — same events, same order, same count — and
-// falls back to it when workers <= 1. Events already buffered by
-// Next/ReadBatch calls are delivered first. Sinks implementing
-// SoABatchSink receive each chunk as a struct-of-arrays batch decoded
-// through the 8-wide kernel, exactly as in the sequential Replay.
+// equivalent to Replay — same events, same order, same count, each
+// chunk an SoA batch decoded through the 8-wide kernel — and falls
+// back to it when workers <= 1. Events a preceding Next call decoded
+// but did not return are delivered first.
 func (r *BTR2Reader) ParallelReplay(workers int, sink Sink) (int64, error) {
 	if workers <= 1 {
 		return r.Replay(sink)
 	}
-	soaSink, wantSoA := sink.(SoABatchSink)
 
 	var n int64
-	if r.pos < len(r.cur) {
-		deliver(sink, r.cur[r.pos:])
-		n += int64(len(r.cur) - r.pos)
-		r.pos = len(r.cur)
+	if r.pos < r.cur.Len() {
+		r.cur.Span(&r.soa, r.pos, r.cur.Len())
+		r.pos = r.cur.Len()
+		deliverSoA(sink, &r.soa)
+		n += int64(r.soa.Len())
 	}
 
 	var (
@@ -69,7 +66,6 @@ func (r *BTR2Reader) ParallelReplay(workers int, sink Sink) (int64, error) {
 		abort     = make(chan struct{})
 		readErr   = make(chan error, 1)
 		wg        sync.WaitGroup
-		evPool    sync.Pool // recycles []Event decode buffers
 		soaPool   sync.Pool // recycles *SoABatch decode buffers
 		framePool sync.Pool // recycles *Chunk frames (payload arrays)
 	)
@@ -82,21 +78,11 @@ func (r *BTR2Reader) ParallelReplay(workers int, sink Sink) (int64, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				var res decodeResult
-				res.seq, res.chunk = j.seq, j.chunk
-				if wantSoA {
-					b, _ := soaPool.Get().(*SoABatch)
-					if b == nil {
-						b = new(SoABatch)
-					}
-					res.soa, res.err = b, j.chunk.DecodeSoA(b)
-				} else {
-					var buf []Event
-					if v := evPool.Get(); v != nil {
-						buf = v.([]Event)[:0]
-					}
-					res.evs, res.err = j.chunk.Decode(buf)
+				b, _ := soaPool.Get().(*SoABatch)
+				if b == nil {
+					b = new(SoABatch)
 				}
+				res := decodeResult{seq: j.seq, chunk: j.chunk, soa: b, err: j.chunk.DecodeSoA(b)}
 				select {
 				case results <- res:
 				case <-abort:
@@ -168,15 +154,9 @@ func (r *BTR2Reader) ParallelReplay(workers int, sink Sink) (int64, error) {
 				break
 			}
 			delete(pending, next)
-			if cur.soa != nil {
-				soaSink.BranchBatchSoA(cur.soa)
-				n += int64(cur.soa.Len())
-				soaPool.Put(cur.soa)
-			} else {
-				deliver(sink, cur.evs)
-				n += int64(len(cur.evs))
-				evPool.Put(cur.evs)
-			}
+			deliverSoA(sink, cur.soa)
+			n += int64(cur.soa.Len())
+			soaPool.Put(cur.soa)
 			framePool.Put(cur.chunk)
 			next++
 		}

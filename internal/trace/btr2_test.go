@@ -114,10 +114,10 @@ func TestBTR2NextAndReadBatch(t *testing.T) {
 		}
 		got = append(got, e)
 	}
-	buf := make([]Event, 997)
+	var b SoABatch
 	for {
-		k, err := r.ReadBatch(buf)
-		got = append(got, buf[:k]...)
+		err := r.ReadBatch(&b)
+		got = b.AppendEvents(got)
 		if err == io.EOF {
 			break
 		}

@@ -119,10 +119,10 @@ func TestBTR3NextAndReadBatch(t *testing.T) {
 		}
 		got = append(got, e)
 	}
-	buf := make([]Event, 997)
+	var b SoABatch
 	for {
-		k, err := r.ReadBatch(buf)
-		got = append(got, buf[:k]...)
+		err := r.ReadBatch(&b)
+		got = b.AppendEvents(got)
 		if err == io.EOF {
 			break
 		}

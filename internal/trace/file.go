@@ -83,8 +83,7 @@ func (w *Writer) Branch(pc PC, taken bool) {
 	w.count++
 }
 
-// BranchBatch implements BatchSink, encoding a run of events in one
-// call.
+// BranchBatch encodes a run of events in one call.
 func (w *Writer) BranchBatch(events []Event) {
 	for _, e := range events {
 		w.Branch(e.PC, e.Taken)
@@ -116,13 +115,20 @@ func (w *Writer) Close() error {
 type EventReader interface {
 	// Next returns the next event, or io.EOF at end of stream.
 	Next() (Event, error)
-	// ReadBatch decodes up to len(dst) events into dst; (0, io.EOF) at
-	// end of stream, short batches otherwise allowed.
-	ReadBatch(dst []Event) (int, error)
+	// ReadBatch replaces b's contents with the next run of events: up
+	// to ReadBatchEvents of a BTR1 stream, one chunk of a BTR2/BTR3
+	// stream. At end of stream it returns io.EOF with b empty; on any
+	// other error b holds the events decoded before it.
+	ReadBatch(b *SoABatch) error
 	// Replay feeds all remaining events into sink and returns how many
 	// were delivered.
 	Replay(sink Sink) (int64, error)
 }
+
+// ReadBatchEvents is the BTR1 decode granularity of ReadBatch and
+// Replay: 4 K events is 32 KB of PCs, big enough to amortise the
+// per-batch bookkeeping of every consumer and well under a slice.
+const ReadBatchEvents = 4096
 
 // ParallelReplayer is the subset of readers whose streams decode
 // chunk-parallel: BTR2 and BTR3. Callers with a worker budget assert
@@ -138,8 +144,9 @@ type ParallelReplayer interface {
 type Reader struct {
 	br     *bufio.Reader
 	lastPC PC
-	off    int64 // event-stream bytes consumed so far (header excluded)
-	events int64 // events decoded so far
+	off    int64    // event-stream bytes consumed so far (header excluded)
+	events int64    // events decoded so far
+	batch  SoABatch // Next/Replay decode buffer
 }
 
 // NewReader validates the header and returns a Reader. Empty input
@@ -171,41 +178,40 @@ func NewReader(r io.Reader) (*Reader, error) {
 }
 
 // Next returns the next event, or io.EOF at end of stream. It is a
-// one-event ReadBatch, so the reader's position accounting (for
-// truncation diagnostics) stays exact however the stream is drained.
+// one-event read, so the reader's position accounting (for truncation
+// diagnostics) stays exact however the stream is drained.
 func (r *Reader) Next() (Event, error) {
-	var one [1]Event
-	n, err := r.ReadBatch(one[:])
-	if n == 0 {
-		if err == nil {
-			err = io.EOF
-		}
+	if err := r.read(&r.batch, 1); r.batch.Len() == 0 {
 		return Event{}, err
 	}
-	return one[0], nil
+	return Event{PC: r.batch.PCs[0], Taken: r.batch.TakenBit(0)}, nil
 }
 
 // maxEventLen is the longest possible encoded event (one uvarint).
 const maxEventLen = binary.MaxVarintLen64
 
-// ReadBatch decodes up to len(dst) events into dst and returns how many
-// it produced. At end of stream it returns (0, io.EOF); a short batch
-// with a nil error just means the underlying reader delivered a short
-// buffer (common on network bodies). It is the bulk counterpart of
-// Next: decoding runs over the buffered bytes directly instead of
-// paying the per-byte ReadByte interface path, and runs the same
-// fixed-width 8-wide kernel as the BTR2 chunk decoder — one 64-bit load
-// whose continuation bits are all clear yields eight events with
-// branchless unpacking, which is the overwhelmingly common shape of a
-// delta-encoded branch stream.
-func (r *Reader) ReadBatch(dst []Event) (int, error) {
+// ReadBatch decodes up to ReadBatchEvents events into b. A short
+// batch with a nil error just means the underlying reader delivered a
+// short buffer (common on network bodies).
+func (r *Reader) ReadBatch(b *SoABatch) error { return r.read(b, ReadBatchEvents) }
+
+// read decodes up to limit events into b. Decoding runs over the
+// buffered bytes directly instead of paying the per-byte ReadByte
+// interface path, and runs the same fixed-width 8-wide kernel as the
+// BTR2 chunk decoder — one 64-bit load whose continuation bits are all
+// clear yields eight events with branchless unpacking, which is the
+// overwhelmingly common shape of a delta-encoded branch stream.
+func (r *Reader) read(b *SoABatch, limit int) error {
+	b.Grow(limit)
+	pcs, bits := b.PCs, b.Taken
 	n := 0
 	last := int64(r.lastPC)
 	finish := func() {
 		r.lastPC = PC(last)
 		r.events += int64(n)
+		b.PCs, b.Taken = pcs[:n], bits[:(n+63)/64]
 	}
-	for n < len(dst) {
+	for n < limit {
 		// Ensure a full varint of lookahead when the stream has one;
 		// this is also the refill point.
 		head, peekErr := r.br.Peek(maxEventLen)
@@ -217,18 +223,25 @@ func (r *Reader) ReadBatch(dst []Event) (int, error) {
 			buf, _ := r.br.Peek(r.br.Buffered())
 			safe := len(buf) - maxEventLen
 			consumed := 0
-			for consumed <= safe && n < len(dst) {
-				if n+8 <= len(dst) && consumed+8 <= safe {
+			for consumed <= safe && n < limit {
+				if n+8 <= limit && consumed+8 <= safe {
 					w := binary.LittleEndian.Uint64(buf[consumed:])
 					if w&msbMask == 0 {
 						// Eight complete single-byte varints at once.
 						consumed += 8
+						var tk uint64
 						for k := 0; k < 8; k++ {
 							bb := w & 0xff
 							w >>= 8
 							s := -int64(bb >> 1 & 1)
 							last += (int64(bb>>2) ^ s) - s
-							dst[n+k] = Event{PC: PC(last), Taken: bb&1 != 0}
+							pcs[n+k] = PC(last)
+							tk |= (bb & 1) << uint(k)
+						}
+						off := uint(n & 63)
+						bits[n>>6] |= tk << off
+						if off > 56 {
+							bits[(n>>6)+1] |= tk >> (64 - off)
 						}
 						n += 8
 						continue
@@ -239,15 +252,13 @@ func (r *Reader) ReadBatch(dst []Event) (int, error) {
 					r.br.Discard(consumed)
 					r.off += int64(consumed)
 					finish()
-					return n, fmt.Errorf("trace: reading event: %w", r.eventErr(sz))
+					return fmt.Errorf("trace: reading event: %w", r.eventErr(sz))
 				}
 				consumed += sz
-				delta := int64(word >> 2)
-				if word&2 != 0 {
-					delta = -delta
-				}
-				last += delta
-				dst[n] = Event{PC: PC(last), Taken: word&1 != 0}
+				s := -int64(word >> 1 & 1)
+				last += (int64(word>>2) ^ s) - s
+				pcs[n] = PC(last)
+				bits[n>>6] |= (word & 1) << uint(n&63)
 				n++
 			}
 			r.br.Discard(consumed)
@@ -259,34 +270,32 @@ func (r *Reader) ReadBatch(dst []Event) (int, error) {
 		if len(head) == 0 {
 			finish()
 			if n > 0 {
-				return n, nil
+				return nil
 			}
 			if peekErr == io.EOF {
-				return 0, io.EOF
+				return io.EOF
 			}
-			return 0, fmt.Errorf("trace: reading event: %w", peekErr)
+			return fmt.Errorf("trace: reading event: %w", peekErr)
 		}
 		word, sz := binary.Uvarint(head)
 		if sz <= 0 {
 			// Incomplete varint at end of input, or an over-long one.
 			finish()
 			if sz == 0 && peekErr != nil && peekErr != io.EOF {
-				return n, fmt.Errorf("trace: reading event: %w", peekErr)
+				return fmt.Errorf("trace: reading event: %w", peekErr)
 			}
-			return n, fmt.Errorf("trace: reading event: %w", r.eventErr(sz))
+			return fmt.Errorf("trace: reading event: %w", r.eventErr(sz))
 		}
 		r.br.Discard(sz)
 		r.off += int64(sz)
-		delta := int64(word >> 2)
-		if word&2 != 0 {
-			delta = -delta
-		}
-		last += delta
-		dst[n] = Event{PC: PC(last), Taken: word&1 != 0}
+		s := -int64(word >> 1 & 1)
+		last += (int64(word>>2) ^ s) - s
+		pcs[n] = PC(last)
+		bits[n>>6] |= (word & 1) << uint(n&63)
 		n++
 	}
 	finish()
-	return n, nil
+	return nil
 }
 
 // eventErr classifies a failed varint read at the reader's current
@@ -304,17 +313,15 @@ func (r *Reader) eventErr(sz int) error {
 var errCorruptEvent = errors.New("trace: corrupt event varint (over-long encoding)")
 
 // Replay feeds all remaining events into sink and returns the number of
-// events delivered. Sinks implementing BatchSink receive decoded runs in
-// bulk.
+// events delivered, ReadBatchEvents at a time.
 func (r *Reader) Replay(sink Sink) (int64, error) {
-	var (
-		n   int64
-		buf [512]Event
-	)
+	var n int64
 	for {
-		k, err := r.ReadBatch(buf[:])
-		deliver(sink, buf[:k])
-		n += int64(k)
+		err := r.ReadBatch(&r.batch)
+		if r.batch.Len() > 0 {
+			deliverSoA(sink, &r.batch)
+			n += int64(r.batch.Len())
+		}
 		if err == io.EOF {
 			return n, nil
 		}

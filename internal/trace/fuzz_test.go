@@ -2,12 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 )
 
 // FuzzReader checks the trace reader never panics on arbitrary bytes:
-// anything malformed must surface as an error or clean EOF.
+// anything malformed must surface as an error or clean EOF. Plain BTR1
+// inputs additionally go through ReadBatch and are pinned, event by
+// event and down to the TruncatedError position, to scalarBTR1.
 func FuzzReader(f *testing.F) {
 	// A valid small trace as one seed.
 	var buf bytes.Buffer
@@ -16,6 +20,23 @@ func FuzzReader(f *testing.F) {
 	w.Branch(0x400004, false)
 	w.Close()
 	f.Add(buf.Bytes())
+	// A longer BTR1 trace — runs of single-byte varints for the 8-wide
+	// kernel, broken by two-byte wrap-around deltas and far jumps so its
+	// 8-event groups also straddle bitmap words — whole and cut
+	// mid-varint.
+	buf.Reset()
+	w, _ = NewWriter(&buf)
+	for i := 0; i < 300; i++ {
+		pc := PC(0x400000 + 4*(i%61))
+		if i%97 == 50 {
+			pc += 1 << 30
+		}
+		w.Branch(pc, i%3 == 0)
+	}
+	w.Branch(1<<40, true) // a multi-byte varint for the cut to split
+	w.Close()
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()-1])
 	f.Add([]byte("BTR1"))
 	f.Add([]byte("BTR1\x00"))
 	f.Add([]byte("NOPE"))
@@ -54,6 +75,10 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if br, ok := r.(*Reader); ok && bytes.HasPrefix(data, magic[:]) {
+			checkBTR1(t, data, br)
+			return
+		}
 		for i := 0; i < 10000; i++ {
 			if _, err := r.Next(); err != nil {
 				if err != io.EOF && err.Error() == "" {
@@ -63,6 +88,70 @@ func FuzzReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// scalarBTR1 decodes a plain BTR1 stream one varint at a time — the
+// independent reference for the reader's 8-wide ReadBatch kernel. It
+// returns the events before the first bad varint plus how the stream
+// ended: cleanly, cut mid-varint (trunc, positioned like the reader's
+// TruncatedError), or on an over-long varint (corrupt).
+func scalarBTR1(data []byte) (events []Event, trunc *TruncatedError, corrupt bool) {
+	_, n := binary.Uvarint(data[len(magic):])
+	body := data[len(magic)+n:]
+	last := int64(0)
+	for pos := 0; pos < len(body); {
+		word, sz := binary.Uvarint(body[pos:])
+		if sz == 0 {
+			return events, &TruncatedError{Chunk: -1, Event: int64(len(events)), Offset: int64(pos)}, false
+		}
+		if sz < 0 {
+			return events, nil, true
+		}
+		pos += sz
+		delta := int64(word >> 2)
+		if word&2 != 0 {
+			delta = -delta
+		}
+		last += delta
+		events = append(events, Event{PC: PC(last), Taken: word&1 != 0})
+	}
+	return events, nil, false
+}
+
+// checkBTR1 drains r through ReadBatch and compares every event and
+// the terminating error against scalarBTR1.
+func checkBTR1(t *testing.T, data []byte, r *Reader) {
+	want, trunc, corrupt := scalarBTR1(data)
+	var (
+		got []Event
+		b   SoABatch
+		err error
+	)
+	for err == nil {
+		err = r.ReadBatch(&b)
+		got = b.AppendEvents(got)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("ReadBatch decoded %d events, scalar reference %d (err %v)", len(got), len(want), err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: ReadBatch %+v, scalar reference %+v", i, got[i], want[i])
+		}
+	}
+	var te *TruncatedError
+	switch {
+	case trunc != nil:
+		if !errors.As(err, &te) || *te != *trunc {
+			t.Fatalf("ReadBatch error %v, want %v", err, trunc)
+		}
+	case corrupt:
+		if !errors.Is(err, errCorruptEvent) {
+			t.Fatalf("ReadBatch error %v, want an over-long varint", err)
+		}
+	case err != io.EOF:
+		t.Fatalf("ReadBatch error %v, want io.EOF", err)
+	}
 }
 
 // FuzzBTR2RoundTrip checks write→read symmetry: any event sequence,

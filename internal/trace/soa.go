@@ -10,9 +10,11 @@ import "fmt"
 // events as one flat PC array plus a packed outcome bitmap: half the
 // memory traffic, and the predictor/profiler inner loops index the two
 // arrays directly with no per-event struct assembly. SoABatch is that
-// shape; BTR2 chunk decode fills it eight events per iteration
-// (Chunk.DecodeSoA) and internal/engine consumes it through
-// SoABatchSink without ever materialising []Event.
+// shape, and the only one a batch of events has once it leaves its
+// producer: every reader's ReadBatch and Replay decode straight into
+// it (BTR2/BTR3 chunks eight events per iteration through
+// Chunk.DecodeSoA), and internal/engine, the daemon's WAL and its
+// ingest fronts consume it without ever materialising []Event.
 
 // SoABatch is a run of branch events in struct-of-arrays layout: PCs[i]
 // is event i's branch site and bit i (bit i%64 of word i/64) of Taken
@@ -22,7 +24,9 @@ import "fmt"
 // Ctxs is the optional execution-context lane: empty means every event
 // belongs to context 0 (the overwhelmingly common single-stream case
 // pays nothing for the field); otherwise it holds exactly len(PCs)
-// entries, Ctxs[i] tagging event i. Only BTR3 decode populates it.
+// entries, Ctxs[i] tagging event i. Only context-tagged producers
+// (BTR3 decode, context-carrying wire chunks and WAL records)
+// populate it.
 type SoABatch struct {
 	PCs   []PC
 	Taken []uint64
@@ -86,15 +90,17 @@ func (b *SoABatch) GrowCtxs() {
 }
 
 // Span extracts events [i, j) into dst as a word-aligned batch: PCs
-// are copied and the outcome bits are repacked so dst's bit 0 is event
-// i. The context lane is not copied — callers split at context
-// boundaries first, so a span is single-context by construction. This
-// is what lets a per-context consumer keep running packed-bitmap SoA
-// kernels over sub-ranges that start mid-word.
+// (and the context lane, when b has one) are copied and the outcome
+// bits are repacked so dst's bit 0 is event i. This is what lets a
+// consumer keep running packed-bitmap SoA kernels over sub-ranges that
+// start mid-word.
 func (b *SoABatch) Span(dst *SoABatch, i, j int) {
 	n := j - i
 	dst.Grow(n)
 	copy(dst.PCs, b.PCs[i:j])
+	if len(b.Ctxs) > 0 {
+		dst.Ctxs = append(dst.Ctxs, b.Ctxs[i:j]...)
+	}
 	w, r := i>>6, uint(i&63)
 	if r == 0 {
 		copy(dst.Taken, b.Taken[w:w+len(dst.Taken)])
@@ -130,9 +136,9 @@ func (b *SoABatch) TakenBit(i int) bool {
 	return b.Taken[i>>6]>>uint(i&63)&1 != 0
 }
 
-// AppendEvents converts the batch (or a sub-range of it) back to AoS
-// events, appending to dst. It is the compatibility bridge for sinks
-// without an SoA path; hot paths never call it.
+// AppendEvents converts the batch back to AoS events, appending to
+// dst: the bridge into producer-edge APIs that take []Event, such as
+// the router relaying a decoded chunk through wire.Session.Send.
 func (b *SoABatch) AppendEvents(dst []Event) []Event {
 	for i, pc := range b.PCs {
 		dst = append(dst, Event{PC: pc, Ctx: b.Ctx(i), Taken: b.TakenBit(i)})
@@ -140,9 +146,9 @@ func (b *SoABatch) AppendEvents(dst []Event) []Event {
 	return dst
 }
 
-// FromEvents rebuilds the batch from an AoS event slice (test and
-// bridge helper). The context lane is materialised only when some
-// event carries a non-zero context.
+// FromEvents rebuilds the batch from an AoS event slice (the bridge
+// from recorded streams). The context lane is materialised only when
+// some event carries a non-zero context.
 func (b *SoABatch) FromEvents(events []Event) {
 	b.Grow(len(events))
 	for i, e := range events {
@@ -161,23 +167,30 @@ func (b *SoABatch) FromEvents(events []Event) {
 
 // SoABatchSink is an optional struct-of-arrays bulk path for Sink
 // implementations: one call delivers a whole decoded batch, equivalent
-// to calling Branch(PCs[i], TakenBit(i)) for each i in order. Replay
-// paths prefer it over BatchSink when the sink provides it — events
-// then flow decode→predict→profile with no AoS↔SoA conversion.
+// to calling Branch(PCs[i], TakenBit(i)) (BranchCtx on Ctx(i)) for
+// each i in order. Every reader's Replay prefers it, so events flow
+// decode→predict→profile with no per-event interface call.
 type SoABatchSink interface {
 	Sink
 	BranchBatchSoA(b *SoABatch)
 }
 
 // deliverSoA feeds one SoA batch into sink through the richest path it
-// implements.
-func deliverSoA(sink Sink, b *SoABatch, scratch *[]Event) {
-	if ss, ok := sink.(SoABatchSink); ok {
-		ss.BranchBatchSoA(b)
-		return
+// implements: the batch itself for SoA sinks, otherwise one call per
+// event — BranchCtx when the sink keeps contexts, Branch when not.
+func deliverSoA(sink Sink, b *SoABatch) {
+	switch s := sink.(type) {
+	case SoABatchSink:
+		s.BranchBatchSoA(b)
+	case CtxSink:
+		for i, pc := range b.PCs {
+			s.BranchCtx(b.Ctx(i), pc, b.TakenBit(i))
+		}
+	default:
+		for i, pc := range b.PCs {
+			sink.Branch(pc, b.TakenBit(i))
+		}
 	}
-	*scratch = b.AppendEvents((*scratch)[:0])
-	deliver(sink, *scratch)
 }
 
 // TruncatedError reports a trace stream cut (or corrupted) inside an

@@ -35,8 +35,9 @@ type Sink interface {
 // CtxSink is an optional per-event path for sinks that distinguish
 // execution contexts: BranchCtx(ctx, pc, taken) is Branch(pc, taken)
 // observed on context ctx. Producers fall back to Branch (collapsing
-// the stream into context 0) when the sink does not provide it; batch
-// paths do not need it because Event carries the context.
+// the stream into context 0) when the sink does not provide it; the
+// SoA batch path does not need it because SoABatch carries a context
+// lane.
 type CtxSink interface {
 	Sink
 	BranchCtx(ctx Context, pc PC, taken bool)
@@ -48,26 +49,6 @@ type Source interface {
 	// Run feeds the whole stream into sink and returns the number of
 	// events produced.
 	Run(sink Sink) int64
-}
-
-// BatchSink is an optional bulk path for Sink implementations: a run of
-// events delivered in one call, equivalent to calling Branch for each in
-// order. Replay paths use it to amortise per-event interface dispatch.
-type BatchSink interface {
-	Sink
-	BranchBatch(events []Event)
-}
-
-// deliver feeds a run of events into sink, using the batch path when the
-// sink provides one.
-func deliver(sink Sink, events []Event) {
-	if bs, ok := sink.(BatchSink); ok {
-		bs.BranchBatch(events)
-		return
-	}
-	for _, e := range events {
-		sink.Branch(e.PC, e.Taken)
-	}
 }
 
 // SinkFunc adapts a function to the Sink interface.
@@ -114,7 +95,7 @@ func (r *Recorder) BranchCtx(ctx Context, pc PC, taken bool) {
 	r.Events = append(r.Events, Event{PC: pc, Ctx: ctx, Taken: taken})
 }
 
-// BranchBatch implements BatchSink.
+// BranchBatch appends a run of events in one call.
 func (r *Recorder) BranchBatch(events []Event) {
 	r.Events = append(r.Events, events...)
 }
@@ -124,9 +105,25 @@ func (r *Recorder) BranchBatch(events []Event) {
 // re-growing the slice each time.
 func (r *Recorder) Reset() { r.Events = r.Events[:0] }
 
-// Replay feeds a recorded stream back into a sink.
+// Replay feeds a recorded stream back into a sink: SoA sinks in
+// ReadBatchEvents-sized batches, every other sink one event at a time
+// (through BranchCtx when the sink keeps contexts).
 func (r *Recorder) Replay(sink Sink) int64 {
-	deliver(sink, r.Events)
+	if ss, ok := sink.(SoABatchSink); ok {
+		var b SoABatch
+		for i := 0; i < len(r.Events); i += ReadBatchEvents {
+			b.FromEvents(r.Events[i:min(i+ReadBatchEvents, len(r.Events))])
+			ss.BranchBatchSoA(&b)
+		}
+	} else if cs, ok := sink.(CtxSink); ok {
+		for _, e := range r.Events {
+			cs.BranchCtx(e.Ctx, e.PC, e.Taken)
+		}
+	} else {
+		for _, e := range r.Events {
+			sink.Branch(e.PC, e.Taken)
+		}
+	}
 	return int64(len(r.Events))
 }
 

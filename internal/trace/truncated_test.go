@@ -58,9 +58,9 @@ func TestReadBatchMidVarintTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dst [16]Event
-	n, err := r.ReadBatch(dst[:])
-	if n != 2 {
+	var b SoABatch
+	err = r.ReadBatch(&b)
+	if n := b.Len(); n != 2 {
 		t.Fatalf("ReadBatch decoded %d events before the cut, want 2", n)
 	}
 	if !errors.Is(err, ErrTruncated) {

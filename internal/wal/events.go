@@ -26,141 +26,156 @@ import (
 // without contexts keep the exact historical bytes and old logs stay
 // byte-identical.
 
-// MaxEventsPerRecord bounds the decoded event count of one payload, so
-// a corrupt count varint cannot demand an absurd allocation. Ingest
-// writes one record per decode batch (hundreds of events), far below
-// this.
+// MaxEventsPerRecord bounds the event count of one payload, so a
+// corrupt count varint cannot demand an absurd allocation. Writers
+// split larger batches across several records.
 const MaxEventsPerRecord = 1 << 20
 
-// EncodeEvents appends the codec form of events to dst and returns the
-// extended slice.
-func EncodeEvents(dst []byte, events []trace.Event) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(events)))
-	bitmap := make([]byte, (len(events)+7)/8)
-	for i, ev := range events {
-		if ev.Taken {
-			bitmap[i/8] |= 1 << (i % 8)
+// EncodeEvents appends the codec form of b's events to dst and returns
+// the extended slice. The taken bitmap is b's little-endian outcome
+// words cut to ceil(count/8) bytes — bit i of byte i/8 is bit i of the
+// words — with the bits above count cleared. It allocates nothing
+// beyond dst's growth.
+func EncodeEvents(dst []byte, b *trace.SoABatch) []byte {
+	n := b.Len()
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for w := 0; w < n/64; w++ {
+		dst = binary.LittleEndian.AppendUint64(dst, b.Taken[w])
+	}
+	if r := n % 64; r != 0 {
+		last := b.Taken[n/64] & (1<<uint(r) - 1)
+		for k := 0; k < (r+7)/8; k++ {
+			dst = append(dst, byte(last>>(8*k)))
 		}
 	}
-	dst = append(dst, bitmap...)
-	for _, ev := range events {
-		dst = binary.AppendUvarint(dst, uint64(ev.PC))
+	for _, pc := range b.PCs {
+		dst = binary.AppendUvarint(dst, uint64(pc))
 	}
 	return dst
 }
 
-// EncodeEventsCtx appends the context-carrying codec form of events to
-// dst: the plain layout plus the run-length context table. Callers use
+// EncodeEventsCtx appends the context-carrying codec form of b's
+// events to dst: the plain layout plus the run-length context table
+// (a batch without a context lane is one context-0 run). Callers use
 // it only when some event carries a non-zero context; an all-zero
 // batch belongs in the plain codec.
-func EncodeEventsCtx(dst []byte, events []trace.Event) []byte {
-	dst = EncodeEvents(dst, events)
+func EncodeEventsCtx(dst []byte, b *trace.SoABatch) []byte {
+	dst = EncodeEvents(dst, b)
+	n := b.Len()
 	var nRuns uint64
-	for i := 0; i < len(events); {
-		j := i + 1
-		for j < len(events) && events[j].Ctx == events[i].Ctx {
-			j++
-		}
+	for i := 0; i < n; i = runEnd(b, i) {
 		nRuns++
-		i = j
 	}
 	dst = binary.AppendUvarint(dst, nRuns)
-	for i := 0; i < len(events); {
-		j := i + 1
-		for j < len(events) && events[j].Ctx == events[i].Ctx {
-			j++
-		}
-		dst = binary.AppendUvarint(dst, uint64(events[i].Ctx))
+	for i := 0; i < n; {
+		j := runEnd(b, i)
+		dst = binary.AppendUvarint(dst, uint64(b.Ctx(i)))
 		dst = binary.AppendUvarint(dst, uint64(j-i))
 		i = j
 	}
 	return dst
 }
 
-// decodeEvents parses the plain event layout, returning the unparsed
-// tail for the context-table variant to continue from.
-func decodeEvents(dst []trace.Event, payload []byte) ([]trace.Event, []byte, error) {
+// runEnd returns the end of the same-context run starting at event i.
+func runEnd(b *trace.SoABatch, i int) int {
+	j := i + 1
+	for j < b.Len() && b.Ctx(j) == b.Ctx(i) {
+		j++
+	}
+	return j
+}
+
+// decodeEvents parses the plain event layout into b, returning the
+// unparsed tail for the context-table variant to continue from.
+func decodeEvents(b *trace.SoABatch, payload []byte) ([]byte, error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("wal: event record: bad count varint")
+		return nil, fmt.Errorf("wal: event record: bad count varint")
 	}
 	if count > MaxEventsPerRecord {
-		return nil, nil, fmt.Errorf("wal: event record claims %d events (max %d)", count, MaxEventsPerRecord)
+		return nil, fmt.Errorf("wal: event record claims %d events (max %d)", count, MaxEventsPerRecord)
 	}
 	payload = payload[n:]
+	// Every event costs at least one PC byte on top of its bitmap bit,
+	// so a count the payload cannot hold is refused before Grow
+	// commits memory to it.
 	nbitmap := (int(count) + 7) / 8
-	if len(payload) < nbitmap {
-		return nil, nil, fmt.Errorf("wal: event record: short taken bitmap")
+	if uint64(len(payload)) < count+uint64(nbitmap) {
+		return nil, fmt.Errorf("wal: event record: %d events do not fit %d payload bytes", count, len(payload))
 	}
-	bitmap := payload[:nbitmap]
+	b.Grow(int(count))
+	for i, x := range payload[:nbitmap] {
+		b.Taken[i/8] |= uint64(x) << (8 * (i % 8))
+	}
+	if r := count % 64; r != 0 {
+		b.Taken[len(b.Taken)-1] &= 1<<r - 1
+	}
 	payload = payload[nbitmap:]
-	for i := 0; i < int(count); i++ {
+	for i := range b.PCs {
 		pc, n := binary.Uvarint(payload)
 		if n <= 0 {
-			return nil, nil, fmt.Errorf("wal: event record: bad pc varint at event %d", i)
+			return nil, fmt.Errorf("wal: event record: bad pc varint at event %d", i)
 		}
 		payload = payload[n:]
-		dst = append(dst, trace.Event{
-			PC:    trace.PC(pc),
-			Taken: bitmap[i/8]&(1<<(i%8)) != 0,
-		})
+		b.PCs[i] = trace.PC(pc)
 	}
-	return dst, payload, nil
+	return payload, nil
 }
 
-// DecodeEvents parses one plain event payload, appending to dst. Every
-// byte of the payload must be consumed — trailing garbage means the
-// record is not an event record of this version.
-func DecodeEvents(dst []trace.Event, payload []byte) ([]trace.Event, error) {
-	out, rest, err := decodeEvents(dst, payload)
+// DecodeEvents parses one plain event payload into b, replacing its
+// contents. Every byte of the payload must be consumed — trailing
+// garbage means the record is not an event record of this version.
+func DecodeEvents(b *trace.SoABatch, payload []byte) error {
+	rest, err := decodeEvents(b, payload)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("wal: event record: %d trailing bytes", len(rest))
+		return fmt.Errorf("wal: event record: %d trailing bytes", len(rest))
 	}
-	return out, nil
+	return nil
 }
 
-// DecodeEventsCtx parses one context-carrying event payload, appending
-// to dst with the decoded events tagged by the run table.
-func DecodeEventsCtx(dst []trace.Event, payload []byte) ([]trace.Event, error) {
-	base := len(dst)
-	out, rest, err := decodeEvents(dst, payload)
+// DecodeEventsCtx parses one context-carrying event payload into b,
+// replacing its contents, with the context lane filled from the run
+// table.
+func DecodeEventsCtx(b *trace.SoABatch, payload []byte) error {
+	rest, err := decodeEvents(b, payload)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	count := len(out) - base
+	count := b.Len()
 	nRuns, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return nil, fmt.Errorf("wal: event record: bad context run count")
+		return fmt.Errorf("wal: event record: bad context run count")
 	}
 	rest = rest[n:]
 	if nRuns == 0 || nRuns > uint64(count) {
-		return nil, fmt.Errorf("wal: event record: %d context runs for %d events", nRuns, count)
+		return fmt.Errorf("wal: event record: %d context runs for %d events", nRuns, count)
 	}
+	b.GrowCtxs()
 	covered := 0
 	for r := uint64(0); r < nRuns; r++ {
 		ctx, n := binary.Uvarint(rest)
 		if n <= 0 || ctx > 1<<32-1 {
-			return nil, fmt.Errorf("wal: event record: bad context in run %d", r)
+			return fmt.Errorf("wal: event record: bad context in run %d", r)
 		}
 		rest = rest[n:]
 		runLen, m := binary.Uvarint(rest)
 		if m <= 0 || runLen == 0 || runLen > uint64(count-covered) {
-			return nil, fmt.Errorf("wal: event record: bad run length in run %d", r)
+			return fmt.Errorf("wal: event record: bad run length in run %d", r)
 		}
 		rest = rest[m:]
-		for i := 0; i < int(runLen); i++ {
-			out[base+covered+i].Ctx = trace.Context(ctx)
+		for i := covered; i < covered+int(runLen); i++ {
+			b.Ctxs[i] = trace.Context(ctx)
 		}
 		covered += int(runLen)
 	}
 	if covered != count {
-		return nil, fmt.Errorf("wal: event record: context runs cover %d of %d events", covered, count)
+		return fmt.Errorf("wal: event record: context runs cover %d of %d events", covered, count)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("wal: event record: %d trailing bytes", len(rest))
+		return fmt.Errorf("wal: event record: %d trailing bytes", len(rest))
 	}
-	return out, nil
+	return nil
 }

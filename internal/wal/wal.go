@@ -148,6 +148,7 @@ type Log struct {
 	mu     sync.Mutex
 	f      *os.File
 	w      *bufio.Writer
+	hdr    [frameHeader + 1]byte // Append's frame-header scratch, under mu
 	size   int64
 	policy SyncPolicy
 	dirty  bool
@@ -279,24 +280,25 @@ func (l *Log) flusher() {
 
 // Append frames and writes one record. Under SyncAlways it is durable
 // when Append returns; under SyncInterval within one interval; under
-// SyncNever when the OS gets around to it.
+// SyncNever when the OS gets around to it. The frame header is built
+// in the log's own scratch, so a steady stream of appends allocates
+// nothing.
 func (l *Log) Append(typ byte, payload []byte) error {
 	if len(payload)+1 > MaxRecord {
 		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
 	}
-	var hdr [frameHeader + 1]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)+1))
-	crc := crc32.Checksum([]byte{typ}, castagnoli)
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	hdr[8] = typ
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("wal: append to closed log")
 	}
-	if _, err := l.w.Write(hdr[:]); err != nil {
+	hdr := l.hdr[:]
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)+1))
+	hdr[8] = typ
+	crc := crc32.Update(0, castagnoli, hdr[8:])
+	crc = crc32.Update(crc, castagnoli, payload)
+	binary.LittleEndian.PutUint32(hdr[4:8], crc)
+	if _, err := l.w.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := l.w.Write(payload); err != nil {

@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -311,6 +313,78 @@ func TestIntervalFlusherSyncs(t *testing.T) {
 	}
 }
 
+// batchOf builds an SoA batch from AoS events.
+func batchOf(events ...trace.Event) *trace.SoABatch {
+	b := new(trace.SoABatch)
+	b.FromEvents(events)
+	return b
+}
+
+// requireBatch fails unless got holds exactly want's events (contexts
+// included) and no stray outcome bits above its count.
+func requireBatch(t *testing.T, label string, got, want *trace.SoABatch) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d events, want %d", label, got.Len(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if got.PCs[i] != want.PCs[i] || got.TakenBit(i) != want.TakenBit(i) || got.Ctx(i) != want.Ctx(i) {
+			t.Fatalf("%s event %d: {%d %d %v}, want {%d %d %v}", label, i,
+				got.PCs[i], got.Ctx(i), got.TakenBit(i), want.PCs[i], want.Ctx(i), want.TakenBit(i))
+		}
+	}
+	if n := got.Len(); n%64 != 0 && got.Taken[n/64]>>uint(n%64) != 0 {
+		t.Fatalf("%s: stray outcome bits above event %d", label, n)
+	}
+}
+
+// goldenEvents is a fixed 13-event batch (not a multiple of 8, so the
+// bitmap's last byte is partial) with full 64-bit PCs and four
+// contexts.
+func goldenEvents() []trace.Event {
+	pcs := []trace.PC{0x400000, 0x400004, 1<<64 - 1, 1 << 63, 0, 7, 0x400010, 0x3fff00, 0x400000, 0xdeadbeefcafe, 5, 0x400004, 1 << 40}
+	ctxs := []trace.Context{0, 0, 3, 3, 3, 1, 0, 0, 1 << 31, 1 << 31, 2, 2, 0}
+	ev := make([]trace.Event, len(pcs))
+	for i, pc := range pcs {
+		ev[i] = trace.Event{PC: pc, Ctx: ctxs[i], Taken: i%3 != 1}
+	}
+	return ev
+}
+
+// TestEventsCodecGolden pins both event codecs to bytes captured from
+// the AoS encoder that wrote every log before the SoA codec: those logs
+// must keep decoding, and new logs must stay byte-identical to them.
+func TestEventsCodecGolden(t *testing.T) {
+	const (
+		plainHex = "0d6d1b8080800284808002ffffffffffffffffff018080808080808080800100079080800280feff0180808002fe95bff7dbd5370584808002808080808020"
+		ctxHex   = plainHex + "07000203030101000280808080080202020001"
+	)
+	ev := goldenEvents()
+	withCtx := batchOf(ev...)
+	for i := range ev {
+		ev[i].Ctx = 0
+	}
+	plain := batchOf(ev...)
+
+	if got := hex.EncodeToString(EncodeEvents(nil, plain)); got != plainHex {
+		t.Errorf("EncodeEvents = %s, want %s", got, plainHex)
+	}
+	if got := hex.EncodeToString(EncodeEventsCtx(nil, withCtx)); got != ctxHex {
+		t.Errorf("EncodeEventsCtx = %s, want %s", got, ctxHex)
+	}
+	raw, _ := hex.DecodeString(plainHex)
+	var b trace.SoABatch
+	if err := DecodeEvents(&b, raw); err != nil {
+		t.Fatal(err)
+	}
+	requireBatch(t, "plain", &b, plain)
+	raw, _ = hex.DecodeString(ctxHex)
+	if err := DecodeEventsCtx(&b, raw); err != nil {
+		t.Fatal(err)
+	}
+	requireBatch(t, "ctx", &b, withCtx)
+}
+
 func TestEventsCodecRoundtrip(t *testing.T) {
 	cases := [][]trace.Event{
 		nil,
@@ -318,28 +392,37 @@ func TestEventsCodecRoundtrip(t *testing.T) {
 		{{PC: 1, Taken: true}, {PC: 2, Taken: false}, {PC: 3, Taken: true}},
 		{{PC: 1<<64 - 1, Taken: true}, {PC: 1 << 63, Taken: false}}, // full 64-bit PCs survive
 	}
-	// A 1000-event mixed batch crossing several bitmap bytes.
+	// A 1000-event mixed batch crossing several bitmap bytes and words.
 	var big []trace.Event
 	for i := 0; i < 1000; i++ {
 		big = append(big, trace.Event{PC: trace.PC(i * 7), Taken: i%3 == 0})
 	}
 	cases = append(cases, big)
 
+	var got trace.SoABatch
 	for i, events := range cases {
-		payload := EncodeEvents(nil, events)
-		got, err := DecodeEvents(nil, payload)
-		if err != nil {
+		want := batchOf(events...)
+		if err := DecodeEvents(&got, EncodeEvents(nil, want)); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if len(got) != len(events) {
-			t.Fatalf("case %d: %d events, want %d", i, len(got), len(events))
-		}
-		for j := range events {
-			if got[j] != events[j] {
-				t.Fatalf("case %d event %d: %+v, want %+v", i, j, got[j], events[j])
-			}
-		}
+		requireBatch(t, fmt.Sprintf("case %d", i), &got, want)
 	}
+
+	// Outcome bits above the count — in a span's source words or in a
+	// hand-written bitmap byte — never reach the codec's output or the
+	// decoded batch.
+	var dirty trace.SoABatch
+	dirty.FromEvents(big[:70])
+	dirty.Taken[1] |= 0xffff << 6
+	clean := batchOf(big[:70]...)
+	if !bytes.Equal(EncodeEvents(nil, &dirty), EncodeEvents(nil, clean)) {
+		t.Error("EncodeEvents leaked outcome bits above the count")
+	}
+	if err := DecodeEvents(&got, []byte{0x03, 0xff, 0x01, 0x02, 0x03}); err != nil {
+		t.Fatal(err)
+	}
+	requireBatch(t, "stray bitmap bits", &got, batchOf(
+		trace.Event{PC: 1, Taken: true}, trace.Event{PC: 2, Taken: true}, trace.Event{PC: 3, Taken: true}))
 }
 
 func TestDecodeEventsRejectsGarbage(t *testing.T) {
@@ -350,11 +433,17 @@ func TestDecodeEventsRejectsGarbage(t *testing.T) {
 		{0x02, 0x00},             // bitmap but no pcs
 		{0x01, 0x00, 0x00, 0x00}, // trailing bytes
 		{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, // absurd count
+		{0x80, 0x80, 0x40, 0x00, 0x00},                               // 1M events claimed by a 2-byte body
 	}
+	var b trace.SoABatch
 	for i, payload := range cases {
-		if _, err := DecodeEvents(nil, payload); err == nil {
+		if err := DecodeEvents(&b, payload); err == nil {
 			t.Errorf("case %d: DecodeEvents accepted garbage %x", i, payload)
 		}
+	}
+	// The oversized claim is refused before the batch grows to it.
+	if cap(b.PCs) > 16 {
+		t.Errorf("decoder grew the batch to %d events for a payload that cannot hold them", cap(b.PCs))
 	}
 }
 
@@ -374,47 +463,41 @@ func TestEventsCtxCodecRoundtrip(t *testing.T) {
 		})
 	}
 	cases = append(cases, big)
+	var got trace.SoABatch
 	for i, events := range cases {
-		payload := EncodeEventsCtx(nil, events)
-		got, err := DecodeEventsCtx(nil, payload)
-		if err != nil {
+		want := batchOf(events...)
+		if err := DecodeEventsCtx(&got, EncodeEventsCtx(nil, want)); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if len(got) != len(events) {
-			t.Fatalf("case %d: %d events, want %d", i, len(got), len(events))
-		}
-		for j := range events {
-			if got[j] != events[j] {
-				t.Fatalf("case %d event %d: %+v, want %+v", i, j, got[j], events[j])
-			}
-		}
+		requireBatch(t, fmt.Sprintf("case %d", i), &got, want)
 	}
 }
 
 func TestDecodeEventsCtxRejectsGarbage(t *testing.T) {
-	good := EncodeEventsCtx(nil, []trace.Event{
-		{PC: 1, Ctx: 2, Taken: true}, {PC: 2, Ctx: 2}, {PC: 3, Ctx: 1},
-	})
+	good := EncodeEventsCtx(nil, batchOf(
+		trace.Event{PC: 1, Ctx: 2, Taken: true}, trace.Event{PC: 2, Ctx: 2}, trace.Event{PC: 3, Ctx: 1},
+	))
 	cases := [][]byte{
-		good[:len(good)-1],                        // truncated run table
-		append(good[:len(good):len(good)], 0x00),  // trailing byte
-		EncodeEvents(nil, []trace.Event{{PC: 1}}), // plain payload: no run table
+		good[:len(good)-1],                             // truncated run table
+		append(good[:len(good):len(good)], 0x00),       // trailing byte
+		EncodeEvents(nil, batchOf(trace.Event{PC: 1})), // plain payload: no run table
 	}
 	// Run table claiming more runs than events.
-	bad := EncodeEvents(nil, []trace.Event{{PC: 1}})
+	bad := EncodeEvents(nil, batchOf(trace.Event{PC: 1}))
 	bad = append(bad, 0x05)
 	cases = append(cases, bad)
 	// Runs under-covering the events (1 run of length 1 for 2 events).
-	under := EncodeEvents(nil, []trace.Event{{PC: 1}, {PC: 2}})
+	under := EncodeEvents(nil, batchOf(trace.Event{PC: 1}, trace.Event{PC: 2}))
 	under = append(under, 0x01, 0x00, 0x01)
 	cases = append(cases, under)
+	var b trace.SoABatch
 	for i, payload := range cases {
-		if _, err := DecodeEventsCtx(nil, payload); err == nil {
+		if err := DecodeEventsCtx(&b, payload); err == nil {
 			t.Errorf("case %d: DecodeEventsCtx accepted garbage %x", i, payload)
 		}
 	}
 	// And the plain decoder must refuse a ctx payload (trailing bytes).
-	if _, err := DecodeEvents(nil, good); err == nil {
+	if err := DecodeEvents(&b, good); err == nil {
 		t.Error("DecodeEvents accepted a context-carrying payload")
 	}
 }

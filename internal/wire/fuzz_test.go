@@ -74,12 +74,12 @@ func FuzzWireFrame(f *testing.F) {
 			case msgHelloAck:
 				_, _ = parseHelloAck(fr.Body)
 			case msgChunk:
-				if events, err := decodeChunk(nil, fr.Body); err == nil {
+				if events, err := decodeChunkEvents(fr.Body); err == nil {
 					// A chunk that decodes must round-trip through the
 					// encoder losslessly (the base PC may re-anchor, so
 					// compare events, not bytes). Every event of a chunk
 					// shares the frame's context.
-					again, err := decodeChunk(nil, appendChunk(nil, events[0].Ctx, events))
+					again, err := decodeChunkEvents(appendChunk(nil, events[0].Ctx, events))
 					if err != nil {
 						t.Fatalf("re-encoded chunk failed to decode: %v", err)
 					}

@@ -104,25 +104,26 @@ func appendChunk(dst []byte, ctx trace.Context, events []trace.Event) []byte {
 	return trace.AppendEventDeltas(dst, basePC, events)
 }
 
-// decodeChunk appends a msgChunk body's events to dst, tagged with the
-// chunk's execution context. Decoding rides trace.Chunk.Decode, the
-// same code path BTR2 replay uses.
-func decodeChunk(dst []trace.Event, body []byte) ([]trace.Event, error) {
+// decodeChunk decodes a msgChunk body into b, replacing its contents,
+// with the context lane filled when the chunk's context is not 0.
+// Decoding rides trace.Chunk.DecodeSoA, the same 8-wide kernel BTR2
+// replay uses.
+func decodeChunk(b *trace.SoABatch, body []byte) error {
 	count, n := binary.Uvarint(body)
 	if n <= 0 {
-		return dst, fmt.Errorf("%w: bad chunk count", ErrBadFrame)
+		return fmt.Errorf("%w: bad chunk count", ErrBadFrame)
 	}
 	if count == 0 || count > MaxChunkEvents {
-		return dst, fmt.Errorf("%w: chunk count %d out of range", ErrBadFrame, count)
+		return fmt.Errorf("%w: chunk count %d out of range", ErrBadFrame, count)
 	}
 	ctx, cn := binary.Uvarint(body[n:])
 	if cn <= 0 || ctx > 1<<32-1 {
-		return dst, fmt.Errorf("%w: bad chunk context", ErrBadFrame)
+		return fmt.Errorf("%w: bad chunk context", ErrBadFrame)
 	}
 	n += cn
 	basePC, m := binary.Uvarint(body[n:])
 	if m <= 0 {
-		return dst, fmt.Errorf("%w: bad chunk base PC", ErrBadFrame)
+		return fmt.Errorf("%w: bad chunk base PC", ErrBadFrame)
 	}
 	c := trace.Chunk{
 		Count:   int(count),
@@ -130,17 +131,16 @@ func decodeChunk(dst []trace.Event, body []byte) ([]trace.Event, error) {
 		Codec:   trace.CodecRaw,
 		Payload: body[n+m:],
 	}
-	base := len(dst)
-	out, err := c.Decode(dst)
-	if err != nil {
-		return dst, fmt.Errorf("%w: %v", ErrBadFrame, err)
+	if err := c.DecodeSoA(b); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	if ctx != 0 {
-		for i := base; i < len(out); i++ {
-			out[i].Ctx = trace.Context(ctx)
+		b.GrowCtxs()
+		for i := range b.Ctxs {
+			b.Ctxs[i] = trace.Context(ctx)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // appendAck encodes a msgAck body returning n credits.
@@ -304,9 +304,11 @@ func marshalJSON(v any) []byte {
 // decoded chunk (in stream order; blocking here is the backpressure
 // path that stops the client), then exactly one of End or Abort.
 type SessionSink interface {
-	// Events applies one decoded chunk. rawBytes is the chunk's on-wire
-	// body size, for ingest byte accounting.
-	Events(events []trace.Event, rawBytes int) error
+	// Events applies one decoded chunk. The batch is only valid for the
+	// duration of the call (the server reuses it for the next chunk).
+	// rawBytes is the chunk's on-wire body size, for ingest byte
+	// accounting.
+	Events(b *trace.SoABatch, rawBytes int) error
 	// End completes the session and returns its final summary.
 	End() (Summary, error)
 	// Abort tears the session down after a mid-stream failure.

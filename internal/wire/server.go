@@ -309,7 +309,7 @@ func (sc *serverConn) runStream(st *serverStream) {
 		return
 	}
 
-	var evbuf []trace.Event
+	var batch trace.SoABatch
 	for {
 		select {
 		case <-sc.die:
@@ -318,16 +318,14 @@ func (sc *serverConn) runStream(st *serverStream) {
 		case m := <-st.inbox:
 			switch m.typ {
 			case msgChunk:
-				events, derr := decodeChunk(evbuf[:0], m.body)
-				if derr != nil {
+				if derr := decodeChunk(&batch, m.body); derr != nil {
 					sink.Abort(derr)
 					_ = sc.writeFrame(msgError, st.id, appendError(nil, toWireError(derr)))
 					sc.teardown() // framing is poisoned; no resynchronisation
 					return
 				}
-				evbuf = events[:0]
 				sc.srv.opts.Stats.Bytes.Add(int64(len(m.body)))
-				if aerr := sink.Events(events, len(m.body)); aerr != nil {
+				if aerr := sink.Events(&batch, len(m.body)); aerr != nil {
 					_ = sc.writeFrame(msgError, st.id, appendError(nil, toWireError(aerr)))
 					return
 				}

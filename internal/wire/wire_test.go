@@ -24,13 +24,13 @@ type testSink struct {
 	block chan struct{}
 }
 
-func (ts *testSink) Events(events []trace.Event, rawBytes int) error {
+func (ts *testSink) Events(b *trace.SoABatch, rawBytes int) error {
 	if ts.block != nil {
 		<-ts.block
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.events = append(ts.events, events...)
+	ts.events = b.AppendEvents(ts.events)
 	ts.bytes += int64(rawBytes)
 	return nil
 }
@@ -149,6 +149,16 @@ func TestFrameCorruption(t *testing.T) {
 	}
 }
 
+// decodeChunkEvents decodes a chunk body and converts it back to
+// events for comparison.
+func decodeChunkEvents(body []byte) ([]trace.Event, error) {
+	var b trace.SoABatch
+	if err := decodeChunk(&b, body); err != nil {
+		return nil, err
+	}
+	return b.AppendEvents(nil), nil
+}
+
 func TestChunkRoundTrip(t *testing.T) {
 	for _, ctx := range []trace.Context{0, 7} {
 		events := testEvents(1000)
@@ -156,7 +166,7 @@ func TestChunkRoundTrip(t *testing.T) {
 			events[i].Ctx = ctx
 		}
 		body := appendChunk(nil, ctx, events)
-		got, err := decodeChunk(nil, body)
+		got, err := decodeChunkEvents(body)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -227,8 +227,8 @@ func benchDecode(raw []byte, events int64, floor float64, record func(Run)) {
 }
 
 // benchPredict measures the predictor layer alone: the per-event
-// interface loop (baseline), the AoS batch path, and the SoA kernel,
-// all on a fresh gshare per pass so table state is comparable.
+// interface loop (baseline) and the SoA kernel, both on a fresh gshare
+// per pass so table state is comparable.
 func benchPredict(events []trace.Event, floor float64, record func(Run)) {
 	var soa trace.SoABatch
 	soa.FromEvents(events)
@@ -251,19 +251,6 @@ func benchPredict(events []trace.Event, floor float64, record func(Run)) {
 		FloorOK:      true, FloorExempt: true,
 	})
 
-	hits := make([]bool, len(events))
-	aos := bestOf(func() {
-		p := bpred.MustNew(bpred.NameGshare4KB)
-		bpred.ApplyBatch(p, events, hits)
-	})
-	ratioAoS := iface.Seconds() / aos.Seconds()
-	record(Run{
-		Layer: "predict", Path: "batch-aos", Iters: *iters,
-		BestSeconds:  aos.Seconds(),
-		EventsPerSec: float64(n) / aos.Seconds(),
-		RatioVsBase:  ratioAoS, FloorOK: true, FloorExempt: true,
-	})
-
 	hitWords := make([]uint64, (len(events)+63)/64)
 	soaBest := bestOf(func() {
 		p := bpred.MustNew(bpred.NameGshare4KB)
@@ -279,8 +266,9 @@ func benchPredict(events []trace.Event, floor float64, record func(Run)) {
 }
 
 // benchE2E measures whole-pipeline ingest: the per-event Branch path
-// (baseline — decode to []Event, one engine.Branch call per event)
-// against the SoA replay fast path (ProfileStream, which flows
+// (baseline — each chunk read with ReadChunkInto and decoded to
+// []Event by the scalar Chunk.Decode, one engine.Branch call per
+// event) against the SoA replay fast path (ProfileStream, which flows
 // decode→predict→profile in struct-of-arrays form). Both report
 // byte-identically; the SoA cell checks that too.
 func benchE2E(raw []byte, events int64, floor float64, record func(Run)) {
@@ -302,17 +290,23 @@ func benchE2E(raw []byte, events int64, floor float64, record func(Run)) {
 			if err != nil {
 				fail(err)
 			}
-			var evs [4096]trace.Event
+			var (
+				c   trace.Chunk
+				evs []trace.Event
+			)
 			for {
-				n, err := rd.ReadBatch(evs[:])
-				for _, e := range evs[:n] {
-					eng.Branch(e.PC, e.Taken)
-				}
+				err := rd.ReadChunkInto(&c)
 				if err == io.EOF {
 					break
 				}
+				if err == nil {
+					evs, err = c.Decode(evs[:0])
+				}
 				if err != nil {
 					fail(err)
+				}
+				for _, e := range evs {
+					eng.Branch(e.PC, e.Taken)
 				}
 			}
 			rep, err := eng.Finish()

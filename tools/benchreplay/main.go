@@ -31,8 +31,8 @@ import (
 	"time"
 
 	"twodprof/internal/core"
+	"twodprof/internal/engine"
 	"twodprof/internal/progs"
-	"twodprof/internal/replay"
 	"twodprof/internal/synth"
 	"twodprof/internal/trace"
 )
@@ -201,7 +201,7 @@ func replayOnce(raw []byte, metric core.Metric, workers int) (time.Duration, err
 	cfg := core.DefaultConfig()
 	cfg.Metric = metric
 	t0 := time.Now()
-	if _, err := replay.Profile(bytes.NewReader(raw), cfg, "gshare-4KB", replay.Options{Workers: workers}); err != nil {
+	if _, err := engine.ProfileStream(bytes.NewReader(raw), cfg, engine.Options{Workers: workers, Predictor: "gshare-4KB"}); err != nil {
 		return 0, err
 	}
 	return time.Since(t0), nil
