@@ -7,17 +7,12 @@
 #   make fuzz-seeds      run the fuzz corpora as regular regression tests
 #   make e2e-crash       kill-9 crash-recovery drill against the durable daemon
 #   make e2e-cluster     kill-9 node-failure drill + 10k-session load storm through the router
-#   make bench-engine    old-vs-new guard for the internal/engine core (results/BENCH_engine.json)
-#   make bench-hotpath   per-layer hot-path guard: decode / predict / e2e kernels (results/BENCH_hotpath.json)
-#   make bench-wire      binary-protocol vs HTTP+gzip ingest guard (results/BENCH_wire.json)
-#   make bench-parallel  record engine/profiler benchmarks in results/BENCH_parallel.json
-#   make bench-serve     record ingest throughput scaling in results/BENCH_serve.json
-#   make bench-replay    record trace replay throughput in results/BENCH_replay.json
+#   make bench           throughput floors + report identity over every ingest path (results/BENCH.json)
 #   make results         regenerate the committed results/ directory
 
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz-seeds e2e-crash e2e-cluster verify bench-engine bench-hotpath bench-wire bench-parallel bench-serve bench-replay results
+.PHONY: all build vet lint test race fuzz-seeds e2e-crash e2e-cluster verify bench results
 
 all: verify
 
@@ -49,14 +44,15 @@ test:
 	$(GO) test ./...
 
 # The concurrent subsystems (the memoising oracle runner, the parallel
-# experiment engine, the parallel trace-replay pipeline and the online
-# profiling service) under the race detector. -short skips the full
-# experiment matrix, which is covered race-free by `make test`; the
-# concurrency tests themselves (TestRunnerConcurrent,
-# TestRunManyParallelMatchesSerial, TestIngestHammer,
-# TestParallelReplayHammer, ...) all run in -short mode.
+# experiment engine, the parallel trace-replay pipeline, the online
+# profiling service and the WAL's fsync=interval flusher) under the race
+# detector. -short skips the full experiment matrix, which is covered
+# race-free by `make test`; the concurrency tests themselves
+# (TestRunnerConcurrent, TestRunManyParallelMatchesSerial,
+# TestIngestHammer, TestParallelReplayHammer, TestIntervalFlusherSyncs,
+# ...) all run in -short mode.
 race:
-	$(GO) test -race -short ./internal/oracle ./internal/exp ./internal/core ./internal/engine ./internal/serve ./internal/trace ./internal/wire ./internal/cluster
+	$(GO) test -race -short ./internal/oracle ./internal/exp ./internal/core ./internal/engine ./internal/serve ./internal/trace ./internal/wire ./internal/cluster ./internal/wal
 
 # Fuzz targets run their seed corpora as plain tests — a cheap
 # regression net over the decoders and analyses without a fuzzing
@@ -81,36 +77,16 @@ e2e-cluster:
 	$(GO) test -run 'TestKillNodeMidStream' -count=1 ./internal/cluster
 	$(GO) run ./cmd/loadgen -selftest -sessions 10000
 
-verify: build lint test race fuzz-seeds e2e-crash e2e-cluster bench-engine bench-hotpath bench-wire
+verify: build lint test race fuzz-seeds e2e-crash e2e-cluster bench
 
-# bench-engine is part of `make verify`: it re-measures the unified
-# sharded core against the plain sequential profiler and fails on a
-# throughput regression or a report mismatch.
-bench-engine:
-	$(GO) run ./tools/benchengine -o results/BENCH_engine.json
-
-# bench-hotpath is part of `make verify`: it pins each hot-path layer
-# (8-wide BTR2 decode, SoA predictor kernels, end-to-end SoA replay)
-# against its per-event fallback in the same process and fails if a
-# kernel regresses below its floor or the SoA replay report diverges.
-bench-hotpath:
-	$(GO) run ./tools/benchhotpath -o results/BENCH_hotpath.json
-
-# bench-wire is part of `make verify`: it measures binary-protocol
-# ingest against HTTP (plain and gzip) into the same server and fails
-# if the wire transport drops below its floor against HTTP+gzip or any
-# transport's report diverges.
-bench-wire:
-	$(GO) run ./tools/benchwire -o results/BENCH_wire.json
-
-bench-parallel:
-	$(GO) run ./tools/benchpar -o results/BENCH_parallel.json
-
-bench-serve:
-	$(GO) run ./tools/benchserve -o results/BENCH_serve.json
-
-bench-replay:
-	$(GO) run ./tools/benchreplay -o results/BENCH_replay.json
+# bench is part of `make verify`: tools/bench times every ingest path
+# (plain profiler, engine replay, daemon HTTP and wire ingest, decode
+# and predict kernels) as interleaved rows, and fails if a guarded row
+# drops below its floor against its baseline row or any report differs
+# from its reference. Each run also appends one line to
+# results/BENCH_history.jsonl.
+bench:
+	$(GO) run ./tools/bench -o results/BENCH.json
 
 results:
 	$(GO) run ./cmd/experiments -run all -workers 8 -o results

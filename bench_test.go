@@ -267,8 +267,8 @@ func BenchmarkProfilerReset(b *testing.B) {
 // Engine benchmarks: the same deterministic driver subset under the
 // serial and the parallel engine, with a fresh context (cold caches)
 // per iteration so the measured quantity is real end-to-end work. The
-// speedup is bounded by the machine's core count (see
-// BENCH_parallel.json for recorded numbers).
+// speedup is bounded by the machine's core count; compare the two with
+// go test -run '^$' -bench 'RunAll(Serial|Parallel)$' -benchtime 2x .
 
 var engineBenchIDs = []string{"fig3", "fig4", "fig5", "tab1", "tab2", "fig10"}
 

@@ -205,3 +205,59 @@ func TestMultiContextMergedAccessorsRefuse(t *testing.T) {
 		t.Errorf("FinishContexts() after refusals = %v", err)
 	}
 }
+
+// TestPrivateLiveReportsRace reads live reports from another goroutine
+// while a private multi-context stream is fed and then finished. Under
+// -race it pins the synchronisation of the per-context front-end
+// registry, which the feeder grows on first sight of each context, and
+// of the final per-context reports.
+func TestPrivateLiveReportsRace(t *testing.T) {
+	const nctx = 3
+	events := ctxStream(20000, nctx)
+	for _, workers := range []int{1, 4} {
+		eng, err := engine.New(ctxConfig(), engine.Options{
+			Workers: workers, Predictor: matrixPredictor, Aggregation: bpred.AggPrivate,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := eng.Report(); err != nil && !errors.Is(err, engine.ErrMultiContext) {
+					t.Errorf("workers=%d: live Report: %v", workers, err)
+					return
+				}
+				if _, err := eng.Snapshot(); err != nil && !errors.Is(err, engine.ErrMultiContext) {
+					t.Errorf("workers=%d: live Snapshot: %v", workers, err)
+					return
+				}
+				reps, err := eng.ContextReports()
+				if err != nil {
+					t.Errorf("workers=%d: live ContextReports: %v", workers, err)
+					return
+				}
+				if reps[0] == nil || len(eng.Contexts()) < 1 {
+					t.Errorf("workers=%d: live view lacks context 0", workers)
+					return
+				}
+			}
+		}()
+		feedPerEvent(eng, events)
+		reps, err := eng.FinishContexts()
+		close(stop)
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reps) != nctx {
+			t.Fatalf("workers=%d: FinishContexts returned %d contexts, want %d", workers, len(reps), nctx)
+		}
+	}
+}

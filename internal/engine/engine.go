@@ -232,9 +232,9 @@ type ctxFE struct {
 // WAL replay — can drive it directly.
 //
 // The feeding goroutine owns Branch/BranchCtx/BranchBatchSoA/Finish/
-// Abort; they must not be called concurrently. Report and QueueDepths
-// are safe from other goroutines while feeding continues (live
-// reports).
+// FinishContexts/Abort; they must not be called concurrently. Report,
+// ContextReports, Contexts, Snapshot and QueueDepths are safe from
+// other goroutines while feeding continues (live reports).
 type Engine struct {
 	cfg  core.Config
 	opts Options
@@ -244,7 +244,12 @@ type Engine struct {
 
 	shards []*shard
 
-	c0      ctxFE                    // context 0 — the single-context fast path
+	c0 ctxFE // context 0 — the single-context fast path
+	// ctxMu guards ctxs and ctxList against live-report readers. The
+	// feeding goroutine is their only writer: it reads them without the
+	// lock and takes it only to add a context it sees for the first
+	// time.
+	ctxMu   sync.Mutex
 	ctxs    map[trace.Context]*ctxFE // contexts > 0, private aggregation only
 	ctxList []trace.Context          // allocation order of ctxs' keys
 
@@ -252,10 +257,11 @@ type Engine struct {
 	soaSpan trace.SoABatch // scratch for private-mode SoA span repacking
 
 	drained bool
-	// final is the report Finish fixed; atomic because Report reads it
-	// from live-report goroutines while the owner finishes.
+	// final and finalCtx are the reports Finish and FinishContexts
+	// fixed; atomic because Report and ContextReports read them from
+	// live-report goroutines while the owner finishes.
 	final    atomic.Pointer[core.Report]
-	finalCtx map[trace.Context]*core.Report
+	finalCtx atomic.Pointer[map[trace.Context]*core.Report]
 }
 
 // New validates the configuration and assembles the engine. With
@@ -345,12 +351,22 @@ func (e *Engine) fe(ctx trace.Context) *ctxFE {
 	if e.cset != nil {
 		fe.pred = e.cset.For(ctx)
 	}
+	e.ctxMu.Lock()
 	if e.ctxs == nil {
 		e.ctxs = make(map[trace.Context]*ctxFE)
 	}
 	e.ctxs[ctx] = fe
 	e.ctxList = append(e.ctxList, ctx)
+	e.ctxMu.Unlock()
 	return fe
+}
+
+// multiContext reports whether the stream has carried a context other
+// than 0 under private aggregation. Safe from any goroutine.
+func (e *Engine) multiContext() bool {
+	e.ctxMu.Lock()
+	defer e.ctxMu.Unlock()
+	return len(e.ctxs) > 0
 }
 
 // shardOf maps a branch PC to its worker with a splitmix64 finaliser,
@@ -660,15 +676,15 @@ func (e *Engine) Finish() (*core.Report, error) {
 // run) yields the map {0: report} with the report byte-identical to
 // Finish's. Idempotent.
 func (e *Engine) FinishContexts() (map[trace.Context]*core.Report, error) {
-	if e.finalCtx != nil {
-		return e.finalCtx, nil
+	if reps := e.finalCtx.Load(); reps != nil {
+		return *reps, nil
 	}
 	e.finishFlush()
 	reps, err := e.ContextReports()
 	if err != nil {
 		return nil, err
 	}
-	e.finalCtx = reps
+	e.finalCtx.Store(&reps)
 	return reps, nil
 }
 
@@ -686,7 +702,7 @@ func (e *Engine) Report() (*core.Report, error) {
 	if rep := e.final.Load(); rep != nil {
 		return rep, nil
 	}
-	if len(e.ctxs) > 0 {
+	if e.multiContext() {
 		return nil, ErrMultiContext
 	}
 	snaps := make([]*core.Snapshot, len(e.shards))
@@ -706,11 +722,12 @@ func (e *Engine) Report() (*core.Report, error) {
 // context reports once FinishContexts has fixed them. Context 0 is
 // always present.
 func (e *Engine) ContextReports() (map[trace.Context]*core.Report, error) {
-	if e.finalCtx != nil {
-		return e.finalCtx, nil
+	if reps := e.finalCtx.Load(); reps != nil {
+		return *reps, nil
 	}
-	out := make(map[trace.Context]*core.Report, 1+len(e.ctxs))
-	for _, ctx := range e.Contexts() {
+	ctxs := e.Contexts()
+	out := make(map[trace.Context]*core.Report, len(ctxs))
+	for _, ctx := range ctxs {
 		snaps := make([]*core.Snapshot, len(e.shards))
 		for i, s := range e.shards {
 			snaps[i] = s.snapshotCtx(ctx)
@@ -729,9 +746,11 @@ func (e *Engine) ContextReports() (map[trace.Context]*core.Report, error) {
 // sorted ascending. Context 0 is always present; contexts > 0 appear
 // only under private aggregation.
 func (e *Engine) Contexts() []trace.Context {
-	out := make([]trace.Context, 0, 1+len(e.ctxs))
+	e.ctxMu.Lock()
+	out := make([]trace.Context, 0, 1+len(e.ctxList))
 	out = append(out, 0)
 	out = append(out, e.ctxList...)
+	e.ctxMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -746,7 +765,7 @@ func (e *Engine) Contexts() []trace.Context {
 // Returns ErrMultiContext once a private-mode stream has carried more
 // than one context.
 func (e *Engine) Snapshot() (*core.Snapshot, error) {
-	if len(e.ctxs) > 0 {
+	if e.multiContext() {
 		return nil, ErrMultiContext
 	}
 	snaps := make([]*core.Snapshot, len(e.shards))

@@ -33,6 +33,10 @@ type Metrics struct {
 	SessionsRecovered atomic.Int64 // sessions rebuilt from the WAL at startup
 	SessionsIdled     atomic.Int64 // finished sessions evicted to the idle tier
 	Compactions       atomic.Int64 // logs compacted into checkpoint snapshots
+	// WALErrors counts persistence failures the daemon survives: logs
+	// skipped at startup as unrecoverable, and checkpoints and
+	// compactions that failed.
+	WALErrors atomic.Int64
 
 	// rate state: events/sec over the window since the previous scrape.
 	mu         sync.Mutex
@@ -82,6 +86,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int) {
 	fmt.Fprintf(w, "twodprof_sessions_recovered_total %d\n", m.SessionsRecovered.Load())
 	fmt.Fprintf(w, "twodprof_sessions_idled_total %d\n", m.SessionsIdled.Load())
 	fmt.Fprintf(w, "twodprof_wal_compactions_total %d\n", m.Compactions.Load())
+	fmt.Fprintf(w, "twodprof_wal_errors_total %d\n", m.WALErrors.Load())
 	for i, d := range queueDepths {
 		fmt.Fprintf(w, "twodprof_shard_queue_depth{shard=\"%d\"} %d\n", i, d)
 	}

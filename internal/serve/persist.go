@@ -378,6 +378,7 @@ func (st *Store) Recover() ([]recoveredInfo, error) {
 	for _, name := range names {
 		info, err := st.recoverOne(filepath.Join(st.dir, name))
 		if err != nil {
+			st.metrics.WALErrors.Add(1)
 			fmt.Fprintf(os.Stderr, "serve: skipping unrecoverable log %s: %v\n", name, err)
 			continue
 		}

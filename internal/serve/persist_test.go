@@ -449,3 +449,58 @@ func TestDurableIngestZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// walErrors reads twodprof_wal_errors_total from /metrics.
+func walErrors(t testing.TB, srv *Server) int64 {
+	t.Helper()
+	_, body := get(t, srv, "/metrics")
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "twodprof_wal_errors_total "); ok {
+			var n int64
+			if _, err := fmt.Sscan(v, &n); err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no twodprof_wal_errors_total:\n%s", body)
+	return 0
+}
+
+// TestPersistenceErrorsCounted: persistence failures the daemon
+// survives are counted in /metrics, not only printed to stderr.
+func TestPersistenceErrorsCounted(t *testing.T) {
+	t.Run("unrecoverable-log", func(t *testing.T) {
+		cfg := durableConfig(t, 2)
+		if err := os.WriteFile(filepath.Join(cfg.DataDir, "garbage.wal"), []byte("not a session log"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv := startServer(t, cfg)
+		if n := walErrors(t, srv); n != 1 {
+			t.Fatalf("twodprof_wal_errors_total = %d after skipping one unrecoverable log, want 1", n)
+		}
+		if _, err := os.Stat(filepath.Join(cfg.DataDir, "garbage.wal")); err != nil {
+			t.Fatalf("the skipped log must stay on disk: %v", err)
+		}
+	})
+	t.Run("private-multi-context-checkpoint", func(t *testing.T) {
+		// A private session that carried two contexts has no merged
+		// snapshot (engine.ErrMultiContext), so its checkpoint fails.
+		srv := startServer(t, durableConfig(t, 2))
+		var buf bytes.Buffer
+		w, err := trace.NewBTR3Writer(&buf, trace.BTR2Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5000; i++ {
+			w.BranchCtx(trace.Context(i%2), trace.PC(0x400000+4*(i%13)), i%3 == 0)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		postTrace(t, srv, "/v1/ingest?session=mt&agg=private", buf.Bytes())
+		if n := walErrors(t, srv); n != 1 {
+			t.Fatalf("twodprof_wal_errors_total = %d after one failed checkpoint, want 1", n)
+		}
+	})
+}

@@ -191,6 +191,7 @@ func (s *Session) persistTerminalLocked() {
 	s.plog = nil
 	snap, err := s.eng.Snapshot()
 	if err != nil {
+		plog.st.metrics.WALErrors.Add(1)
 		fmt.Fprintf(os.Stderr, "serve: session %s: checkpoint snapshot: %v\n", s.ID, err)
 		plog.abandon()
 		return
@@ -206,6 +207,7 @@ func (s *Session) persistTerminalLocked() {
 		typ = recFail
 	}
 	if err := plog.finish(typ, term); err != nil {
+		plog.st.metrics.WALErrors.Add(1)
 		fmt.Fprintf(os.Stderr, "serve: session %s: writing checkpoint: %v\n", s.ID, err)
 		return
 	}
@@ -300,6 +302,7 @@ func (s *Session) maybeCompact(checkpointEvery int64) bool {
 	// Disk work happens outside mu so report queries never wait on it.
 	did, err := st.compact(id, checkpointEvery)
 	if err != nil {
+		st.metrics.WALErrors.Add(1)
 		fmt.Fprintf(os.Stderr, "serve: compacting session %s: %v\n", id, err)
 		return false
 	}

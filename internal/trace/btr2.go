@@ -427,15 +427,90 @@ func (c *Chunk) Decode(dst []Event) ([]Event, error) {
 // single-byte varints.
 const msbMask = 0x8080808080808080
 
+// unpacker is the state of one delta-varint decode into SoA lanes: the
+// destination PCs and outcome bitmap, the events decoded so far and the
+// running PC. Both the BTR1 reader and the BTR2/BTR3 chunk decoder run
+// it, once per buffered window or chunk.
+type unpacker struct {
+	pcs  []PC
+	bits []uint64
+	n    int
+	last int64
+}
+
+// run decodes events from buf until limit events are decoded or the
+// next one would start past safe, the last offset at which a scalar
+// varint is known to be complete. Its kernel is 8 wide: branch deltas
+// have strong spatial locality, so almost every event encodes as a
+// single varint byte, and a 64-bit load whose continuation bits are
+// all clear yields eight events with branchless unpacking (DESIGN.md
+// §3h). A window holding a multi-byte varint decodes one event the
+// scalar way and the kernel retries one event later; the scalar loop
+// finishes the tail. run returns the bytes consumed and, for a varint
+// binary.Uvarint refused, the size it reported (0: cut short;
+// negative: over-long); sz > 0 otherwise.
+func (u *unpacker) run(buf []byte, safe, limit int) (pos, sz int) {
+	pcs, bits, n, last := u.pcs, u.bits, u.n, u.last
+	// Window loads stay inside buf and start no later than safe. The
+	// 8-wide loop tests only this and limit: a wider loop condition
+	// costs the kernel registers it needs.
+	wideEnd := min(len(buf)-8, safe)
+	for n+8 <= limit && pos <= wideEnd {
+		w := binary.LittleEndian.Uint64(buf[pos:])
+		if w&msbMask != 0 {
+			word, m := binary.Uvarint(buf[pos:])
+			if m <= 0 {
+				break // the scalar loop reports it
+			}
+			pos += m
+			s := -int64(word >> 1 & 1)
+			last += (int64(word>>2) ^ s) - s
+			pcs[n] = PC(last)
+			bits[n>>6] |= (word & 1) << uint(n&63)
+			n++
+			continue
+		}
+		pos += 8
+		// delta = byte>>2, sign = byte&2, taken = byte&1, all unpacked
+		// without a conditional: the conditional negate is (d^s)-s
+		// with s = 0 or -1.
+		var tk uint64
+		for k := 0; k < 8; k++ {
+			bb := w & 0xff
+			w >>= 8
+			s := -int64(bb >> 1 & 1)
+			last += (int64(bb>>2) ^ s) - s
+			pcs[n+k] = PC(last)
+			tk |= (bb & 1) << uint(k)
+		}
+		off := uint(n & 63)
+		bits[n>>6] |= tk << off
+		if off > 56 {
+			bits[(n>>6)+1] |= tk >> (64 - off)
+		}
+		n += 8
+	}
+	sz = 1
+	for pos <= safe && n < limit {
+		var word uint64
+		if word, sz = binary.Uvarint(buf[pos:]); sz <= 0 {
+			break
+		}
+		pos += sz
+		s := -int64(word >> 1 & 1)
+		last += (int64(word>>2) ^ s) - s
+		pcs[n] = PC(last)
+		bits[n>>6] |= (word & 1) << uint(n&63)
+		n++
+	}
+	u.n, u.last = n, last
+	return pos, sz
+}
+
 // DecodeSoA decodes the chunk into b in struct-of-arrays layout,
 // replacing b's previous contents (the backing arrays are reused). It
-// produces exactly the events Decode produces, but runs a fixed-width
-// 8-wide kernel over the payload: branch deltas have strong spatial
-// locality, so almost every event encodes as a single varint byte, and
-// a 64-bit load whose continuation bits are all clear yields eight
-// events per iteration with branchless unpacking (see DESIGN.md §3h).
-// Events with multi-byte varints fall back to a scalar step and the
-// kernel resumes at the next window.
+// produces exactly the events Decode produces, through the 8-wide
+// unpacker kernel.
 func (c *Chunk) DecodeSoA(b *SoABatch) error {
 	payload, err := c.inflated()
 	if err != nil {
@@ -447,58 +522,14 @@ func (c *Chunk) DecodeSoA(b *SoABatch) error {
 		return &TruncatedError{Chunk: c.Index, Event: c.StartIndex + int64(len(payload)), Offset: int64(len(payload))}
 	}
 	b.Grow(c.Count)
-	pcs := b.PCs
-	bits := b.Taken
-	last := int64(c.BasePC)
-	i, pos := 0, 0
-	for i+8 <= c.Count && pos+8 <= len(payload) {
-		w := binary.LittleEndian.Uint64(payload[pos:])
-		if w&msbMask != 0 {
-			// A multi-byte varint somewhere in the window: decode one
-			// event the scalar way and retry the 8-wide window one
-			// event later.
-			word, sz := binary.Uvarint(payload[pos:])
-			if sz <= 0 {
-				return c.eventErr(i, pos, sz)
-			}
-			pos += sz
-			s := -int64(word >> 1 & 1)
-			last += (int64(word>>2) ^ s) - s
-			pcs[i] = PC(last)
-			bits[i>>6] |= (word & 1) << uint(i&63)
-			i++
-			continue
-		}
-		pos += 8
-		// Eight single-byte events: delta = byte>>2, sign = byte&2,
-		// taken = byte&1, all unpacked without a conditional. The
-		// conditional-negate is (d^s)-s with s = 0 or -1.
-		var tk uint64
-		for k := 0; k < 8; k++ {
-			bb := w & 0xff
-			w >>= 8
-			s := -int64(bb >> 1 & 1)
-			last += (int64(bb>>2) ^ s) - s
-			pcs[i+k] = PC(last)
-			tk |= (bb & 1) << uint(k)
-		}
-		off := uint(i & 63)
-		bits[i>>6] |= tk << off
-		if off > 56 {
-			bits[(i>>6)+1] |= tk >> (64 - off)
-		}
-		i += 8
-	}
-	for ; i < c.Count; i++ {
-		word, sz := binary.Uvarint(payload[pos:])
-		if sz <= 0 {
-			return c.eventErr(i, pos, sz)
-		}
-		pos += sz
-		s := -int64(word >> 1 & 1)
-		last += (int64(word>>2) ^ s) - s
-		pcs[i] = PC(last)
-		bits[i>>6] |= (word & 1) << uint(i&63)
+	u := unpacker{pcs: b.PCs, bits: b.Taken, last: int64(c.BasePC)}
+	// The payload is all there is: a varint at any offset is complete
+	// or cut by the payload's end, which binary.Uvarint reports.
+	pos, sz := u.run(payload, len(payload)-1, c.Count)
+	if u.n < c.Count {
+		// A refused varint, or the payload ran out: a cut either way
+		// unless the varint was over-long.
+		return c.eventErr(u.n, pos, min(sz, 0))
 	}
 	if pos != len(payload) {
 		return fmt.Errorf("%w: %d trailing payload bytes", errCorruptChunk, len(payload)-pos)
@@ -509,7 +540,7 @@ func (c *Chunk) DecodeSoA(b *SoABatch) error {
 	if !c.plainCtx() {
 		b.GrowCtxs()
 		ctxs := b.Ctxs
-		i = 0
+		i := 0
 		for _, run := range c.CtxRuns {
 			if run.Ctx != 0 {
 				for k := i; k < i+run.N; k++ {

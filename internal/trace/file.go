@@ -197,105 +197,49 @@ func (r *Reader) ReadBatch(b *SoABatch) error { return r.read(b, ReadBatchEvents
 
 // read decodes up to limit events into b. Decoding runs over the
 // buffered bytes directly instead of paying the per-byte ReadByte
-// interface path, and runs the same fixed-width 8-wide kernel as the
-// BTR2 chunk decoder — one 64-bit load whose continuation bits are all
-// clear yields eight events with branchless unpacking, which is the
-// overwhelmingly common shape of a delta-encoded branch stream.
+// interface path, through the same 8-wide unpacker kernel as the BTR2
+// chunk decoder, once per buffered window.
 func (r *Reader) read(b *SoABatch, limit int) error {
 	b.Grow(limit)
-	pcs, bits := b.PCs, b.Taken
-	n := 0
-	last := int64(r.lastPC)
-	finish := func() {
-		r.lastPC = PC(last)
-		r.events += int64(n)
-		b.PCs, b.Taken = pcs[:n], bits[:(n+63)/64]
-	}
-	for n < limit {
+	u := unpacker{pcs: b.PCs, bits: b.Taken, last: int64(r.lastPC)}
+	sz := 1
+	var peekErr error
+	for u.n < limit && sz > 0 {
 		// Ensure a full varint of lookahead when the stream has one;
 		// this is also the refill point.
-		head, peekErr := r.br.Peek(maxEventLen)
-		if len(head) >= maxEventLen {
-			// Fast path: widen to everything buffered and decode a tight
-			// run. Every event that starts at least maxEventLen before
-			// the window's end is guaranteed complete inside it, so the
-			// inner loop needs no per-event buffer management.
-			buf, _ := r.br.Peek(r.br.Buffered())
-			safe := len(buf) - maxEventLen
-			consumed := 0
-			for consumed <= safe && n < limit {
-				if n+8 <= limit && consumed+8 <= safe {
-					w := binary.LittleEndian.Uint64(buf[consumed:])
-					if w&msbMask == 0 {
-						// Eight complete single-byte varints at once.
-						consumed += 8
-						var tk uint64
-						for k := 0; k < 8; k++ {
-							bb := w & 0xff
-							w >>= 8
-							s := -int64(bb >> 1 & 1)
-							last += (int64(bb>>2) ^ s) - s
-							pcs[n+k] = PC(last)
-							tk |= (bb & 1) << uint(k)
-						}
-						off := uint(n & 63)
-						bits[n>>6] |= tk << off
-						if off > 56 {
-							bits[(n>>6)+1] |= tk >> (64 - off)
-						}
-						n += 8
-						continue
-					}
-				}
-				word, sz := binary.Uvarint(buf[consumed:])
-				if sz <= 0 {
-					r.br.Discard(consumed)
-					r.off += int64(consumed)
-					finish()
-					return fmt.Errorf("trace: reading event: %w", r.eventErr(sz))
-				}
-				consumed += sz
-				s := -int64(word >> 1 & 1)
-				last += (int64(word>>2) ^ s) - s
-				pcs[n] = PC(last)
-				bits[n>>6] |= (word & 1) << uint(n&63)
-				n++
-			}
-			r.br.Discard(consumed)
-			r.off += int64(consumed)
-			continue
+		var head []byte
+		if head, peekErr = r.br.Peek(maxEventLen); len(head) == 0 {
+			break
 		}
-		// Tail path: fewer than maxEventLen bytes are left buffered, so
-		// the underlying reader hit EOF or an error.
-		if len(head) == 0 {
-			finish()
-			if n > 0 {
-				return nil
-			}
-			if peekErr == io.EOF {
-				return io.EOF
-			}
-			return fmt.Errorf("trace: reading event: %w", peekErr)
+		// Widen to everything buffered: every event that starts at
+		// least maxEventLen before the window's end is complete inside
+		// it. A shorter window means the underlying reader hit EOF or
+		// an error, so its bytes are all there is.
+		buf, safe := head, len(head)-1
+		if len(head) == maxEventLen {
+			buf, _ = r.br.Peek(r.br.Buffered())
+			safe = len(buf) - maxEventLen
 		}
-		word, sz := binary.Uvarint(head)
-		if sz <= 0 {
-			// Incomplete varint at end of input, or an over-long one.
-			finish()
-			if sz == 0 && peekErr != nil && peekErr != io.EOF {
-				return fmt.Errorf("trace: reading event: %w", peekErr)
-			}
-			return fmt.Errorf("trace: reading event: %w", r.eventErr(sz))
-		}
-		r.br.Discard(sz)
-		r.off += int64(sz)
-		s := -int64(word >> 1 & 1)
-		last += (int64(word>>2) ^ s) - s
-		pcs[n] = PC(last)
-		bits[n>>6] |= (word & 1) << uint(n&63)
-		n++
+		var used int
+		used, sz = u.run(buf, safe, limit)
+		r.br.Discard(used)
+		r.off += int64(used)
 	}
-	finish()
-	return nil
+	r.lastPC = PC(u.last)
+	r.events += int64(u.n)
+	b.PCs, b.Taken = u.pcs[:u.n], u.bits[:(u.n+63)/64]
+	switch {
+	case sz == 0 && peekErr != nil && peekErr != io.EOF:
+		// A varint cut by a read error, not by the end of the stream.
+		return fmt.Errorf("trace: reading event: %w", peekErr)
+	case sz <= 0:
+		return fmt.Errorf("trace: reading event: %w", r.eventErr(sz))
+	case u.n > 0:
+		return nil
+	case peekErr == io.EOF:
+		return io.EOF
+	}
+	return fmt.Errorf("trace: reading event: %w", peekErr)
 }
 
 // eventErr classifies a failed varint read at the reader's current
