@@ -127,18 +127,6 @@ func (p *Perceptron) PredictUpdateBatchSoA(pcs []trace.PC, taken, hits []uint64)
 	}
 }
 
-// UpdateBatchSoA implements SoABatchPredictor.
-func (p *Perceptron) UpdateBatchSoA(pcs []trace.PC, taken []uint64) {
-	for i, pc := range pcs {
-		tk := taken[i>>6]>>uint(i&63)&1 != 0
-		y := p.output(pc)
-		if (y >= 0) != tk || abs32(y) <= p.theta {
-			p.train(pc, tk)
-		}
-		p.hist.Push(tk)
-	}
-}
-
 // Name implements Predictor.
 func (p *Perceptron) Name() string { return p.name }
 

@@ -27,8 +27,6 @@ type SoABatchPredictor interface {
 	// hits bitmap. len(hits) must be >= (len(pcs)+63)/64; bits past
 	// len(pcs) in the last word are unspecified.
 	PredictUpdateBatchSoA(pcs []trace.PC, taken, hits []uint64)
-	// UpdateBatchSoA trains on the batch without recording predictions.
-	UpdateBatchSoA(pcs []trace.PC, taken []uint64)
 }
 
 // ApplyBatchSoA runs the predict-then-train cycle over an SoA batch,
@@ -57,18 +55,6 @@ func ApplyBatchSoA(p Predictor, pcs []trace.PC, taken, hits []uint64) {
 			}
 		}
 		hits[w] = hw
-	}
-}
-
-// UpdateBatchSoA trains p on an SoA batch in program order, using the
-// native SoA path when available.
-func UpdateBatchSoA(p Predictor, pcs []trace.PC, taken []uint64) {
-	if sp, ok := p.(SoABatchPredictor); ok {
-		sp.UpdateBatchSoA(pcs, taken)
-		return
-	}
-	for i, pc := range pcs {
-		p.Update(pc, taken[i>>6]>>uint(i&63)&1 != 0)
 	}
 }
 
@@ -107,21 +93,6 @@ func (g *Gshare) PredictUpdateBatchSoA(pcs []trace.PC, taken, hits []uint64) {
 	g.hist.bits = h
 }
 
-// UpdateBatchSoA implements SoABatchPredictor.
-func (g *Gshare) UpdateBatchSoA(pcs []trace.PC, taken []uint64) {
-	mask := uint64(1)<<uint(g.indexBits) - 1
-	h := g.hist.bits
-	hmask := g.hist.mask
-	tbl := g.table
-	for i, pc := range pcs {
-		t := taken[i>>6] >> uint(i&63) & 1
-		idx := (uint64(pc) ^ h) & mask
-		tbl[idx] = ctrUpd(tbl[idx], Counter2(t))
-		h = (h<<1 | t) & hmask
-	}
-	g.hist.bits = h
-}
-
 // --- bimodal ---
 
 // PredictUpdateBatchSoA implements SoABatchPredictor.
@@ -144,15 +115,5 @@ func (b *Bimodal) PredictUpdateBatchSoA(pcs []trace.PC, taken, hits []uint64) {
 			tbl[idx] = ctrUpd(c, Counter2(t))
 		}
 		hits[w] = hw
-	}
-}
-
-// UpdateBatchSoA implements SoABatchPredictor.
-func (b *Bimodal) UpdateBatchSoA(pcs []trace.PC, taken []uint64) {
-	mask := uint64(1)<<uint(b.indexBits) - 1
-	tbl := b.table
-	for i, pc := range pcs {
-		idx := uint64(pc) & mask
-		tbl[idx] = ctrUpd(tbl[idx], Counter2(taken[i>>6]>>uint(i&63)&1))
 	}
 }

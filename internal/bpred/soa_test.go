@@ -110,28 +110,6 @@ func TestPerceptronSoAMidWordSplits(t *testing.T) {
 	}
 }
 
-// TestUpdateBatchSoAMatchesInterface does the same for the train-only
-// path.
-func TestUpdateBatchSoAMatchesInterface(t *testing.T) {
-	for _, name := range []string{NameGshare4KB, NameBimodal, NamePerceptron16KB} {
-		t.Run(name, func(t *testing.T) {
-			ev, soa := soaStream(3000)
-			ref := MustNew(name)
-			for _, e := range ev {
-				ref.Update(e.PC, e.Taken)
-			}
-			p := MustNew(name)
-			UpdateBatchSoA(p, soa.PCs, soa.Taken)
-			for i := 0; i < 256; i++ {
-				pc := trace.PC(0x400000 + 4*i)
-				if p.Predict(pc) != ref.Predict(pc) {
-					t.Fatalf("final state diverged at pc %#x", pc)
-				}
-			}
-		})
-	}
-}
-
 // TestCounter2UpdateBranchless pins the branchless counter math to the
 // saturating state machine, all 8 (state, outcome) combinations.
 func TestCounter2UpdateBranchless(t *testing.T) {

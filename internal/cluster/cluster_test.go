@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -465,5 +466,53 @@ func TestGroupScatterGather(t *testing.T) {
 	// Unknown group.
 	if status, _ := httpGet(t, "http://"+rt.Addr()+"/v1/report?group=ghost"); status != http.StatusNotFound {
 		t.Fatalf("unknown group status %d", status)
+	}
+}
+
+// TestRouterEscapesQueryValues proxies reports for session ids and a
+// group name that only survive the hop to the owning node if the
+// router escapes them: '+' and a space decode to each other, '&' and
+// '#' end the value, and '%' starts an escape.
+func TestRouterEscapesQueryValues(t *testing.T) {
+	events := kernelEvents(t, "fsm", "train")
+	btr1 := encodeBTR1(t, events[:3000])
+	rt, _ := startCluster(t, 2, nil)
+	base := "http://" + rt.Addr()
+
+	for _, id := range []string{"a+b", "a&b", "x#y", "p%41", "a b"} {
+		q := url.Values{"session": {id}}.Encode()
+		if status, body, _ := httpPost(t, base+"/v1/ingest?"+q, btr1); status != http.StatusOK {
+			t.Fatalf("ingest %q: %d %s", id, status, body)
+		}
+		owner, ok := rt.ring.Owner(id, rt.reg.Up)
+		if !ok {
+			t.Fatalf("no owner for %q", id)
+		}
+		node, _ := rt.reg.Get(owner)
+		_, direct := httpGet(t, "http://"+node.HTTPAddr+"/v1/report?"+q)
+		status, relayed := httpGet(t, base+"/v1/report?"+q)
+		if status != http.StatusOK {
+			t.Errorf("router report for %q: status %d: %s", id, status, relayed)
+		} else if !bytes.Equal(relayed, direct) {
+			t.Errorf("router report for %q is not the owning node's response", id)
+		}
+	}
+
+	var even, odd []trace.Event
+	for _, ev := range events {
+		if ev.PC%2 == 0 {
+			even = append(even, ev)
+		} else {
+			odd = append(odd, ev)
+		}
+	}
+	for name, part := range map[string][]trace.Event{"amp-even": even, "amp-odd": odd} {
+		q := url.Values{"session": {name}, "group": {"g&h"}}.Encode()
+		if status, body, _ := httpPost(t, base+"/v1/ingest?"+q, encodeBTR1(t, part)); status != http.StatusOK {
+			t.Fatalf("ingest %s: %d %s", name, status, body)
+		}
+	}
+	if status, body := httpGet(t, base+"/v1/report?"+url.Values{"group": {"g&h"}}.Encode()); status != http.StatusOK {
+		t.Errorf("router group report for %q: status %d: %s", "g&h", status, body)
 	}
 }

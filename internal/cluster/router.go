@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime"
 	"sort"
 	"strconv"
@@ -242,8 +243,8 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	node, _ := rt.reg.Get(owner)
 
 	q.Set("session", id)
-	url := "http://" + node.HTTPAddr + "/v1/ingest?" + q.Encode()
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, r.Body)
+	target := "http://" + node.HTTPAddr + "/v1/ingest?" + q.Encode()
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, target, r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -305,7 +306,7 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 	case id != "" && group != "":
 		http.Error(w, "report wants ?session or ?group, not both", http.StatusBadRequest)
 	case id != "":
-		path := "/v1/report?session=" + q.Get("session")
+		path := "/v1/report?" + url.Values{"session": {id}}.Encode()
 		if owner, ok := rt.ring.Owner(id, rt.reg.Up); ok {
 			node, _ := rt.reg.Get(owner)
 			if resp, err := rt.nodeGet(node, path); err == nil {
@@ -359,7 +360,7 @@ func (rt *Router) handleGroupReport(w http.ResponseWriter, group string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := rt.nodeGet(node, "/v1/snapshot?group="+group)
+			resp, err := rt.nodeGet(node, "/v1/snapshot?"+url.Values{"group": {group}}.Encode())
 			if err != nil {
 				return // down node: its sessions are simply absent
 			}

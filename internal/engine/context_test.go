@@ -3,9 +3,10 @@ package engine_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
-	"twodprof/internal/bpred"
 	"twodprof/internal/core"
 	"twodprof/internal/engine"
 	"twodprof/internal/rng"
@@ -101,7 +102,7 @@ func TestPrivateContextsMatchIndependent(t *testing.T) {
 				eng, err := engine.New(cfg, engine.Options{
 					Workers:     workers,
 					Predictor:   matrixPredictor,
-					Aggregation: bpred.AggPrivate,
+					Aggregation: engine.AggPrivate,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -155,7 +156,7 @@ func TestPrivateSingleContextMatchesShared(t *testing.T) {
 	cfg := ctxConfig()
 	want := marshal(t, referenceReport(t, events, cfg))
 	eng, err := engine.New(cfg, engine.Options{
-		Workers: 1, Predictor: matrixPredictor, Aggregation: bpred.AggPrivate,
+		Workers: 1, Predictor: matrixPredictor, Aggregation: engine.AggPrivate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +177,7 @@ func TestPrivateSingleContextMatchesShared(t *testing.T) {
 func TestMultiContextMergedAccessorsRefuse(t *testing.T) {
 	events := ctxStream(5000, 3)
 	eng, err := engine.New(ctxConfig(), engine.Options{
-		Workers: 1, Predictor: matrixPredictor, Aggregation: bpred.AggPrivate,
+		Workers: 1, Predictor: matrixPredictor, Aggregation: engine.AggPrivate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +209,7 @@ func TestMultiContextMergedAccessorsRefuse(t *testing.T) {
 
 // TestPrivateLiveReportsRace reads live reports from another goroutine
 // while a private multi-context stream is fed and then finished. Under
-// -race it pins the synchronisation of the per-context front-end
+// -race it pins the synchronisation of the per-context engine
 // registry, which the feeder grows on first sight of each context, and
 // of the final per-context reports.
 func TestPrivateLiveReportsRace(t *testing.T) {
@@ -216,7 +217,7 @@ func TestPrivateLiveReportsRace(t *testing.T) {
 	events := ctxStream(20000, nctx)
 	for _, workers := range []int{1, 4} {
 		eng, err := engine.New(ctxConfig(), engine.Options{
-			Workers: workers, Predictor: matrixPredictor, Aggregation: bpred.AggPrivate,
+			Workers: workers, Predictor: matrixPredictor, Aggregation: engine.AggPrivate,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -259,5 +260,45 @@ func TestPrivateLiveReportsRace(t *testing.T) {
 		if len(reps) != nctx {
 			t.Fatalf("workers=%d: FinishContexts returned %d contexts, want %d", workers, len(reps), nctx)
 		}
+	}
+}
+
+// TestPrivateWorkersStopped: a private multi-context engine runs one
+// worker set per context, and both Abort and FinishContexts must stop
+// every one of them.
+func TestPrivateWorkersStopped(t *testing.T) {
+	const nctx, workers = 3, 4
+	events := ctxStream(5000, nctx)
+	ends := map[string]func(*engine.Engine) error{
+		"Abort": func(eng *engine.Engine) error { eng.Abort(); return nil },
+		"FinishContexts": func(eng *engine.Engine) error {
+			_, err := eng.FinishContexts()
+			return err
+		},
+	}
+	for name, end := range ends {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			eng, err := engine.New(ctxConfig(), engine.Options{
+				Workers: workers, Predictor: matrixPredictor, Aggregation: engine.AggPrivate,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedPerEvent(eng, events)
+			if n := runtime.NumGoroutine(); n < before+nctx*workers {
+				t.Fatalf("%d goroutines while feeding, want at least %d (%d workers per context)", n, before+nctx*workers, workers)
+			}
+			if err := end(eng); err != nil {
+				t.Fatal(err)
+			}
+			// A worker closes its done channel just before it returns.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after %s, want the %d from before New", runtime.NumGoroutine(), name, before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -6,7 +6,7 @@
 //
 //	event source ─→ sequential front-end ─→ PC-sharded profiler workers
 //	                (predictor + slice        (per-branch Figure 9
-//	                 clock, per context)       statistics, disjoint by PC)
+//	                 clock)                    statistics, disjoint by PC)
 //
 // The front-end is the part that cannot be parallelised: predictor
 // state depends on the full interleaved branch order, and the slice
@@ -20,12 +20,12 @@
 // CtxSink producers) fold in under one of two aggregation modes
 // (DESIGN.md §3j): shared — the default — ignores the tags entirely,
 // modelling an SMT-style shared predictor, and is bit-for-bit the
-// classic single-context path; private gives every context its own
-// front-end (predictor instance, slice clock, pending buffers) and its
-// own profiler set per shard, so each context's report is exactly what
-// profiling its sub-stream alone would produce. Context 0's front-end
-// lives inline in the Engine — the single-context hot path allocates
-// nothing and touches no map.
+// classic single-context path; private profiles every context c > 0
+// with its own child Engine, built on first sight of c, so each
+// context's report is exactly what profiling its sub-stream alone
+// would produce. An Engine itself is single-context: one predictor,
+// one slice clock, one set of pending buffers and one profiler per
+// shard; context 0 is always the engine's own.
 //
 // internal/serve, internal/exp and the profile2d / profiled CLIs are
 // thin adapters over this package; none of them carries its own
@@ -40,8 +40,9 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -87,13 +88,13 @@ type Options struct {
 	// and never instantiated (edge profiling consults no predictor).
 	Predictor string
 	// Aggregation selects how multi-context streams fold into predictor
-	// and profiler state: bpred.AggShared (the zero value) ignores
-	// context tags — one table set, one slice clock, one report, the
-	// historical behaviour; bpred.AggPrivate gives each context private
-	// predictor tables, history, slice clock and profilers, reported
-	// through ContextReports/FinishContexts. Single-context streams
-	// behave identically in both modes.
-	Aggregation bpred.AggMode
+	// and profiler state: AggShared (the zero value) ignores context
+	// tags — one table set, one slice clock, one report, the historical
+	// behaviour; AggPrivate profiles each context with its own engine —
+	// private predictor tables, history, slice clock and profilers —
+	// reported through ContextReports/FinishContexts. Single-context
+	// streams behave identically in both modes.
+	Aggregation AggMode
 	// Static optionally carries the asmcheck branch classification of
 	// the program behind the stream (asmcheck.StaticClasses); reports
 	// are annotated with the static prefilter column. nil leaves reports
@@ -129,58 +130,35 @@ func (b *buffer) add(pc trace.PC, hit uint64) {
 }
 
 // batch is the unit of work handed to a shard: an optional buffer
-// followed by an optional slice boundary, all belonging to one
-// execution context. Boundary batches go to every shard — the slice
-// clock is per-context global, so even a shard that saw none of the
-// context's events this slice must advance it.
+// followed by an optional slice boundary. Boundary batches go to every
+// shard — the slice clock is global, so even a shard that saw none of
+// the slice's events must advance it.
 type batch struct {
 	buf      *buffer
-	ctx      trace.Context
 	endSlice bool
 }
 
-// shard owns one PC partition's profilers: the context-0 profiler
-// inline (the only one a single-context run ever touches) plus lazily
-// created per-context profilers under private aggregation. They are
-// only ever touched under mu: by batch application (the worker
-// goroutine, or the front-end itself in inline mode) and by snapshot
-// readers serving live reports.
+// shard owns one PC partition's profiler. It is only ever touched
+// under mu: by batch application (the worker goroutine, or the
+// front-end itself in inline mode) and by snapshot readers serving
+// live reports.
 type shard struct {
 	eng  *Engine
 	ch   chan batch    // nil in inline (Workers == 1) mode
 	done chan struct{} // nil in inline mode
 
-	mu    sync.Mutex
-	prof  *core.Profiler
-	profs map[trace.Context]*core.Profiler // contexts > 0 (private aggregation)
+	mu   sync.Mutex
+	prof *core.Profiler
 }
 
-// profFor resolves the profiler for one context, creating it on first
-// sight. Callers hold mu.
-func (s *shard) profFor(ctx trace.Context) *core.Profiler {
-	if ctx == 0 {
-		return s.prof
-	}
-	p, ok := s.profs[ctx]
-	if !ok {
-		if s.profs == nil {
-			s.profs = make(map[trace.Context]*core.Profiler)
-		}
-		p = s.eng.mustShardProfiler()
-		s.profs[ctx] = p
-	}
-	return p
-}
-
-// apply folds one batch into the owning context's profiler.
+// apply folds one batch into the shard's profiler.
 func (s *shard) apply(b batch) {
 	s.mu.Lock()
-	p := s.profFor(b.ctx)
 	if b.buf != nil {
-		p.OutcomeBatchSoA(b.buf.pcs, b.buf.hits, b.buf.hits, 0)
+		s.prof.OutcomeBatchSoA(b.buf.pcs, b.buf.hits, b.buf.hits, 0)
 	}
 	if b.endSlice {
-		p.EndSlice()
+		s.prof.EndSlice()
 	}
 	s.mu.Unlock()
 	if b.buf != nil {
@@ -195,41 +173,20 @@ func (s *shard) run() {
 	}
 }
 
-// snapshot takes a consistent snapshot of the shard's context-0
-// profiler between batches; safe while the worker is still consuming.
+// snapshot takes a consistent snapshot of the shard's profiler between
+// batches; safe while the worker is still consuming.
 func (s *shard) snapshot() *core.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.prof.Snapshot()
 }
 
-// snapshotCtx is snapshot for one execution context.
-func (s *shard) snapshotCtx(ctx trace.Context) *core.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.profFor(ctx).Snapshot()
-}
-
-// ctxFE is one execution context's sequential front-end state: its
-// predictor instance, slice clock, per-shard pending buffers and
-// predictor scratch. Context 0's ctxFE is embedded in the Engine; the
-// rest are allocated lazily on first sight of their context (private
-// aggregation only — shared mode routes everything through context 0).
-type ctxFE struct {
-	ctx      trace.Context
-	pred     bpred.Predictor // nil for MetricBias
-	pending  []*buffer       // per shard
-	hitWords []uint64        // scratch for the SoA predictor path
-
-	sliceExec int64 // retired branches since the context's last boundary
-}
-
 // Engine is one sharded profiling run: the sequential front-end state
-// (per-context predictor, slice clock and pending batches) plus the
-// shard workers. It implements trace.Sink, trace.SoABatchSink and
-// trace.CtxSink, so any event source — live VM hooks, trace readers,
-// the BTR2/BTR3 parallel decode pipeline, HTTP and wire ingest loops,
-// WAL replay — can drive it directly.
+// (predictor, slice clock and pending batches) plus the shard workers.
+// It implements trace.Sink, trace.SoABatchSink and trace.CtxSink, so
+// any event source — live VM hooks, trace readers, the BTR2/BTR3
+// parallel decode pipeline, HTTP and wire ingest loops, WAL replay —
+// can drive it directly.
 //
 // The feeding goroutine owns Branch/BranchCtx/BranchBatchSoA/Finish/
 // FinishContexts/Abort; they must not be called concurrently. Report,
@@ -239,19 +196,19 @@ type Engine struct {
 	cfg  core.Config
 	opts Options
 
-	cset     *bpred.ContextSet // context-keyed predictor factory (accuracy metric)
-	predName string
+	pred      bpred.Predictor // nil for MetricBias
+	shards    []*shard
+	pending   []*buffer // per shard
+	hitWords  []uint64  // scratch for the SoA predictor path
+	sliceExec int64     // retired branches since the last slice boundary
 
-	shards []*shard
-
-	c0 ctxFE // context 0 — the single-context fast path
-	// ctxMu guards ctxs and ctxList against live-report readers. The
-	// feeding goroutine is their only writer: it reads them without the
-	// lock and takes it only to add a context it sees for the first
+	// ctxs holds the engine of every context c > 0 under private
+	// aggregation. ctxMu guards it against live-report readers; the
+	// feeding goroutine is its only writer, reads it without the lock
+	// and takes the lock only to add a context it sees for the first
 	// time.
-	ctxMu   sync.Mutex
-	ctxs    map[trace.Context]*ctxFE // contexts > 0, private aggregation only
-	ctxList []trace.Context          // allocation order of ctxs' keys
+	ctxMu sync.Mutex
+	ctxs  map[trace.Context]*Engine
 
 	pool    sync.Pool
 	soaSpan trace.SoABatch // scratch for private-mode SoA span repacking
@@ -266,7 +223,7 @@ type Engine struct {
 
 // New validates the configuration and assembles the engine. With
 // Workers > 1 the shard workers start immediately; the caller must
-// reach Finish or Abort to stop them.
+// reach Finish, FinishContexts or Abort to stop them.
 func New(cfg core.Config, opts Options) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -284,29 +241,27 @@ func New(cfg core.Config, opts Options) (*Engine, error) {
 		opts.QueueDepth = DefaultQueueDepth
 	}
 	e := &Engine{
-		cfg:    cfg,
-		opts:   opts,
-		shards: make([]*shard, opts.Workers),
+		cfg:     cfg,
+		opts:    opts,
+		shards:  make([]*shard, opts.Workers),
+		pending: make([]*buffer, opts.Workers),
 	}
-	e.c0.pending = make([]*buffer, opts.Workers)
 	// The predictor name is validated in both metric modes, mirroring
 	// twodprof.Profile, so a typo fails loudly instead of silently
 	// profiling bias; MetricBias additionally accepts an empty name.
-	// Construction goes through the context-keyed front-end so private
-	// aggregation can clone per-context instances later.
+	var predName string
 	if cfg.Metric == core.MetricAccuracy || opts.Predictor != "" {
-		cset, err := bpred.NewContextSet(opts.Predictor, opts.Aggregation)
+		pred, err := bpred.New(opts.Predictor)
 		if err != nil {
 			return nil, err
 		}
 		if cfg.Metric == core.MetricAccuracy {
-			e.cset = cset
-			e.c0.pred = cset.For(0)
-			e.predName = e.c0.pred.Name()
+			e.pred = pred
+			predName = pred.Name()
 		}
 	}
 	for i := range e.shards {
-		prof, err := core.NewShardProfiler(cfg, e.predName)
+		prof, err := core.NewShardProfiler(cfg, predName)
 		if err != nil {
 			return nil, err
 		}
@@ -322,43 +277,42 @@ func New(cfg core.Config, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// mustShardProfiler builds one more shard profiler for a late-arriving
-// context. The config and predictor name were validated in New, so
-// failure here is an invariant violation, not an input error.
-func (e *Engine) mustShardProfiler() *core.Profiler {
-	p, err := core.NewShardProfiler(e.cfg, e.predName)
-	if err != nil {
-		panic(fmt.Sprintf("engine: shard profiler for validated config: %v", err))
-	}
-	return p
-}
+// private reports whether each execution context gets its own engine.
+func (e *Engine) private() bool { return e.opts.Aggregation == AggPrivate }
 
-// private reports whether multi-context events get per-context state.
-func (e *Engine) private() bool { return e.opts.Aggregation == bpred.AggPrivate }
-
-// fe resolves the front-end for one execution context, allocating it
-// on first sight. Context 0 — the only context a classic stream ever
-// has — resolves to the inline fast-path state without touching the
-// map.
-func (e *Engine) fe(ctx trace.Context) *ctxFE {
+// forCtx resolves the engine that profiles one execution context under
+// private aggregation: e itself for context 0, otherwise the context's
+// child engine, built on first sight with e's resolved options under
+// shared aggregation.
+func (e *Engine) forCtx(ctx trace.Context) *Engine {
 	if ctx == 0 {
-		return &e.c0
+		return e
 	}
-	if fe, ok := e.ctxs[ctx]; ok {
-		return fe
+	if child, ok := e.ctxs[ctx]; ok {
+		return child
 	}
-	fe := &ctxFE{ctx: ctx, pending: make([]*buffer, len(e.shards))}
-	if e.cset != nil {
-		fe.pred = e.cset.For(ctx)
+	opts := e.opts
+	opts.Aggregation = AggShared
+	child, err := New(e.cfg, opts)
+	if err != nil {
+		// e was built from the same config and options.
+		panic(fmt.Sprintf("engine: context engine for validated options: %v", err))
 	}
 	e.ctxMu.Lock()
 	if e.ctxs == nil {
-		e.ctxs = make(map[trace.Context]*ctxFE)
+		e.ctxs = make(map[trace.Context]*Engine)
 	}
-	e.ctxs[ctx] = fe
-	e.ctxList = append(e.ctxList, ctx)
+	e.ctxs[ctx] = child
 	e.ctxMu.Unlock()
-	return fe
+	return child
+}
+
+// children returns a copy of the context engine map, taken under the
+// lock. Safe from any goroutine.
+func (e *Engine) children() map[trace.Context]*Engine {
+	e.ctxMu.Lock()
+	defer e.ctxMu.Unlock()
+	return maps.Clone(e.ctxs)
 }
 
 // multiContext reports whether the stream has carried a context other
@@ -413,34 +367,29 @@ func (e *Engine) dispatch(i int, b batch) {
 // the backpressure path. Per-event events belong to context 0;
 // context-tagged producers use BranchCtx or the SoA batch path.
 func (e *Engine) Branch(pc trace.PC, taken bool) {
-	e.branch(&e.c0, pc, taken)
+	hit := taken
+	if e.pred != nil {
+		hit = e.pred.Predict(pc) == taken
+		e.pred.Update(pc, taken)
+	}
+	e.enqueue(pc, b2u(hit))
+	e.sliceExec++
+	if e.sliceExec >= e.cfg.SliceSize {
+		e.broadcastSliceEnd()
+		e.sliceExec = 0
+	}
 }
 
 // BranchCtx implements trace.CtxSink: Branch observed on an execution
 // context. Under shared aggregation (and always for context 0) it is
-// exactly Branch; under private aggregation the event flows through
-// its context's own predictor and slice clock.
+// exactly Branch; under private aggregation the event goes to its
+// context's engine.
 func (e *Engine) BranchCtx(ctx trace.Context, pc trace.PC, taken bool) {
 	if ctx == 0 || !e.private() {
 		e.Branch(pc, taken)
 		return
 	}
-	e.branch(e.fe(ctx), pc, taken)
-}
-
-// branch is the per-event front-end for one context.
-func (e *Engine) branch(fe *ctxFE, pc trace.PC, taken bool) {
-	hit := taken
-	if fe.pred != nil {
-		hit = fe.pred.Predict(pc) == taken
-		fe.pred.Update(pc, taken)
-	}
-	e.enqueue(fe, pc, b2u(hit))
-	fe.sliceExec++
-	if fe.sliceExec >= e.cfg.SliceSize {
-		e.broadcastSliceEnd(fe)
-		fe.sliceExec = 0
-	}
+	e.forCtx(ctx).Branch(pc, taken)
 }
 
 // b2u converts a bool to the 0/1 bit a shard buffer carries.
@@ -461,57 +410,58 @@ func b2u(b bool) uint64 {
 //
 // Under private aggregation a batch with a context lane is split into
 // same-context spans; each span is repacked word-aligned (trace.
-// SoABatch.Span) so the per-context predictor still runs its SoA
-// kernel. Batches without a context lane — every BTR1/BTR2 stream —
-// take the classic path untouched.
+// SoABatch.Span) so its context's predictor still runs its SoA kernel.
+// Batches without a context lane — every BTR1/BTR2 stream — take the
+// classic path untouched.
 func (e *Engine) BranchBatchSoA(b *trace.SoABatch) {
-	if e.private() && len(b.Ctxs) > 0 {
-		ctxs := b.Ctxs
-		for i := 0; i < len(ctxs); {
-			ctx := ctxs[i]
-			j := i + 1
-			for j < len(ctxs) && ctxs[j] == ctx {
-				j++
-			}
-			if i == 0 && j == len(ctxs) {
-				// Single-context batch: no repacking needed.
-				e.branchBatchSoA(e.fe(ctx), b)
-				return
-			}
-			b.Span(&e.soaSpan, i, j)
-			e.branchBatchSoA(e.fe(ctx), &e.soaSpan)
-			i = j
-		}
+	if !e.private() || len(b.Ctxs) == 0 {
+		e.branchBatchSoA(b)
 		return
 	}
-	e.branchBatchSoA(&e.c0, b)
+	ctxs := b.Ctxs
+	for i := 0; i < len(ctxs); {
+		ctx := ctxs[i]
+		j := i + 1
+		for j < len(ctxs) && ctxs[j] == ctx {
+			j++
+		}
+		if i == 0 && j == len(ctxs) {
+			// Single-context batch: no repacking needed.
+			e.forCtx(ctx).branchBatchSoA(b)
+			return
+		}
+		b.Span(&e.soaSpan, i, j)
+		e.forCtx(ctx).branchBatchSoA(&e.soaSpan)
+		i = j
+	}
 }
 
-// branchBatchSoA is BranchBatchSoA for one context's front-end.
-func (e *Engine) branchBatchSoA(fe *ctxFE, b *trace.SoABatch) {
+// branchBatchSoA is BranchBatchSoA for a batch of this engine's own
+// context.
+func (e *Engine) branchBatchSoA(b *trace.SoABatch) {
 	var hw []uint64
-	if fe.pred != nil {
+	if e.pred != nil {
 		words := (b.Len() + 63) / 64
-		if cap(fe.hitWords) < words {
-			fe.hitWords = make([]uint64, words)
+		if cap(e.hitWords) < words {
+			e.hitWords = make([]uint64, words)
 		}
-		hw = fe.hitWords[:words]
-		bpred.ApplyBatchSoA(fe.pred, b.PCs, b.Taken, hw)
+		hw = e.hitWords[:words]
+		bpred.ApplyBatchSoA(e.pred, b.PCs, b.Taken, hw)
 	}
 	pcs := b.PCs
 	bitOff := 0
 	for len(pcs) > 0 {
-		n := int(e.cfg.SliceSize - fe.sliceExec)
+		n := int(e.cfg.SliceSize - e.sliceExec)
 		if n > len(pcs) {
 			n = len(pcs)
 		}
-		e.routeSpanSoA(fe, pcs[:n], b.Taken, hw, bitOff)
+		e.routeSpanSoA(pcs[:n], b.Taken, hw, bitOff)
 		pcs = pcs[n:]
 		bitOff += n
-		fe.sliceExec += int64(n)
-		if fe.sliceExec >= e.cfg.SliceSize {
-			e.broadcastSliceEnd(fe)
-			fe.sliceExec = 0
+		e.sliceExec += int64(n)
+		if e.sliceExec >= e.cfg.SliceSize {
+			e.broadcastSliceEnd()
+			e.sliceExec = 0
 		}
 	}
 }
@@ -519,15 +469,15 @@ func (e *Engine) branchBatchSoA(fe *ctxFE, b *trace.SoABatch) {
 // singleShard returns the lone shard when the engine runs in inline
 // single-worker mode (no queues, no worker goroutines), where span
 // routing can skip the buffer machinery and apply straight to the
-// profiler. Any pending per-event buffer of the same context is
-// flushed first so ordering against the Branch path is preserved.
-func (e *Engine) singleShard(fe *ctxFE) *shard {
+// profiler. Any pending per-event buffer is flushed first so ordering
+// against the Branch path is preserved.
+func (e *Engine) singleShard() *shard {
 	if len(e.shards) != 1 || e.shards[0].ch != nil {
 		return nil
 	}
-	if b := fe.pending[0]; b != nil && len(b.pcs) > 0 {
-		e.dispatch(0, batch{buf: b, ctx: fe.ctx})
-		fe.pending[0] = nil
+	if b := e.pending[0]; b != nil && len(b.pcs) > 0 {
+		e.dispatch(0, batch{buf: b})
+		e.pending[0] = nil
 	}
 	return e.shards[0]
 }
@@ -538,10 +488,10 @@ func (e *Engine) singleShard(fe *ctxFE) *shard {
 // (MetricBias). With one shard the span is applied inline with its
 // packed bitmaps; sharded runs append each event's PC and counted bit
 // to the owning shard's buffer.
-func (e *Engine) routeSpanSoA(fe *ctxFE, pcs []trace.PC, taken, correct []uint64, bitOff int) {
-	if s := e.singleShard(fe); s != nil {
+func (e *Engine) routeSpanSoA(pcs []trace.PC, taken, correct []uint64, bitOff int) {
+	if s := e.singleShard(); s != nil {
 		s.mu.Lock()
-		s.profFor(fe.ctx).OutcomeBatchSoA(pcs, taken, correct, bitOff)
+		s.prof.OutcomeBatchSoA(pcs, taken, correct, bitOff)
 		s.mu.Unlock()
 		return
 	}
@@ -554,61 +504,62 @@ func (e *Engine) routeSpanSoA(fe *ctxFE, pcs []trace.PC, taken, correct []uint64
 	for i, pc := range pcs {
 		j := bitOff + i
 		s := e.shardOf(pc)
-		b := fe.pending[s]
+		b := e.pending[s]
 		if b == nil {
 			b = e.getBuf()
-			fe.pending[s] = b
+			e.pending[s] = b
 		}
 		b.add(pc, bits[j>>6]>>uint(j&63)&1)
 		if len(b.pcs) >= e.opts.BatchSize {
-			e.dispatch(s, batch{buf: b, ctx: fe.ctx})
-			fe.pending[s] = nil
+			e.dispatch(s, batch{buf: b})
+			e.pending[s] = nil
 		}
 	}
 }
 
 // enqueue appends one event to its shard's pending buffer, handing the
 // buffer to the shard once it holds BatchSize events.
-func (e *Engine) enqueue(fe *ctxFE, pc trace.PC, hit uint64) {
+func (e *Engine) enqueue(pc trace.PC, hit uint64) {
 	s := e.shardOf(pc)
-	b := fe.pending[s]
+	b := e.pending[s]
 	if b == nil {
 		b = e.getBuf()
-		fe.pending[s] = b
+		e.pending[s] = b
 	}
 	b.add(pc, hit)
 	if len(b.pcs) >= e.opts.BatchSize {
-		e.dispatch(s, batch{buf: b, ctx: fe.ctx})
-		fe.pending[s] = nil
+		e.dispatch(s, batch{buf: b})
+		e.pending[s] = nil
 	}
 }
 
-// broadcastSliceEnd flushes every pending batch of the context with a
-// slice-boundary marker, even to shards that saw none of its events
-// this slice (the clock is global per context). Each shard applies the
-// boundary after exactly the events that belong to the slice, because
-// its channel preserves order; shards need no cross-shard
-// synchronisation beyond this.
-func (e *Engine) broadcastSliceEnd(fe *ctxFE) {
+// broadcastSliceEnd flushes every pending batch with a slice-boundary
+// marker, even to shards that saw none of the slice's events (the
+// clock is global). Each shard applies the boundary after exactly the
+// events that belong to the slice, because its channel preserves
+// order; shards need no cross-shard synchronisation beyond this.
+func (e *Engine) broadcastSliceEnd() {
 	for i := range e.shards {
-		e.dispatch(i, batch{buf: fe.pending[i], ctx: fe.ctx, endSlice: true})
-		fe.pending[i] = nil
+		e.dispatch(i, batch{buf: e.pending[i], endSlice: true})
+		e.pending[i] = nil
 	}
 	if e.opts.OnSlice != nil {
 		e.opts.OnSlice()
 	}
 }
 
-// drain flushes pending batches of every context, closes the queues
-// and waits for the workers; idempotent.
+// drain flushes pending batches, closes the queues and waits for the
+// workers, then does the same for every context engine; idempotent.
 func (e *Engine) drain() {
 	if e.drained {
 		return
 	}
 	e.drained = true
-	e.drainFE(&e.c0)
-	for _, ctx := range e.ctxList {
-		e.drainFE(e.ctxs[ctx])
+	for i, b := range e.pending {
+		if b != nil && len(b.pcs) > 0 {
+			e.dispatch(i, batch{buf: b})
+		}
+		e.pending[i] = nil
 	}
 	for _, s := range e.shards {
 		if s.ch != nil {
@@ -620,35 +571,26 @@ func (e *Engine) drain() {
 			<-s.done
 		}
 	}
-}
-
-func (e *Engine) drainFE(fe *ctxFE) {
-	for i := range e.shards {
-		if b := fe.pending[i]; b != nil && len(b.pcs) > 0 {
-			e.dispatch(i, batch{buf: b, ctx: fe.ctx})
-		}
-		fe.pending[i] = nil
+	for _, child := range e.ctxs {
+		child.drain()
 	}
 }
 
-// finishFlush applies the offline partial-slice flush rule to every
-// context's clock and drains the workers; idempotent.
+// finishFlush applies the offline partial-slice flush rule to the
+// slice clock of this engine and of every context engine, and drains
+// the workers; idempotent.
 func (e *Engine) finishFlush() {
 	if e.drained {
 		return
 	}
-	e.flushPartial(&e.c0)
-	for _, ctx := range e.ctxList {
-		e.flushPartial(e.ctxs[ctx])
+	if e.cfg.FlushPartialSlice && e.sliceExec > 0 && e.sliceExec >= e.cfg.SliceSize/2 {
+		e.broadcastSliceEnd()
+		e.sliceExec = 0
+	}
+	for _, child := range e.ctxs {
+		child.finishFlush()
 	}
 	e.drain()
-}
-
-func (e *Engine) flushPartial(fe *ctxFE) {
-	if e.cfg.FlushPartialSlice && fe.sliceExec > 0 && fe.sliceExec >= e.cfg.SliceSize/2 {
-		e.broadcastSliceEnd(fe)
-		fe.sliceExec = 0
-	}
 }
 
 // Finish completes the stream: applies the offline partial-slice flush
@@ -671,16 +613,16 @@ func (e *Engine) Finish() (*core.Report, error) {
 }
 
 // FinishContexts completes the stream like Finish but reports per
-// execution context: each context's report is the merge of its own
-// shard profilers. A single-context run (or any shared-aggregation
-// run) yields the map {0: report} with the report byte-identical to
-// Finish's. Idempotent.
+// execution context: this engine's own report at context 0 plus each
+// context engine's Finish. A single-context run (or any
+// shared-aggregation run) yields the map {0: report} with the report
+// byte-identical to Finish's. Idempotent.
 func (e *Engine) FinishContexts() (map[trace.Context]*core.Report, error) {
 	if reps := e.finalCtx.Load(); reps != nil {
 		return *reps, nil
 	}
 	e.finishFlush()
-	reps, err := e.ContextReports()
+	reps, err := e.contextReports((*Engine).Finish)
 	if err != nil {
 		return nil, err
 	}
@@ -688,9 +630,9 @@ func (e *Engine) FinishContexts() (map[trace.Context]*core.Report, error) {
 	return reps, nil
 }
 
-// Abort tears the workers down without the final slice flush (the
-// stream failed mid-flight); the partial statistics remain queryable
-// through Report.
+// Abort tears the workers of the engine and of every context engine
+// down without the final slice flush (the stream failed mid-flight);
+// the partial statistics remain queryable through Report.
 func (e *Engine) Abort() { e.drain() }
 
 // Report merges the current shard snapshots into an annotated report:
@@ -705,11 +647,13 @@ func (e *Engine) Report() (*core.Report, error) {
 	if e.multiContext() {
 		return nil, ErrMultiContext
 	}
-	snaps := make([]*core.Snapshot, len(e.shards))
-	for i, s := range e.shards {
-		snaps[i] = s.snapshot()
-	}
-	rep, err := core.MergeReports(snaps...)
+	return e.merged()
+}
+
+// merged merges this engine's own shard snapshots into an annotated
+// report.
+func (e *Engine) merged() (*core.Report, error) {
+	rep, err := core.MergeReports(e.snapshots()...)
 	if err != nil {
 		return nil, err
 	}
@@ -717,27 +661,30 @@ func (e *Engine) Report() (*core.Report, error) {
 	return rep, nil
 }
 
-// ContextReports merges the current shard snapshots per execution
-// context: a live view while the stream is flowing, the final per-
-// context reports once FinishContexts has fixed them. Context 0 is
-// always present.
+// ContextReports reports per execution context: a live view while the
+// stream is flowing, the final per-context reports once FinishContexts
+// has fixed them. Context 0 is always present.
 func (e *Engine) ContextReports() (map[trace.Context]*core.Report, error) {
 	if reps := e.finalCtx.Load(); reps != nil {
 		return *reps, nil
 	}
-	ctxs := e.Contexts()
-	out := make(map[trace.Context]*core.Report, len(ctxs))
-	for _, ctx := range ctxs {
-		snaps := make([]*core.Snapshot, len(e.shards))
-		for i, s := range e.shards {
-			snaps[i] = s.snapshotCtx(ctx)
-		}
-		rep, err := core.MergeReports(snaps...)
-		if err != nil {
+	return e.contextReports((*Engine).Report)
+}
+
+// contextReports maps context 0 to this engine's own merged report and
+// every other context to report applied to its engine.
+func (e *Engine) contextReports(report func(*Engine) (*core.Report, error)) (map[trace.Context]*core.Report, error) {
+	rep, err := e.merged()
+	if err != nil {
+		return nil, err
+	}
+	children := e.children()
+	out := make(map[trace.Context]*core.Report, 1+len(children))
+	out[0] = rep
+	for ctx, child := range children {
+		if out[ctx], err = report(child); err != nil {
 			return nil, err
 		}
-		rep.AnnotateStatic(e.opts.Static)
-		out[ctx] = rep
 	}
 	return out, nil
 }
@@ -746,12 +693,11 @@ func (e *Engine) ContextReports() (map[trace.Context]*core.Report, error) {
 // sorted ascending. Context 0 is always present; contexts > 0 appear
 // only under private aggregation.
 func (e *Engine) Contexts() []trace.Context {
-	e.ctxMu.Lock()
-	out := make([]trace.Context, 0, 1+len(e.ctxList))
-	out = append(out, 0)
-	out = append(out, e.ctxList...)
-	e.ctxMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := []trace.Context{0}
+	for ctx := range e.children() {
+		out = append(out, ctx)
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -768,20 +714,30 @@ func (e *Engine) Snapshot() (*core.Snapshot, error) {
 	if e.multiContext() {
 		return nil, ErrMultiContext
 	}
+	return core.MergeSnapshots(e.snapshots()...)
+}
+
+// snapshots takes the current snapshot of every shard.
+func (e *Engine) snapshots() []*core.Snapshot {
 	snaps := make([]*core.Snapshot, len(e.shards))
 	for i, s := range e.shards {
 		snaps[i] = s.snapshot()
 	}
-	return core.MergeSnapshots(snaps...)
+	return snaps
 }
 
-// QueueDepths returns the number of queued batches per shard (all
-// zeros in inline mode).
+// QueueDepths returns the number of queued batches per shard, summed
+// over the context engines (all zeros in inline mode).
 func (e *Engine) QueueDepths() []int {
 	d := make([]int, len(e.shards))
 	for i, s := range e.shards {
 		if s.ch != nil {
 			d[i] = len(s.ch)
+		}
+	}
+	for _, child := range e.children() {
+		for i, n := range child.QueueDepths() {
+			d[i] += n
 		}
 	}
 	return d

@@ -101,6 +101,35 @@ func TestOnSliceCountsGlobalSlices(t *testing.T) {
 			t.Errorf("workers=%d: OnSlice fired %d times, want 4 (3 full + 1 flushed partial)", workers, slices)
 		}
 	}
+
+	// Under private aggregation every context keeps its own slice clock
+	// and OnSlice fires at each context's boundaries: here each of 3
+	// interleaved contexts runs 3 full slices plus a flushed partial.
+	const nctx = 3
+	for _, workers := range []int{1, 4} {
+		cfg := testConfig(core.MetricAccuracy)
+		var slices int
+		eng, err := New(cfg, Options{
+			Workers:     workers,
+			Predictor:   "gshare-4KB",
+			Aggregation: AggPrivate,
+			OnSlice:     func() { slices++ },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder(0)
+		feedSynthetic(rec, nctx*int(3*cfg.SliceSize+cfg.SliceSize/2))
+		for i, ev := range rec.Events {
+			eng.BranchCtx(trace.Context(i%nctx), ev.PC, ev.Taken)
+		}
+		if _, err := eng.FinishContexts(); err != nil {
+			t.Fatal(err)
+		}
+		if slices != 4*nctx {
+			t.Errorf("private workers=%d: OnSlice fired %d times, want %d (4 per context)", workers, slices, 4*nctx)
+		}
+	}
 }
 
 func TestShortPartialSliceNotFlushed(t *testing.T) {

@@ -3,9 +3,59 @@ package engine
 import (
 	"errors"
 	"fmt"
-
-	"twodprof/internal/bpred"
 )
+
+// Execution-context aggregation.
+//
+// A predictor models one hardware context: one global history register,
+// one set of tables. Interleaved multi-thread streams can be aggregated
+// two ways, and the choice is a modelling decision, not an
+// implementation detail:
+//
+//   - shared: one table set sees the interleaved update stream, the way
+//     an SMT core's shared predictor would. Cross-context updates alias
+//     into each other's history and counters.
+//   - private: each context gets its own power-on predictor, slice
+//     clock and profilers — the way per-thread profiling hardware (or
+//     simply profiling each thread's stream separately) would behave.
+//     The engine builds one child Engine per context to do this.
+
+// AggMode selects how a multi-context stream is aggregated into
+// predictor and profiler state.
+type AggMode uint8
+
+const (
+	// AggShared routes every context through one shared predictor.
+	AggShared AggMode = iota
+	// AggPrivate profiles each context with its own engine: a private
+	// predictor, slice clock and profiler set.
+	AggPrivate
+)
+
+// String implements fmt.Stringer.
+func (m AggMode) String() string {
+	switch m {
+	case AggShared:
+		return "shared"
+	case AggPrivate:
+		return "private"
+	default:
+		return fmt.Sprintf("AggMode(%d)", uint8(m))
+	}
+}
+
+// ParseAggMode converts a configuration string ("shared" or "private")
+// to an AggMode.
+func ParseAggMode(s string) (AggMode, error) {
+	switch s {
+	case "shared":
+		return AggShared, nil
+	case "private":
+		return AggPrivate, nil
+	default:
+		return 0, fmt.Errorf("engine: unknown aggregation mode %q (known: shared, private)", s)
+	}
+}
 
 // Option validation. New rejects nonsense configurations up front with
 // typed errors instead of letting an absurd worker count or queue depth
@@ -58,7 +108,7 @@ func (o Options) Validate() error {
 	if o.QueueDepth > MaxQueueDepth {
 		errs = append(errs, &OptionError{"QueueDepth", o.QueueDepth, fmt.Sprintf("above MaxQueueDepth %d", MaxQueueDepth)})
 	}
-	if o.Aggregation != bpred.AggShared && o.Aggregation != bpred.AggPrivate {
+	if o.Aggregation != AggShared && o.Aggregation != AggPrivate {
 		errs = append(errs, &OptionError{"Aggregation", int(o.Aggregation), "not a known aggregation mode (shared, private)"})
 	}
 	return errors.Join(errs...)

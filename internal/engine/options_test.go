@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"twodprof/internal/bpred"
 	"twodprof/internal/core"
 )
 
@@ -34,9 +33,9 @@ func TestOptionsValidate(t *testing.T) {
 		{name: "queue negative is default", opts: Options{QueueDepth: -3}},
 		{name: "queue at cap", opts: Options{QueueDepth: MaxQueueDepth}},
 		{name: "queue above cap", opts: Options{QueueDepth: MaxQueueDepth + 1}, field: "QueueDepth"},
-		{name: "aggregation shared", opts: Options{Aggregation: bpred.AggShared}},
-		{name: "aggregation private", opts: Options{Aggregation: bpred.AggPrivate}},
-		{name: "aggregation unknown", opts: Options{Aggregation: bpred.AggMode(7)}, field: "Aggregation"},
+		{name: "aggregation shared", opts: Options{Aggregation: AggShared}},
+		{name: "aggregation private", opts: Options{Aggregation: AggPrivate}},
+		{name: "aggregation unknown", opts: Options{Aggregation: AggMode(7)}, field: "Aggregation"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,7 +67,7 @@ func TestOptionsValidateMultipleErrors(t *testing.T) {
 		Workers:     MaxWorkers + 1,
 		BatchSize:   MaxBatchSize + 1,
 		QueueDepth:  MaxQueueDepth + 1,
-		Aggregation: bpred.AggMode(200),
+		Aggregation: AggMode(200),
 	}.Validate()
 	if err == nil {
 		t.Fatal("Validate() = nil, want four errors")
@@ -89,5 +88,23 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 	var oe *OptionError
 	if !errors.As(err, &oe) || oe.Field != "Workers" {
 		t.Fatalf("New with absurd Workers = %v, want *OptionError on Workers", err)
+	}
+}
+
+func TestAggModeParse(t *testing.T) {
+	for _, tc := range []struct {
+		s    string
+		mode AggMode
+	}{{"shared", AggShared}, {"private", AggPrivate}} {
+		got, err := ParseAggMode(tc.s)
+		if err != nil || got != tc.mode {
+			t.Errorf("ParseAggMode(%q) = %v, %v", tc.s, got, err)
+		}
+		if got.String() != tc.s {
+			t.Errorf("AggMode %v String() = %q, want %q", got, got.String(), tc.s)
+		}
+	}
+	if _, err := ParseAggMode("smt"); err == nil {
+		t.Error("ParseAggMode accepted an unknown mode")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"twodprof/internal/bpred"
 	"twodprof/internal/engine"
 	"twodprof/internal/spec"
 	"twodprof/internal/synth"
@@ -146,11 +145,11 @@ func runExtMT(ctx *Context) (Result, error) {
 	// The sweep: context count x aggregation mode, bursty schedule.
 	type cell struct {
 		nctx int
-		mode bpred.AggMode
+		mode engine.AggMode
 	}
 	var cells []cell
 	for _, n := range extMTCtxs {
-		for _, mode := range []bpred.AggMode{bpred.AggShared, bpred.AggPrivate} {
+		for _, mode := range []engine.AggMode{engine.AggShared, engine.AggPrivate} {
 			cells = append(cells, cell{n, mode})
 		}
 	}
@@ -185,7 +184,7 @@ func runExtMT(ctx *Context) (Result, error) {
 		// i's branch pc: the per-context report under private tables,
 		// the single merged report under shared ones.
 		var verdict func(i int, pc trace.PC) bool
-		if c.mode == bpred.AggPrivate {
+		if c.mode == engine.AggPrivate {
 			reps, err := eng.FinishContexts()
 			if err != nil {
 				return err

@@ -12,11 +12,11 @@ import (
 	"time"
 
 	"twodprof/internal/asmcheck"
-	"twodprof/internal/bpred"
 	"twodprof/internal/core"
 	"twodprof/internal/engine"
 	"twodprof/internal/progs"
 	"twodprof/internal/trace"
+	"twodprof/internal/wire"
 )
 
 // ingestFlushEvery bounds how stale the shared event counters may get:
@@ -62,31 +62,18 @@ func (b *bodyReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ingestParams are one session's resolved-from-the-request overrides,
-// the shared shape behind both ingest fronts: the HTTP query string
-// (paramsFromQuery) and a wire begin message (wire_ingest.go).
-type ingestParams struct {
-	ID        string
-	Tenant    string
-	Group     string
-	Metric    string // "" keeps the server default
-	Predictor string // "" keeps the server default
-	SliceSize int64  // <= 0 keeps the server default
-	Shards    int    // <= 0 keeps the server default
-	Agg       string // "" means shared (the historical behaviour)
-	Kernel    string
-}
-
-// paramsFromQuery parses the ingest overrides out of an HTTP query.
-func paramsFromQuery(q url.Values) (ingestParams, error) {
-	p := ingestParams{
-		ID:        q.Get("session"),
-		Tenant:    q.Get("tenant"),
-		Group:     q.Get("group"),
-		Metric:    q.Get("metric"),
-		Predictor: q.Get("predictor"),
-		Agg:       q.Get("agg"),
-		Kernel:    q.Get("kernel"),
+// paramsFromQuery parses the ingest overrides out of an HTTP query
+// into the wire begin message's shape, so both ingest fronts hand
+// beginSession the same parameters.
+func paramsFromQuery(q url.Values) (wire.BeginParams, error) {
+	p := wire.BeginParams{
+		ID:          q.Get("session"),
+		Tenant:      q.Get("tenant"),
+		Group:       q.Get("group"),
+		Metric:      q.Get("metric"),
+		Predictor:   q.Get("predictor"),
+		Aggregation: q.Get("agg"),
+		Kernel:      q.Get("kernel"),
 	}
 	if v := q.Get("slice"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
@@ -128,19 +115,6 @@ func (e *ingestError) write(w http.ResponseWriter) {
 	http.Error(w, e.msg, e.status)
 }
 
-// ingestSummary is the JSON response of a completed (or failed) ingest.
-type ingestSummary struct {
-	Session        string  `json:"session"`
-	State          string  `json:"state"`
-	Events         int64   `json:"events"`
-	Bytes          int64   `json:"bytes"`
-	Slices         int64   `json:"slices"`
-	Branches       int     `json:"branches"`
-	Overall        float64 `json:"overall"`
-	InputDependent int     `json:"inputDependent"`
-	Error          string  `json:"error,omitempty"`
-}
-
 // ingestRun is one admitted session's streaming state, owned by a
 // single goroutine (the HTTP handler or the wire stream goroutine):
 // the decoded-event path into the WAL and the engine, the counter
@@ -160,7 +134,7 @@ type ingestRun struct {
 // front inherits http.Shutdown's no-new-connections semantics, and the
 // wire front (whose pooled connections outlive Shutdown) gates begins
 // itself.
-func (s *Server) beginSession(p ingestParams) (*ingestRun, *ingestError) {
+func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 	if s.cfg.MaxActive > 0 && s.metrics.ActiveSessions.Load() >= int64(s.cfg.MaxActive) {
 		s.metrics.Shed.Add(1)
 		return nil, &ingestError{
@@ -195,10 +169,10 @@ func (s *Server) beginSession(p ingestParams) (*ingestRun, *ingestError) {
 		}
 		shards = p.Shards
 	}
-	var agg bpred.AggMode
-	if p.Agg != "" {
+	var agg engine.AggMode
+	if p.Aggregation != "" {
 		var err error
-		if agg, err = bpred.ParseAggMode(p.Agg); err != nil {
+		if agg, err = engine.ParseAggMode(p.Aggregation); err != nil {
 			return nil, &ingestError{status: http.StatusBadRequest, msg: err.Error()}
 		}
 	}
@@ -298,15 +272,15 @@ func (ir *ingestRun) finish() {
 }
 
 // complete fixes the session's final report and returns the terminal
-// summary.
-func (ir *ingestRun) complete() (ingestSummary, error) {
+// summary, which is also the JSON response of a completed ingest.
+func (ir *ingestRun) complete() (wire.Summary, error) {
 	ir.flushCounters()
 	defer ir.finish()
 	rep, err := ir.session.complete()
 	if err != nil {
 		return ir.failSummary(err), err
 	}
-	return ingestSummary{
+	return wire.Summary{
 		Session:        ir.session.ID,
 		State:          ir.session.State().String(),
 		Events:         ir.session.Events(),
@@ -320,16 +294,16 @@ func (ir *ingestRun) complete() (ingestSummary, error) {
 
 // fail marks the session failed (single-shot; the partial profile stays
 // queryable) and returns the terminal summary.
-func (ir *ingestRun) fail(reason error) ingestSummary {
+func (ir *ingestRun) fail(reason error) wire.Summary {
 	ir.flushCounters()
 	defer ir.finish()
 	return ir.failSummary(reason)
 }
 
-func (ir *ingestRun) failSummary(reason error) ingestSummary {
+func (ir *ingestRun) failSummary(reason error) wire.Summary {
 	ir.session.fail(reason)
 	ir.s.metrics.SessionsFailed.Add(1)
-	return ingestSummary{
+	return wire.Summary{
 		Session: ir.session.ID,
 		State:   ir.session.State().String(),
 		Events:  ir.session.Events(),

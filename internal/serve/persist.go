@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"twodprof/internal/asmcheck"
-	"twodprof/internal/bpred"
 	"twodprof/internal/core"
 	"twodprof/internal/engine"
 	"twodprof/internal/progs"
@@ -465,10 +464,10 @@ func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 // replay feeds logged event records through a fresh engine and returns
 // the replayed event count plus the finished engine's merged snapshot.
 func (st *Store) replay(meta sessionMeta, events []wal.Record, static map[trace.PC]string) (int64, *core.Snapshot, error) {
-	var agg bpred.AggMode
+	var agg engine.AggMode
 	if meta.Aggregation != "" {
 		var err error
-		if agg, err = bpred.ParseAggMode(meta.Aggregation); err != nil {
+		if agg, err = engine.ParseAggMode(meta.Aggregation); err != nil {
 			return 0, nil, fmt.Errorf("session log metadata: %w", err)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"twodprof/internal/core"
 	"twodprof/internal/trace"
 	"twodprof/internal/wal"
+	"twodprof/internal/wire"
 )
 
 // durableConfig is testConfig plus a data directory with an aggressive
@@ -426,7 +427,7 @@ func TestDurableIngestZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, ierr := srv.beginSession(ingestParams{ID: "alloc"})
+	run, ierr := srv.beginSession(wire.BeginParams{ID: "alloc"})
 	if ierr != nil {
 		t.Fatal(ierr)
 	}

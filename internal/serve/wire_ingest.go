@@ -27,17 +27,7 @@ func (h wireHandler) Begin(p wire.BeginParams) (wire.SessionSink, error) {
 			Code: wire.CodeUnavailable, RetryAfter: shedRetryAfter, Msg: "draining",
 		}
 	}
-	run, ierr := h.s.beginSession(ingestParams{
-		ID:        p.ID,
-		Tenant:    p.Tenant,
-		Group:     p.Group,
-		Metric:    p.Metric,
-		Predictor: p.Predictor,
-		SliceSize: p.SliceSize,
-		Shards:    p.Shards,
-		Agg:       p.Aggregation,
-		Kernel:    p.Kernel,
-	})
+	run, ierr := h.s.beginSession(p)
 	if ierr != nil {
 		return nil, wireError(ierr)
 	}
@@ -76,23 +66,7 @@ func (ws *wireSink) Events(b *trace.SoABatch, rawBytes int) error {
 }
 
 // End completes the session and returns the terminal summary.
-func (ws *wireSink) End() (wire.Summary, error) {
-	sum, err := ws.run.complete()
-	if err != nil {
-		return wire.Summary{}, err
-	}
-	return wire.Summary{
-		Session:        sum.Session,
-		State:          sum.State,
-		Events:         sum.Events,
-		Bytes:          sum.Bytes,
-		Slices:         sum.Slices,
-		Branches:       sum.Branches,
-		Overall:        sum.Overall,
-		InputDependent: sum.InputDependent,
-		Error:          sum.Error,
-	}, nil
-}
+func (ws *wireSink) End() (wire.Summary, error) { return ws.run.complete() }
 
 // Abort fails the session; its partial profile stays queryable.
 func (ws *wireSink) Abort(reason error) { ws.run.fail(reason) }

@@ -8,8 +8,9 @@
 // rates do not; the floors catch gross regressions, such as a kernel
 // falling back to its scalar path, not micro-variance. Every report a
 // row yields must equal the plain profiler's byte for byte (for
-// transport rows, the first HTTP BTR1 report). A missed floor or a
-// mismatch exits non-zero.
+// transport rows, the first HTTP BTR1 report; for private-aggregation
+// BTR3 rows, each context's solo report). A missed floor or a mismatch
+// exits non-zero.
 //
 // Usage:
 //
@@ -70,7 +71,8 @@ func main() {
 // The guarded rows run the fsm/train kernel. The record-only sweeps
 // run bsearch/train, a dense hot loop, and the wide synthetic
 // population, at the worker and shard counts a multi-core host would
-// use. The transport rows share the returned daemon.
+// use, and the record-only BTR3 rows run ext-mt's multi-context
+// streams. The transport rows share the returned daemon.
 func tables() (rows []*row, guards []*guard, tr *transport) {
 	fsm := kernel("fsm", "train", true)
 	bsearch := kernel("bsearch", "train", false)
@@ -126,6 +128,7 @@ func tables() (rows []*row, guards []*guard, tr *transport) {
 			}
 		}
 	}
+	rows = append(rows, contextRows(workers)...)
 	return rows, guards, tr
 }
 
