@@ -7,12 +7,13 @@
 #   make fuzz-seeds      run the fuzz corpora as regular regression tests
 #   make e2e-crash       kill-9 crash-recovery drill against the durable daemon
 #   make e2e-cluster     kill-9 node-failure drill + 10k-session load storm through the router
+#   make perfbench-check go vet + go test inside the perfbench module
 #   make bench           throughput floors + report identity over every ingest path (results/BENCH.json)
 #   make results         regenerate the committed results/ directory
 
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz-seeds e2e-crash e2e-cluster verify bench results
+.PHONY: all build vet lint test race fuzz-seeds e2e-crash e2e-cluster perfbench-check verify bench results
 
 all: verify
 
@@ -77,7 +78,14 @@ e2e-cluster:
 	$(GO) test -run 'TestKillNodeMidStream' -count=1 ./internal/cluster
 	$(GO) run ./cmd/loadgen -selftest -sessions 10000
 
-verify: build lint test race fuzz-seeds e2e-crash e2e-cluster bench
+# perfbench/ is its own module (go.mod), so the root ./... skips it,
+# yet it compiles against the serve, engine, trace and wire internals:
+# vet and test it here so a change that breaks it fails CI, not the
+# benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+verify: build lint test race fuzz-seeds e2e-crash e2e-cluster perfbench-check bench
 
 # bench is part of `make verify`: tools/bench times every ingest path
 # (plain profiler, engine replay, daemon HTTP and wire ingest, decode

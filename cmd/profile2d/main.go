@@ -38,7 +38,7 @@ func main() {
 		benchName = flag.String("bench", "", "benchmark name (see spec: bzip2, gzip, ...)")
 		kernel    = flag.String("kernel", "", "VM kernel name (typesum, lzchain, bsearch, inssort, fsm)")
 		input     = flag.String("input", "train", "input set name")
-		traceFile = flag.String("trace", "", `trace file (BTR1 or BTR2) to profile instead of a benchmark ("-" reads the trace from stdin, so traces can be piped without temp files)`)
+		traceFile = flag.String("trace", "", `trace file (BTR1, BTR2 or BTR3, optionally gzipped) to profile instead of a benchmark ("-" reads the trace from stdin, so traces can be piped without temp files)`)
 		workers   = engine.AddWorkersFlag(flag.CommandLine, 1,
 			"profiling workers (0 = all CPUs, 1 = sequential; parallel decode needs a BTR2 -trace, other sources shard only the profile)")
 		predName = flag.String("predictor", bpred.NameGshare4KB, "profiler branch predictor")

@@ -1,8 +1,10 @@
-// Command profiled is the online 2D-profiling daemon. It accepts BTR1
-// (optionally gzip-compressed) branch-event streams over HTTP, shards
-// them across profiler workers, and serves live merged reports — the
-// same verdicts the offline profile2d tool computes, bit for bit,
-// while the run is still streaming.
+// Command profiled is the online 2D-profiling daemon. It accepts
+// branch-event streams — BTR1, chunked BTR2 or context-tagged BTR3, any
+// of them optionally gzip-compressed — over HTTP and, with -wire-addr,
+// over the binary wire protocol the cluster router speaks; shards them
+// across profiler workers; and serves live merged reports — the same
+// verdicts the offline profile2d tool computes, bit for bit, while the
+// run is still streaming.
 //
 // Usage:
 //
@@ -13,11 +15,22 @@
 //
 // Endpoints:
 //
-//	POST /v1/ingest    ?session=ID&predictor=...&metric=...&slice=N&shards=N
-//	GET  /v1/report    ?session=ID (default: most recent session)
+//	POST /v1/ingest      ?session=ID&predictor=...&metric=...&slice=N&shards=N
+//	                     &agg=shared|private  context aggregation (BTR3)
+//	                     &kernel=NAME         annotate the report with NAME's static verdicts
+//	                     &group=G             tag the session for /v1/snapshot?group=G
+//	                     &tenant=T            attribute the session (router quotas)
+//	GET  /v1/report      ?session=ID (default: most recent session)
+//	GET  /v1/snapshot    ?session=ID or ?group=G: mergeable core.Snapshot
 //	GET  /v1/sessions
-//	GET  /healthz
+//	GET  /healthz/live   200 while the process serves
+//	GET  /healthz/ready  503 while draining or at -max-active
+//	GET  /healthz        alias of /healthz/ready
 //	GET  /metrics
+//
+// With -data-dir every session is backed by a write-ahead log and
+// survives restarts; a finished session keeps only its checkpoint
+// snapshot, and after -idle-after unqueried only the copy in its log.
 //
 // With -pprof-addr a separate listener serves Go's /debug/pprof
 // endpoints for live CPU/heap profiling of the daemon.
@@ -63,7 +76,7 @@ func main() {
 		dataDir = flag.String("data-dir", "", "session WAL directory; enables durable sessions and crash recovery (empty = in-memory only)")
 		fsync   = flag.String("fsync", cfg.Fsync.String(), "WAL durability: always, never, or a flush cadence like 100ms")
 		ckpt    = flag.Int64("checkpoint-every", cfg.CheckpointEvery, "compact a finished session log once it holds this many events (0 = always)")
-		idle    = flag.Duration("idle-after", cfg.IdleAfter, "evict a finished session's report to disk after this long unqueried (0 = never)")
+		idle    = flag.Duration("idle-after", cfg.IdleAfter, "drop a finished session's checkpoint from memory after this long unqueried; its log keeps it (0 = never)")
 		pprofA  = flag.String("pprof-addr", "", "serve /debug/pprof on this address (empty = disabled); keep it on a loopback or firewalled port")
 	)
 	flag.Parse()

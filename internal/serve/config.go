@@ -1,19 +1,24 @@
 // Package serve implements the online 2D-profiling service: a daemon
-// that ingests branch-event streams (BTR1 or chunked BTR2, either
-// optionally gzip-wrapped) over HTTP, fans them across
+// that ingests branch-event streams (BTR1, chunked BTR2 or
+// context-tagged BTR3, any of them optionally gzip-wrapped) over HTTP
+// or the binary wire protocol (internal/wire), fans them across
 // PC-sharded core.Profiler workers, and serves live merged reports
 // while runs are still in flight.
 //
 // The serving pipeline preserves the offline algorithm exactly. Each
-// ingest session is one run of the shared sharded-execution core
-// (internal/engine): a sequential front-end decodes the stream,
+// active ingest session is one run of the shared sharded-execution
+// core (internal/engine): a sequential front-end decodes the stream,
 // consults the session's branch predictor (whose state depends on the
 // full interleaved branch order and therefore cannot be sharded), and
 // maintains the global slice clock; per-branch statistics — which
 // partition disjointly by PC — are updated by the engine's shard
-// workers. The final report is assembled with core.MergeReports and is
-// bit-identical to twodprof.Profile over the same trace at any shard
-// count.
+// workers. At the end of the stream the session keeps the engine's
+// merged core.Snapshot as its checkpoint and releases the engine; the
+// final report is that snapshot's Report — the assembly engine.Finish
+// uses — and is bit-identical to twodprof.Profile over the same trace
+// at any shard count. With a data directory every session is backed by
+// a write-ahead log, so sessions survive restarts and an idle finished
+// session holds its checkpoint only on disk (DESIGN.md §3f).
 package serve
 
 import (
@@ -88,9 +93,9 @@ type Config struct {
 	// finished log). Ignored without DataDir.
 	CheckpointEvery int64
 	// IdleAfter is how long a finished, durably-checkpointed session may
-	// go unqueried before its resident report is evicted to disk
-	// (reloaded on demand). <= 0 disables idle eviction. Ignored without
-	// DataDir.
+	// go unqueried before its resident checkpoint is dropped, leaving
+	// the copy in its log (reloaded on demand). <= 0 disables idle
+	// eviction. Ignored without DataDir.
 	IdleAfter time.Duration
 	// CompactInterval is the cadence of the background janitor that
 	// performs idle eviction and log compaction. Ignored without

@@ -217,6 +217,10 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 		return nil, &ingestError{status: http.StatusConflict, msg: err.Error()}
 	}
 	session.Group = p.Group
+	// The session is already registered, but static, plog and store are
+	// read only by this goroutine or after the terminal transition, which
+	// this goroutine makes under the session lock.
+	session.static = static
 	if s.store != nil {
 		// Durable mode: open the session's write-ahead log before any
 		// event flows; decoded batches are teed into it ahead of the
@@ -236,7 +240,7 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 			return nil, &ingestError{status: http.StatusInternalServerError,
 				msg: fmt.Sprintf("opening session log: %v", perr)}
 		}
-		session.enablePersist(plog, s.store, p.Kernel, static)
+		session.plog, session.store = plog, s.store
 	}
 	s.metrics.SessionsTotal.Add(1)
 	s.metrics.ActiveSessions.Add(1)

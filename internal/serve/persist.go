@@ -94,7 +94,7 @@ const (
 const recoveredReason = "stream interrupted by daemon restart (state recovered from WAL)"
 
 // Store owns the daemon's data directory: session log naming, creation,
-// recovery, report reload and compaction.
+// recovery, checkpoint reload and compaction.
 type Store struct {
 	dir             string
 	policy          wal.SyncPolicy
@@ -279,43 +279,24 @@ func parseLog(recs []wal.Record) (meta sessionMeta, events []wal.Record, term *t
 	return meta, events, term, termType, nil
 }
 
-// loadReport rebuilds a finished session's report from its checkpoint:
-// terminal snapshot → Report → static re-annotation. This is the idle
-// tier's read path and the registry-miss fallback, and it reproduces
-// the original engine report byte for byte.
-func (st *Store) loadReport(id string) (*core.Report, error) {
+// loadCheckpoint reads a finished session's checkpoint back from its
+// log: the terminal snapshot plus the static prefilter column of the
+// logged kernel. It is the read path of idle sessions and of sessions
+// the registry's retention cap dropped; the report assembled from it
+// reproduces the original engine report byte for byte.
+func (st *Store) loadCheckpoint(id string) (*core.Snapshot, map[trace.PC]string, error) {
 	recs, _, err := wal.ReadAll(st.path(id))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	meta, _, term, _, err := parseLog(recs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if term == nil || term.Snapshot == nil {
-		return nil, fmt.Errorf("session %s has no checkpoint record", id)
+		return nil, nil, fmt.Errorf("session %s has no checkpoint record", id)
 	}
-	rep := term.Snapshot.Report()
-	rep.AnnotateStatic(staticForKernel(meta.Kernel))
-	return rep, nil
-}
-
-// loadSnapshot returns a finished session's checkpoint snapshot — the
-// mergeable form /v1/snapshot serves for sessions whose engine is gone
-// (recovered or idle-evicted).
-func (st *Store) loadSnapshot(id string) (*core.Snapshot, error) {
-	recs, _, err := wal.ReadAll(st.path(id))
-	if err != nil {
-		return nil, err
-	}
-	_, _, term, _, err := parseLog(recs)
-	if err != nil {
-		return nil, err
-	}
-	if term == nil || term.Snapshot == nil {
-		return nil, fmt.Errorf("session %s has no checkpoint record", id)
-	}
-	return term.Snapshot, nil
+	return term.Snapshot, staticForKernel(meta.Kernel), nil
 }
 
 // compact rewrites a finished session's log to recBegin + terminal when
@@ -356,10 +337,10 @@ type recoveredInfo struct {
 
 // Recover scans the data directory and rebuilds every logged session.
 // Torn tails are truncated in place; sessions with a terminal record
-// come back as idle (metadata only — no report resident); sessions that
-// were mid-stream are replayed through a fresh engine, checkpointed
-// with a recFail record, and come back idle too. Unreadable logs are
-// skipped with a diagnostic, never deleted.
+// come back as idle (metadata only — no checkpoint resident); sessions
+// that were mid-stream are replayed through a fresh engine,
+// checkpointed with a recFail record, and come back idle too.
+// Unreadable logs are skipped with a diagnostic, never deleted.
 func (st *Store) Recover() ([]recoveredInfo, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -402,15 +383,14 @@ func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 			filepath.Base(path), repair.DroppedBytes, repair.Reason)
 	}
 
+	// Recovered sessions start on the idle tier: the checkpoint stays
+	// in the log until the first read.
 	s := &Session{
 		ID:        meta.ID,
 		Group:     meta.Group,
 		store:     st,
-		kernel:    meta.Kernel,
-		static:    staticForKernel(meta.Kernel),
 		recovered: true,
 		persisted: true,
-		evicted:   true, // recovered sessions start on the idle tier
 		lastTouch: time.Now(),
 	}
 
@@ -433,7 +413,7 @@ func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 	// engine. The replay rebuilds predictor and slice state exactly, so
 	// the resulting report matches an uninterrupted run over the same
 	// durable prefix byte for byte.
-	replayed, snap, err := st.replay(meta, events, s.static)
+	replayed, snap, err := st.replay(meta, events)
 	if err != nil {
 		l.Close()
 		return recoveredInfo{}, err
@@ -463,7 +443,9 @@ func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 
 // replay feeds logged event records through a fresh engine and returns
 // the replayed event count plus the finished engine's merged snapshot.
-func (st *Store) replay(meta sessionMeta, events []wal.Record, static map[trace.PC]string) (int64, *core.Snapshot, error) {
+// The static column is not part of a snapshot, so the engine is built
+// without it.
+func (st *Store) replay(meta sessionMeta, events []wal.Record) (int64, *core.Snapshot, error) {
 	var agg engine.AggMode
 	if meta.Aggregation != "" {
 		var err error
@@ -475,7 +457,6 @@ func (st *Store) replay(meta sessionMeta, events []wal.Record, static map[trace.
 		Workers:     meta.Shards,
 		Predictor:   meta.Predictor,
 		Aggregation: agg,
-		Static:      static,
 	})
 	if err != nil {
 		return 0, nil, fmt.Errorf("rebuilding engine: %w", err)

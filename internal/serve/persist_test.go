@@ -3,10 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -231,17 +235,22 @@ func TestIdleEvictionAndReload(t *testing.T) {
 		t.Fatalf("ingest: %d: %s", code, body)
 	}
 	_, want := get(t, srv, "/v1/report?session=sleepy")
+	_, wantSnap := get(t, srv, "/v1/snapshot?session=sleepy")
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if findSession(t, sessionList(t, srv), "sleepy").Tier == "idle" {
-			break
+	waitIdle := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if findSession(t, sessionList(t, srv), "sleepy").Tier == "idle" {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("janitor never idled the session")
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("janitor never idled the session")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	waitIdle()
 
 	code, got := get(t, srv, "/v1/report?session=sleepy")
 	if code != 200 {
@@ -252,6 +261,126 @@ func TestIdleEvictionAndReload(t *testing.T) {
 	}
 	if tier := findSession(t, sessionList(t, srv), "sleepy").Tier; tier != "hot" {
 		t.Errorf("tier after reload = %q, want hot", tier)
+	}
+
+	// A snapshot read reloads the checkpoint just the same.
+	waitIdle()
+	code, got = get(t, srv, "/v1/snapshot?session=sleepy")
+	if code != 200 {
+		t.Fatalf("snapshot after idle eviction: %d: %s", code, got)
+	}
+	if !bytes.Equal(got, wantSnap) {
+		t.Error("snapshot reloaded from the idle tier is not byte-identical")
+	}
+	if tier := findSession(t, sessionList(t, srv), "sleepy").Tier; tier != "hot" {
+		t.Errorf("tier after snapshot reload = %q, want hot", tier)
+	}
+}
+
+// TestLifecycleReadersRace: readers loop Report, Snapshot, Tier and
+// /v1/sessions while the owner completes and fails sessions and the
+// janitor idles them, so reads race both terminal transitions and
+// reloads. A finished session must read back one report, whether its
+// checkpoint was resident or reloaded from the log. Not skipped under
+// -short: `make race` runs it.
+func TestLifecycleReadersRace(t *testing.T) {
+	cfg := durableConfig(t, 2)
+	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
+	cfg.IdleAfter = time.Millisecond
+	cfg.CompactInterval = time.Millisecond
+	srv := startServer(t, cfg)
+
+	events := traceEvents(t, kernelTrace(t, "fsm", "train", false))
+	var batch trace.SoABatch
+	batch.FromEvents(events[:min(len(events), 3*trace.ReadBatchEvents)])
+	const sessions = 6
+	runs := make([]*ingestRun, sessions)
+	for i := range runs {
+		run, ierr := srv.beginSession(wire.BeginParams{ID: fmt.Sprintf("r-%d", i), Kernel: "fsm"})
+		if ierr != nil {
+			t.Fatal(ierr)
+		}
+		runs[i] = run
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var finals sync.Map // session id → report JSON read after it finished
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, sess := range srv.registry.List() {
+					finished := sess.State() != SessionActive
+					sess.Tier()
+					rep, err := sess.Report()
+					if err != nil {
+						t.Errorf("session %s: report: %v", sess.ID, err)
+						return
+					}
+					if _, err := sess.Snapshot(); err != nil {
+						t.Errorf("session %s: snapshot: %v", sess.ID, err)
+						return
+					}
+					if !finished {
+						continue
+					}
+					got, err := json.Marshal(rep)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if first, loaded := finals.LoadOrStore(sess.ID, got); loaded && !bytes.Equal(first.([]byte), got) {
+						t.Errorf("session %s: finished report changed between reads", sess.ID)
+					}
+				}
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions", nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("/v1/sessions: %d", rec.Code)
+					return
+				}
+				// Pace the sweeps well past IdleAfter so the janitor gets
+				// to idle sessions between them.
+				time.Sleep(5 * time.Millisecond)
+			}
+		}()
+	}
+
+	for i, run := range runs {
+		for k := 0; k < 3; k++ {
+			if err := run.events(&batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%2 == 0 {
+			if _, err := run.complete(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			run.fail(errors.New("client hung up"))
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.metrics.SessionsIdled.Load() < 2*sessions {
+		if time.Now().After(deadline) {
+			t.Errorf("janitor idled %d sessions in 10s, want %d", srv.metrics.SessionsIdled.Load(), 2*sessions)
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	for _, run := range runs {
+		if tier := run.session.Tier(); tier != "hot" && tier != "idle" {
+			t.Errorf("session %s: tier %q after finishing", run.session.ID, tier)
+		}
 	}
 }
 

@@ -39,13 +39,16 @@ func (s SessionState) String() string {
 	}
 }
 
-// Session is one profiling run flowing through the service. Its
-// profiling state is one internal/engine run; the session adds the
-// lifecycle (active → done/failed, each transition single-shot), the
-// fixed final report, the ingest byte/event accounting, and — when the
-// daemon runs with a data directory — the WAL handle plus the memory
-// tier (hot: final report resident; idle: report evicted to disk and
-// reloaded from the session's checkpoint on demand).
+// Session is one profiling run flowing through the service. While
+// active its profiling state is one internal/engine run; the session
+// adds the lifecycle (active → done/failed, each transition
+// single-shot), the ingest byte/event accounting and — when the daemon
+// runs with a data directory — the WAL handle. At the terminal
+// transition the engine is released and the session keeps only its
+// checkpoint, the engine's merged snapshot: every later read (report,
+// snapshot, group merge) assembles from it. A durable session's memory
+// tier is whether that checkpoint is resident (hot) or only in its log
+// (idle, reloaded on the next read).
 type Session struct {
 	ID string
 	// Group, when non-empty, tags the session as one member of a
@@ -53,23 +56,26 @@ type Session struct {
 	// (DESIGN.md §3g). Fixed at setup.
 	Group string
 
-	mu        sync.Mutex
-	state     SessionState
-	eng       *engine.Engine
-	final     *core.Report // fixed at completion (nil once evicted to disk)
-	reason    string       // failure reason, for /v1/sessions
-	lastTouch time.Time    // last report query or lifecycle transition
+	mu    sync.Mutex
+	state SessionState
+	eng   *engine.Engine // the live run; nil once finished
+	// snap is the checkpoint, fixed at the terminal transition and
+	// never mutated, so readers share it. nil while active, while idle,
+	// and after a transition whose engine had no merged snapshot.
+	snap *core.Snapshot
+	// static is the report's static prefilter column (ingest
+	// ?kernel=NAME), resident and dropped together with snap.
+	static    map[trace.PC]string
+	reason    string    // failure reason, for /v1/sessions
+	lastTouch time.Time // last report query or lifecycle transition
 
 	// Persistence. plog is only touched by the owning ingest goroutine
-	// (appends) and under mu at the terminal transition; store/static/
-	// kernel are fixed at setup.
+	// (appends) and under mu at the terminal transition; store is fixed
+	// at setup.
 	plog      *sessionLog
 	store     *Store
-	kernel    string
-	static    map[trace.PC]string
 	recovered bool // rebuilt from the WAL after a daemon restart
 	persisted bool // terminal checkpoint record is in the log
-	evicted   bool // final report released; reload from the checkpoint
 	compacted bool // compaction attempted (logs are immutable after the terminal record)
 
 	events atomic.Int64 // decoded events so far
@@ -84,15 +90,19 @@ func (s *Session) State() SessionState {
 }
 
 // Tier names the session's memory tier: "active" while streaming,
-// "hot" finished with the report resident, "idle" finished with the
-// report evicted to disk.
+// "hot" finished with the checkpoint resident, "idle" finished with the
+// checkpoint only in its log.
 func (s *Session) Tier() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.tierLocked()
+}
+
+func (s *Session) tierLocked() string {
 	switch {
 	case s.state == SessionActive:
 		return "active"
-	case s.evicted:
+	case s.persisted && s.snap == nil:
 		return "idle"
 	default:
 		return "hot"
@@ -101,17 +111,6 @@ func (s *Session) Tier() string {
 
 // Events returns the number of events decoded so far.
 func (s *Session) Events() int64 { return s.events.Load() }
-
-// enablePersist attaches the session's write-ahead log. Called by the
-// ingest handler right after Begin, before any event flows.
-func (s *Session) enablePersist(plog *sessionLog, store *Store, kernel string, static map[trace.PC]string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.plog = plog
-	s.store = store
-	s.kernel = kernel
-	s.static = static
-}
 
 // logEvents appends a decoded batch to the session's WAL ahead of the
 // in-memory engine (write-ahead order: a batch the engine has applied
@@ -125,17 +124,17 @@ func (s *Session) logEvents(b *trace.SoABatch) error {
 	return s.plog.appendEvents(b)
 }
 
-// complete drains the engine, fixes the final report, appends the
-// terminal checkpoint to the WAL and transitions to SessionDone.
-// Transitions are single-shot: completing a done session returns the
-// fixed report again, completing a failed one reports the original
-// failure without disturbing it.
+// complete drains the engine, checkpoints it and transitions to
+// SessionDone, returning the final report. Transitions are
+// single-shot: completing a done session returns the final report
+// again (assembled from the checkpoint), completing a failed one
+// reports the original failure without disturbing it.
 func (s *Session) complete() (*core.Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch s.state {
 	case SessionDone:
-		return s.final, nil
+		return s.reportLocked()
 	case SessionFailed:
 		return nil, fmt.Errorf("serve: session %s already failed: %s", s.ID, s.reason)
 	}
@@ -144,18 +143,15 @@ func (s *Session) complete() (*core.Report, error) {
 		s.failLocked(err)
 		return nil, err
 	}
-	s.final = rep
-	s.state = SessionDone
-	s.lastTouch = time.Now()
-	s.persistTerminalLocked()
+	s.terminateLocked(SessionDone, "")
 	return rep, nil
 }
 
 // fail records why the session broke and drains the engine without the
-// final flush; the partial report stays queryable. Single-shot: once a
-// session has finished (done or failed), fail is a no-op — in
-// particular it never re-drains the engine or overwrites the reason of
-// an earlier failure.
+// final flush; the partial statistics stay queryable through the
+// checkpoint. Single-shot: once a session has finished (done or
+// failed), fail is a no-op — in particular it never overwrites the
+// reason of an earlier failure.
 func (s *Session) fail(reason error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -169,27 +165,26 @@ func (s *Session) fail(reason error) {
 // SessionActive).
 func (s *Session) failLocked(reason error) {
 	s.eng.Abort()
-	if rep, err := s.eng.Report(); err == nil {
-		s.final = rep
-	}
-	s.state = SessionFailed
-	s.reason = reason.Error()
-	s.lastTouch = time.Now()
-	s.persistTerminalLocked()
+	s.terminateLocked(SessionFailed, reason.Error())
 }
 
-// persistTerminalLocked appends the terminal checkpoint record (the
-// merged engine snapshot plus the byte/event totals) and closes the
-// session's log. A persistence error does not fail the session — the
-// in-memory state is intact — but the session is then never evicted
-// from memory, since disk could not be trusted to reproduce it.
-func (s *Session) persistTerminalLocked() {
+// terminateLocked is the terminal step complete and fail share (mu
+// held, engine drained): it keeps the engine's merged snapshot as the
+// session's checkpoint, releases the engine, and appends the
+// checkpoint (plus the byte/event totals) to the WAL as the terminal
+// record, closing the log. A persistence error does not fail the
+// session — the checkpoint is intact in memory — but the session is
+// then never idled, since disk could not be trusted to reproduce it.
+func (s *Session) terminateLocked(state SessionState, reason string) {
+	snap, err := s.eng.Snapshot()
+	s.eng, s.snap = nil, snap
+	s.state, s.reason = state, reason
+	s.lastTouch = time.Now()
 	if s.plog == nil {
 		return
 	}
 	plog := s.plog
 	s.plog = nil
-	snap, err := s.eng.Snapshot()
 	if err != nil {
 		plog.st.metrics.WALErrors.Add(1)
 		fmt.Fprintf(os.Stderr, "serve: session %s: checkpoint snapshot: %v\n", s.ID, err)
@@ -197,13 +192,13 @@ func (s *Session) persistTerminalLocked() {
 		return
 	}
 	term := terminalRecord{
-		Reason:   s.reason,
+		Reason:   reason,
 		Events:   s.events.Load(),
 		Bytes:    s.bytes.Load(),
 		Snapshot: snap,
 	}
 	typ := recDone
-	if s.state == SessionFailed {
+	if state == SessionFailed {
 		typ = recFail
 	}
 	if err := plog.finish(typ, term); err != nil {
@@ -214,75 +209,77 @@ func (s *Session) persistTerminalLocked() {
 	s.persisted = true
 }
 
-// Report returns the session's merged 2D-profiling report: the fixed
-// final report for a completed session (reloaded from its WAL
-// checkpoint if it was evicted to disk), or a live snapshot merge for
-// one still in flight. Static prefilter annotation (ingest
-// ?kernel=NAME) is applied by the engine itself, and re-applied from
-// the logged kernel name on the reload path.
+// Report returns the session's merged 2D-profiling report: a live
+// snapshot merge while the session is active, afterwards the report
+// assembled from its checkpoint plus the static prefilter column —
+// the assembly engine.Finish itself uses, so the bytes are the
+// engine's.
 func (s *Session) Report() (*core.Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lastTouch = time.Now()
-	if s.final != nil {
-		return s.final, nil
+	if s.state == SessionActive {
+		return s.eng.Report()
 	}
-	if s.evicted && s.store != nil {
-		rep, err := s.store.loadReport(s.ID)
-		if err != nil {
-			return nil, fmt.Errorf("serve: reloading session %s from its log: %w", s.ID, err)
-		}
-		// Re-cache: the session is hot again until the janitor's next
-		// idle sweep.
-		s.final = rep
-		s.evicted = false
-		return rep, nil
-	}
-	if s.eng == nil {
-		return nil, fmt.Errorf("serve: session %s has no profile state", s.ID)
-	}
-	return s.eng.Report()
+	return s.reportLocked()
 }
 
-// Snapshot returns the session's merged mergeable state: the live (or
-// final) engine snapshot, or — for a recovered/evicted session with no
-// engine — the checkpoint snapshot reloaded from its log. The snapshot
-// is what /v1/snapshot serves and what cross-session merging
-// (core.MergeSnapshots) consumes.
+// reportLocked assembles a finished session's report from its
+// checkpoint (mu held).
+func (s *Session) reportLocked() (*core.Report, error) {
+	snap, err := s.checkpointLocked()
+	if err != nil {
+		return nil, err
+	}
+	rep := snap.Report()
+	rep.AnnotateStatic(s.static)
+	return rep, nil
+}
+
+// Snapshot returns the session's merged mergeable state: the live
+// engine's snapshot while active, the checkpoint afterwards. It is
+// what /v1/snapshot serves and what cross-session merging
+// (core.MergeSnapshots) consumes; callers must not mutate it.
 func (s *Session) Snapshot() (*core.Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lastTouch = time.Now()
-	if s.eng != nil {
+	if s.state == SessionActive {
 		return s.eng.Snapshot()
 	}
-	if s.store != nil {
-		snap, err := s.store.loadSnapshot(s.ID)
-		if err != nil {
-			return nil, fmt.Errorf("serve: reloading session %s snapshot from its log: %w", s.ID, err)
-		}
-		return snap, nil
-	}
-	return nil, fmt.Errorf("serve: session %s has no profile state", s.ID)
+	return s.checkpointLocked()
 }
 
-// maybeIdle evicts a finished session's resident report once it has a
-// durable checkpoint and has not been queried for idleAfter. Returns
-// whether the session just went idle.
+// checkpointLocked returns a finished session's checkpoint, reloading
+// it from the log when the session is idle — which makes it hot again
+// until the janitor's next idle sweep (mu held).
+func (s *Session) checkpointLocked() (*core.Snapshot, error) {
+	if s.persisted && s.snap == nil {
+		snap, static, err := s.store.loadCheckpoint(s.ID)
+		if err != nil {
+			return nil, fmt.Errorf("serve: reloading session %s from its log: %w", s.ID, err)
+		}
+		s.snap, s.static = snap, static
+	}
+	if s.snap == nil {
+		return nil, fmt.Errorf("serve: session %s has no checkpoint: %s", s.ID, s.reason)
+	}
+	return s.snap, nil
+}
+
+// maybeIdle drops a finished session's resident checkpoint once it is
+// durable in the log and the session has not been queried for
+// idleAfter. Returns whether the session just went idle.
 func (s *Session) maybeIdle(now time.Time, idleAfter time.Duration) bool {
 	if idleAfter <= 0 {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state == SessionActive || !s.persisted || s.evicted || s.final == nil {
+	if !s.persisted || s.snap == nil || now.Sub(s.lastTouch) < idleAfter {
 		return false
 	}
-	if now.Sub(s.lastTouch) < idleAfter {
-		return false
-	}
-	s.final = nil
-	s.evicted = true
+	s.snap, s.static = nil, nil
 	return true
 }
 
@@ -314,7 +311,7 @@ func (s *Session) maybeCompact(checkpointEvery int64) bool {
 func (s *Session) queueDepths() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state != SessionActive || s.eng == nil {
+	if s.state != SessionActive {
 		return nil
 	}
 	return s.eng.QueueDepths()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -30,6 +31,17 @@ func feed(eng *engine.Engine, n int) {
 	for i := 0; i < n; i++ {
 		eng.Branch(trace.PC(4096+i%7*4), i%2 == 0)
 	}
+}
+
+// checkpoint returns the finished session's resident checkpoint.
+func checkpoint(t *testing.T, s *Session) *core.Snapshot {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.snap == nil {
+		t.Fatalf("session %s holds no checkpoint", s.ID)
+	}
+	return s.snap
 }
 
 // TestBeginGeneratedIDSkipsTaken: a client that registered "s-1"
@@ -212,6 +224,7 @@ func TestLifecycleSingleShot(t *testing.T) {
 		}
 		feed(s.eng, 10)
 		s.fail(errors.New("stream truncated"))
+		cp := checkpoint(t, s)
 		partial, err := s.Report()
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +241,10 @@ func TestLifecycleSingleShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if after != partial {
+		if checkpoint(t, s) != cp {
+			t.Error("complete-on-failed replaced the checkpoint")
+		}
+		if !bytes.Equal(marshalReport(t, after), marshalReport(t, partial)) {
 			t.Error("complete-on-failed disturbed the preserved partial report")
 		}
 	})
@@ -244,12 +260,16 @@ func TestLifecycleSingleShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cp := checkpoint(t, s)
 		second, err := s.complete()
 		if err != nil {
 			t.Fatalf("second complete(): %v", err)
 		}
-		if first != second {
-			t.Error("second complete() rebuilt the report instead of returning the fixed one")
+		if checkpoint(t, s) != cp {
+			t.Error("second complete() replaced the checkpoint")
+		}
+		if !bytes.Equal(marshalReport(t, first), marshalReport(t, second)) {
+			t.Error("second complete() returned a different report than the first")
 		}
 	})
 
@@ -264,6 +284,7 @@ func TestLifecycleSingleShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cp := checkpoint(t, s)
 		s.fail(errors.New("late failure"))
 		if s.State() != SessionDone {
 			t.Errorf("state = %v after fail-on-done, want done", s.State())
@@ -272,8 +293,61 @@ func TestLifecycleSingleShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != rep {
+		if checkpoint(t, s) != cp {
+			t.Error("fail-on-done replaced the checkpoint")
+		}
+		if !bytes.Equal(marshalReport(t, got), marshalReport(t, rep)) {
 			t.Error("fail-on-done replaced the fixed final report")
 		}
 	})
+}
+
+// TestFinishedSessionIsItsCheckpoint: the terminal transition releases
+// the engine, and the finished session's /v1/report and /v1/snapshot
+// bytes are the ones its engine served just before the transition.
+func TestFinishedSessionIsItsCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(*Session) error
+	}{
+		{"complete", func(s *Session) error { _, err := s.complete(); return err }},
+		{"fail", func(s *Session) error { s.fail(errors.New("client hung up")); return nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := startServer(t, testConfig(1))
+			s, err := srv.registry.Begin("fin", regEngine(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Whole slices only: the inline engine has nothing pending and
+			// Finish no partial slice to flush, so the live endpoints
+			// already serve the final state.
+			feed(s.eng, 1000)
+			read := func(path string) []byte {
+				t.Helper()
+				code, body := get(t, srv, path)
+				if code != 200 {
+					t.Fatalf("%s: %d: %s", path, code, body)
+				}
+				return body
+			}
+			wantRep := read("/v1/report?session=fin")
+			wantSnap := read("/v1/snapshot?session=fin")
+			if err := tc.end(s); err != nil {
+				t.Fatal(err)
+			}
+			s.mu.Lock()
+			eng := s.eng
+			s.mu.Unlock()
+			if eng != nil {
+				t.Error("finished session still holds its engine")
+			}
+			if !bytes.Equal(read("/v1/report?session=fin"), wantRep) {
+				t.Error("/v1/report changed at the terminal transition")
+			}
+			if !bytes.Equal(read("/v1/snapshot?session=fin"), wantSnap) {
+				t.Error("/v1/snapshot changed at the terminal transition")
+			}
+		})
+	}
 }

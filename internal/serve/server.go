@@ -17,8 +17,8 @@ import (
 
 // Server is the online 2D-profiling service.
 //
-//	POST /v1/ingest         stream a BTR1/BTR2 trace (optionally gzipped) into a session
-//	GET  /v1/report         merged report (final, or live for active sessions)
+//	POST /v1/ingest         stream a BTR1/BTR2/BTR3 trace (optionally gzipped) into a session
+//	GET  /v1/report         merged report (live for active sessions, from the checkpoint once finished)
 //	GET  /v1/snapshot       merged core.Snapshot of a session or group (cluster aggregation)
 //	GET  /v1/sessions       list retained sessions
 //	GET  /healthz/live      liveness (200 while the process serves at all)
@@ -241,8 +241,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // handleReport serves the merged 2D-profiling report of one session as
 // JSON: ?session=ID selects it, default is the most recent session.
-// Active sessions get a live snapshot merge; finished ones their fixed
-// final report.
+// Active sessions get a live snapshot merge; finished ones the report
+// assembled from their checkpoint.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "report wants GET", http.StatusMethodNotAllowed)
@@ -250,20 +250,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	var session *Session
 	if id := r.URL.Query().Get("session"); id != "" {
-		session = s.registry.Get(id)
-		if session == nil {
-			// A session the registry's retention cap already dropped may
-			// still have its checkpoint on disk — the deepest tier of the
-			// lifecycle (active → idle → evicted-to-disk).
-			if s.store != nil && s.store.Exists(id) {
-				rep, err := s.store.loadReport(id)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
-				writeJSON(w, http.StatusOK, rep)
-				return
-			}
+		if session = s.lookup(id); session == nil {
 			http.Error(w, fmt.Sprintf("unknown session %q", id), http.StatusNotFound)
 			return
 		}
@@ -277,6 +264,21 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
+}
+
+// lookup returns the session with the given id, or nil when it is
+// unknown. For an id the retention cap dropped whose log is still on
+// disk (the deepest lifecycle tier) it returns an idle finished session
+// backed by that log; it is never registered, so its done/failed state
+// is never read.
+func (s *Server) lookup(id string) *Session {
+	if sess := s.registry.Get(id); sess != nil {
+		return sess
+	}
+	if s.store != nil && s.store.Exists(id) {
+		return &Session{ID: id, state: SessionDone, store: s.store, persisted: true}
+	}
+	return nil
 }
 
 // SessionInfo is one /v1/sessions entry. Exported so the cluster
@@ -312,14 +314,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 			Error:     sess.reason,
 		}
 		if s.store != nil {
-			switch {
-			case sess.state == SessionActive:
-				info.Tier = "active"
-			case sess.evicted:
-				info.Tier = "idle"
-			default:
-				info.Tier = "hot"
-			}
+			info.Tier = sess.tierLocked()
 		}
 		sess.mu.Unlock()
 		out = append(out, info)
@@ -345,17 +340,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	case id != "" && group != "":
 		http.Error(w, "snapshot wants ?session or ?group, not both", http.StatusBadRequest)
 	case id != "":
-		sess := s.registry.Get(id)
+		sess := s.lookup(id)
 		if sess == nil {
-			if s.store != nil && s.store.Exists(id) {
-				snap, err := s.store.loadSnapshot(id)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
-				writeJSON(w, http.StatusOK, snap)
-				return
-			}
 			http.Error(w, fmt.Sprintf("unknown session %q", id), http.StatusNotFound)
 			return
 		}

@@ -184,24 +184,19 @@ func (b *BTR2Writer) Count() int64 { return b.total + int64(len(b.events)) }
 // against the previous event (basePC for the first). This is the exact
 // payload encoding of a BTR2 chunk with CodecRaw — Chunk.Decode inverts
 // it — and the daemon's binary wire protocol (internal/wire) reuses it
-// for its chunk frames.
-func AppendEventDeltas(dst []byte, basePC PC, events []Event) []byte {
-	last := int64(basePC)
-	for _, e := range events {
-		delta := int64(e.PC) - last
-		var word uint64
-		if delta < 0 {
-			word = uint64(-delta)<<2 | 2
-		} else {
-			word = uint64(delta) << 2
-		}
-		if e.Taken {
-			word |= 1
+// for its chunk frames. A delta the word cannot hold stops the
+// encoding with an error wrapping ErrPCDelta.
+func AppendEventDeltas(dst []byte, basePC PC, events []Event) ([]byte, error) {
+	last := basePC
+	for i, e := range events {
+		word, ok := eventWord(last, e.PC, e.Taken)
+		if !ok {
+			return dst, fmt.Errorf("trace: event %d of the run: %#x after %#x: %w", i, uint64(e.PC), uint64(last), ErrPCDelta)
 		}
 		dst = binary.AppendUvarint(dst, word)
-		last = int64(e.PC)
+		last = e.PC
 	}
-	return dst
+	return dst, nil
 }
 
 // flushChunk encodes and emits the buffered events as one chunk frame.
@@ -220,8 +215,13 @@ func (b *BTR2Writer) flushChunk() {
 		return
 	}
 	basePC := b.events[0].PC
-	payload := AppendEventDeltas(b.scratch[:0], basePC, b.events)
+	payload, err := AppendEventDeltas(b.scratch[:0], basePC, b.events)
 	b.scratch = payload
+	if err != nil {
+		b.err = fmt.Errorf("trace: BTR%d chunk at event %d: %w", b.ver, b.total, err)
+		b.events = b.events[:0]
+		return
+	}
 
 	codec := CodecRaw
 	if b.opts.Compress {
@@ -265,7 +265,8 @@ func (b *BTR2Writer) flushChunk() {
 }
 
 // Close flushes the trailing partial chunk and writes the footer index.
-// It surfaces the first write error encountered anywhere in the stream.
+// It surfaces the first write or encoding (ErrPCDelta) error
+// encountered anywhere in the stream.
 // The underlying io.Writer is not closed.
 func (b *BTR2Writer) Close() error {
 	b.flushChunk()
@@ -621,9 +622,6 @@ func initChunkReader(cr *BTR2Reader, r io.Reader, ver byte) error {
 	cr.ver = ver
 	return nil
 }
-
-// Chunks returns the number of data chunks consumed so far.
-func (r *BTR2Reader) Chunks() int64 { return r.chunks }
 
 // NextChunk returns the next chunk frame without decoding its events,
 // or io.EOF once the footer (or a bare end of stream) is reached. The

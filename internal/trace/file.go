@@ -31,6 +31,30 @@ var ErrEmpty = errors.New("trace: empty input (expected a BTR1 or gzip-compresse
 // the input is recognisably incomplete rather than simply not a trace.
 var ErrTruncated = errors.New("trace: truncated input (stream ends inside the BTR1 header)")
 
+// ErrPCDelta is returned, wrapped, by a BTR1/BTR2/BTR3 writer's Close
+// and by the wire client's Send when two consecutive PCs of one
+// delta-encoded run are 2^62 or more apart: the event word keeps
+// |delta| in the 62 bits above the sign and taken bits, so such a
+// delta would lose its top bits and decode to a different PC.
+var ErrPCDelta = errors.New("trace: PC delta of 2^62 or more does not fit the event encoding")
+
+// eventWord is the BTR-family encoding of one event against the
+// previous PC: the uvarint word `|delta|<<2 | sign<<1 | taken`. ok is
+// false when |delta| does not fit in 62 bits. Every event encoder
+// (Writer.Branch, AppendEventDeltas) goes through it.
+func eventWord(prev, pc PC, taken bool) (word uint64, ok bool) {
+	delta := int64(pc - prev)
+	mag := uint64(delta)
+	if delta < 0 {
+		mag = -mag
+		word = 2
+	}
+	if taken {
+		word |= 1
+	}
+	return word | mag<<2, mag < 1<<62
+}
+
 // Writer streams branch events into an io.Writer in BTR1 format. Close
 // must be called to flush buffered data.
 type Writer struct {
@@ -66,17 +90,13 @@ func (w *Writer) putUvarint(v uint64) {
 	}
 }
 
-// Branch implements Sink, encoding one event.
+// Branch implements Sink, encoding one event. A PC the encoding cannot
+// reach from the previous one (ErrPCDelta) stops the stream; Close
+// reports it.
 func (w *Writer) Branch(pc PC, taken bool) {
-	delta := int64(pc) - int64(w.lastPC)
-	var word uint64
-	if delta < 0 {
-		word = uint64(-delta)<<2 | 2
-	} else {
-		word = uint64(delta) << 2
-	}
-	if taken {
-		word |= 1
+	word, ok := eventWord(w.lastPC, pc, taken)
+	if !ok && w.err == nil {
+		w.err = fmt.Errorf("trace: event %d: %#x after %#x: %w", w.count, uint64(pc), uint64(w.lastPC), ErrPCDelta)
 	}
 	w.putUvarint(word)
 	w.lastPC = pc
@@ -93,10 +113,11 @@ func (w *Writer) BranchBatch(events []Event) {
 // Count returns the number of events written so far.
 func (w *Writer) Count() int64 { return w.count }
 
-// Close flushes the writer and surfaces the first write error seen
-// anywhere in the stream — Branch cannot report errors itself (it is a
-// Sink), so a caller that skips Close's error would silently persist a
-// truncated trace. The underlying io.Writer is not closed.
+// Close flushes the writer and surfaces the first write or encoding
+// (ErrPCDelta) error seen anywhere in the stream — Branch cannot
+// report errors itself (it is a Sink), so a caller that skips Close's
+// error would silently persist a truncated trace. The underlying
+// io.Writer is not closed.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err

@@ -156,20 +156,35 @@ func checkBTR1(t *testing.T, data []byte, r *Reader) {
 
 // FuzzBTR2RoundTrip checks write→read symmetry: any event sequence,
 // chunk size and compression choice must decode back to exactly the
-// events written, via both the sequential reader and the footer index.
+// events written, via both the sequential reader and the footer index —
+// or, when a PC delta inside a chunk is 2^62 or more, Close must fail
+// with ErrPCDelta.
 func FuzzBTR2RoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint16(0), false)
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08}, uint16(2), false)
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0x80, 0x7f}, uint16(1), true)
 	f.Add([]byte("some branchy payload for the fuzzer to mutate"), uint16(3), true)
+	// Full-range jumps: ±3·2^60 (encodable), then +2^62 and −2^62
+	// inside a chunk (not), and the same +2^62 across a chunk boundary
+	// (encodable: each chunk restarts at its base PC).
+	f.Add([]byte{0x30, 0x80, 0xd0, 0x81, 0x01, 0x00}, uint16(0), true)
+	f.Add([]byte{0x01, 0x00, 0x40, 0x80}, uint16(2), false)
+	f.Add([]byte{0x01, 0x00, 0xc0, 0x81, 0x01, 0x00}, uint16(0), false)
+	f.Add([]byte{0x01, 0x00, 0x40, 0x80}, uint16(1), false)
 
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint16, compress bool) {
 		// Derive an event stream from the raw bytes: 2 bytes per event —
-		// a PC delta around a walking base and the taken bit.
+		// a PC delta around a walking base, and a flags byte whose bit 0
+		// is the taken bit and whose bit 7 scales the delta by 2^56 so
+		// PCs reach the whole 64-bit space.
 		events := make([]Event, 0, len(data)/2)
 		pc := int64(0x400000)
 		for i := 0; i+1 < len(data); i += 2 {
-			pc += int64(int8(data[i])) * 4
+			if data[i+1]&0x80 != 0 {
+				pc += int64(int8(data[i])) << 56
+			} else {
+				pc += int64(int8(data[i])) * 4
+			}
 			events = append(events, Event{PC: PC(pc), Taken: data[i+1]&1 == 1})
 		}
 		var buf bytes.Buffer
@@ -178,7 +193,16 @@ func FuzzBTR2RoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		w.BranchBatch(events)
-		if err := w.Close(); err != nil {
+		runLen := int(chunk)
+		if runLen == 0 {
+			runLen = DefaultChunkEvents
+		}
+		if err := w.Close(); !deltasFit(events, runLen) {
+			if !errors.Is(err, ErrPCDelta) {
+				t.Fatalf("Close = %v over an unencodable delta, want ErrPCDelta", err)
+			}
+			return
+		} else if err != nil {
 			t.Fatal(err)
 		}
 

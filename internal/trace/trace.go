@@ -160,32 +160,3 @@ func (c *Counter) Sites() []PC {
 	}
 	return out
 }
-
-// Filter forwards only events whose PC passes keep.
-type Filter struct {
-	Keep func(PC) bool
-	Next Sink
-}
-
-// Branch implements Sink.
-func (f *Filter) Branch(pc PC, taken bool) {
-	if f.Keep(pc) {
-		f.Next.Branch(pc, taken)
-	}
-}
-
-// Limit forwards at most N events and drops the rest.
-type Limit struct {
-	N    int64
-	Next Sink
-	seen int64
-}
-
-// Branch implements Sink.
-func (l *Limit) Branch(pc PC, taken bool) {
-	if l.seen >= l.N {
-		return
-	}
-	l.seen++
-	l.Next.Branch(pc, taken)
-}

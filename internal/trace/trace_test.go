@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -41,18 +44,15 @@ func TestCounter(t *testing.T) {
 }
 
 func TestFilterLimitTee(t *testing.T) {
-	var kept, all Recorder
-	f := &Filter{Keep: func(pc PC) bool { return pc == 1 }, Next: &kept}
-	lim := &Limit{N: 2, Next: &all}
-	tee := Tee{f, lim}
+	var a, b Recorder
+	tee := Tee{&a, &b}
 	for i := 0; i < 4; i++ {
 		tee.Branch(PC(i), true)
 	}
-	if len(kept.Events) != 1 || kept.Events[0].PC != 1 {
-		t.Fatalf("filter kept %v", kept.Events)
-	}
-	if len(all.Events) != 2 {
-		t.Fatalf("limit kept %d events", len(all.Events))
+	for _, rec := range []*Recorder{&a, &b} {
+		if len(rec.Events) != 4 || rec.Events[3] != (Event{PC: 3, Taken: true}) {
+			t.Fatalf("tee delivered %v", rec.Events)
+		}
 	}
 }
 
@@ -132,6 +132,151 @@ func TestFileRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// deltasFit is the reference for ErrPCDelta: whether every PC delta a
+// writer must encode is below 2^62 in magnitude. BTR1 encodes its first
+// event against PC 0; BTR2/BTR3 start each chunk of `chunk` events at
+// its own base PC (chunk 0: one delta run for the whole stream).
+func deltasFit(events []Event, chunk int) bool {
+	prev := PC(0)
+	for i, e := range events {
+		if chunk > 0 && i%chunk == 0 {
+			prev = e.PC
+		}
+		if d := uint64(e.PC - prev); d >= 1<<62 && -d >= 1<<62 {
+			return false
+		}
+		prev = e.PC
+	}
+	return true
+}
+
+// fullRangeEvents builds a stream over the whole 64-bit PC space: hot
+// steps, far jumps either way that the encoding holds, and rare jumps
+// of 2^62 or more (explicit, or to a random PC) that it cannot.
+func fullRangeEvents(rng *rand.Rand) []Event {
+	events := make([]Event, 1+rng.Intn(48))
+	pc := PC(rng.Uint64() >> rng.Intn(64))
+	for i := range events {
+		switch k := rng.Intn(64); {
+		case k == 0:
+			pc = PC(rng.Uint64())
+		case k == 1:
+			pc += 1<<62 + PC(rng.Int63n(1<<62))
+		case k < 8:
+			pc += PC(rng.Int63n(1 << 62))
+		case k < 14:
+			pc -= PC(rng.Int63n(1 << 62))
+		default:
+			pc += PC(rng.Intn(64) * 4)
+		}
+		events[i] = Event{PC: pc, Ctx: Context(rng.Intn(3)), Taken: rng.Intn(2) == 0}
+	}
+	return events
+}
+
+// TestRoundTripFullRangePCs: over full-range 64-bit PCs every format
+// round-trips exactly, or — when some delta is 2^62 or more, which the
+// event word cannot hold — Close fails with ErrPCDelta instead of
+// writing a stream that decodes to different PCs.
+func TestRoundTripFullRangePCs(t *testing.T) {
+	type format struct {
+		name  string
+		chunk int  // events per delta run; 0 = the whole stream
+		ctx   bool // carries execution contexts
+		write func(io.Writer, []Event) error
+	}
+	formats := []format{{"btr1", 0, false, func(w io.Writer, events []Event) error {
+		tw, err := NewWriter(w)
+		if err != nil {
+			return err
+		}
+		for _, e := range events {
+			tw.Branch(e.PC, e.Taken)
+		}
+		return tw.Close()
+	}}}
+	for _, chunk := range []int{1, 3, 7, DefaultChunkEvents} {
+		for _, ver := range []int{2, 3} {
+			formats = append(formats, format{fmt.Sprintf("btr%d/chunk-%d", ver, chunk), chunk, ver == 3,
+				func(w io.Writer, events []Event) error {
+					opts := BTR2Options{ChunkEvents: chunk, Compress: chunk == 7}
+					var bw interface {
+						BranchBatch([]Event)
+						Close() error
+					}
+					var err error
+					if ver == 3 {
+						bw, err = NewBTR3Writer(w, opts)
+					} else {
+						bw, err = NewBTR2Writer(w, opts)
+					}
+					if err != nil {
+						return err
+					}
+					bw.BranchBatch(events)
+					return bw.Close()
+				}})
+		}
+	}
+	probe := []Event{{PC: 0x10}, {PC: 0xC000000000000010}, {PC: 0x20}}
+	for _, f := range formats {
+		t.Run(f.name, func(t *testing.T) {
+			check := func(events []Event) (encoded bool) {
+				t.Helper()
+				if !f.ctx {
+					events = append([]Event(nil), events...)
+					for i := range events {
+						events[i].Ctx = 0
+					}
+				}
+				var buf bytes.Buffer
+				err := f.write(&buf, events)
+				if !deltasFit(events, f.chunk) {
+					if !errors.Is(err, ErrPCDelta) {
+						t.Fatalf("Close = %v over an unencodable delta, want ErrPCDelta", err)
+					}
+					return false
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := OpenReader(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rec Recorder
+				if _, err := r.Replay(&rec); err != nil {
+					t.Fatal(err)
+				}
+				if len(rec.Events) != len(events) {
+					t.Fatalf("read %d events, wrote %d", len(rec.Events), len(events))
+				}
+				for i := range events {
+					if rec.Events[i] != events[i] {
+						t.Fatalf("event %d: got %+v, wrote %+v", i, rec.Events[i], events[i])
+					}
+				}
+				return true
+			}
+			if f.chunk != 1 && check(probe) {
+				t.Fatal("a 2^62 PC jump passed as encodable")
+			}
+			rng := rand.New(rand.NewSource(62))
+			var encoded, refused int
+			for i := 0; i < 400; i++ {
+				if check(fullRangeEvents(rng)) {
+					encoded++
+				} else {
+					refused++
+				}
+			}
+			if encoded < 50 || (f.chunk != 1 && refused < 50) {
+				t.Fatalf("generator skew: %d streams encoded, %d refused", encoded, refused)
+			}
+		})
 	}
 }
 

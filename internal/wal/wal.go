@@ -284,32 +284,38 @@ func (l *Log) flusher() {
 // in the log's own scratch, so a steady stream of appends allocates
 // nothing.
 func (l *Log) Append(typ byte, payload []byte) error {
-	if len(payload)+1 > MaxRecord {
-		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("wal: append to closed log")
 	}
-	hdr := l.hdr[:]
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)+1))
-	hdr[8] = typ
-	crc := crc32.Update(0, castagnoli, hdr[8:])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	if _, err := l.w.Write(hdr); err != nil {
+	if err := writeRecord(l.w, &l.hdr, typ, payload); err != nil {
 		return err
 	}
-	if _, err := l.w.Write(payload); err != nil {
-		return err
-	}
-	l.size += int64(len(hdr) + len(payload))
+	l.size += int64(len(l.hdr) + len(payload))
 	l.dirty = true
 	if l.policy.Mode == SyncAlways {
 		return l.syncLocked()
 	}
 	return nil
+}
+
+// writeRecord frames one record into w — len[4] crc[4] type[1], then
+// the payload — building the header in hdr. Append and Rewrite both
+// frame through it, so a compacted log holds the bytes Append wrote.
+func writeRecord(w *bufio.Writer, hdr *[frameHeader + 1]byte, typ byte, payload []byte) error {
+	if len(payload)+1 > MaxRecord {
+		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
+	}
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)+1))
+	hdr[8] = typ
+	crc := crc32.Update(0, castagnoli, hdr[8:])
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Update(crc, castagnoli, payload))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
 }
 
 // Sync flushes buffered frames and fsyncs the file.
@@ -384,20 +390,7 @@ func Rewrite(path string, recs []Record) error {
 	}
 	var hdr [frameHeader + 1]byte
 	for _, rec := range recs {
-		if len(rec.Payload)+1 > MaxRecord {
-			tmp.Close()
-			return fmt.Errorf("wal: rewrite record of %d bytes exceeds MaxRecord", len(rec.Payload))
-		}
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec.Payload)+1))
-		crc := crc32.Checksum([]byte{rec.Type}, castagnoli)
-		crc = crc32.Update(crc, castagnoli, rec.Payload)
-		binary.LittleEndian.PutUint32(hdr[4:8], crc)
-		hdr[8] = rec.Type
-		if _, err := w.Write(hdr[:]); err != nil {
-			tmp.Close()
-			return err
-		}
-		if _, err := w.Write(rec.Payload); err != nil {
+		if err := writeRecord(w, &hdr, rec.Type, rec.Payload); err != nil {
 			tmp.Close()
 			return err
 		}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -170,9 +171,13 @@ func (c *Client) writeFrame(typ byte, stream uint64, body []byte) error {
 func (c *Client) writeChunk(stream uint64, ctx trace.Context, events []trace.Event) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.body = appendChunk(c.body[:0], ctx, events)
+	body, err := appendChunk(c.body[:0], ctx, events)
+	c.body = body
+	if err != nil {
+		return err
+	}
 	c.wbuf = appendFrame(c.wbuf[:0], msgChunk, stream, c.body)
-	_, err := c.c.Write(c.wbuf)
+	_, err = c.c.Write(c.wbuf)
 	return err
 }
 
@@ -273,7 +278,9 @@ func (s *Session) handle(m recvMsg) error {
 // Ctx 0) chunk exactly as before. It blocks when the credit window is
 // exhausted — that is how the owning node's engine backpressure
 // reaches the producer. A non-nil error means the session is dead
-// (*Error for a server-reported failure).
+// (*Error for a server-reported failure). A PC delta the chunk encoding
+// cannot hold fails Send with an error wrapping trace.ErrPCDelta
+// before that chunk is written, and aborts the stream.
 func (s *Session) Send(events []trace.Event) error {
 	if s.dead != nil {
 		return s.dead
@@ -310,6 +317,11 @@ func (s *Session) Send(events []trace.Event) error {
 			}
 		}
 		if err := s.c.writeChunk(s.id, ctx, events[:n]); err != nil {
+			if errors.Is(err, trace.ErrPCDelta) {
+				// Nothing of the chunk was written: abandon the stream so
+				// the server fails the session instead of waiting on it.
+				s.Abort()
+			}
 			return s.fail(fmt.Errorf("wire: sending chunk: %w", err))
 		}
 		s.credits--

@@ -20,10 +20,10 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(appendFrame(nil, msgHello, 0, appendHello(nil)))
 	f.Add(appendFrame(nil, msgHelloAck, 0, appendHelloAck(nil, DefaultWindow)))
 	f.Add(appendFrame(nil, msgBegin, 1, marshalJSON(BeginParams{ID: "s", Metric: "bias"})))
-	f.Add(appendFrame(nil, msgChunk, 1, appendChunk(nil, 0, []trace.Event{
+	f.Add(appendFrame(nil, msgChunk, 1, chunkBody(0, []trace.Event{
 		{PC: 4, Taken: true}, {PC: 100}, {PC: 3, Taken: true},
 	})))
-	f.Add(appendFrame(nil, msgChunk, 1, appendChunk(nil, 5, []trace.Event{
+	f.Add(appendFrame(nil, msgChunk, 1, chunkBody(5, []trace.Event{
 		{PC: 4, Ctx: 5, Taken: true}, {PC: 100, Ctx: 5},
 	})))
 	f.Add(appendFrame(nil, msgAck, 1, appendAck(nil, 1)))
@@ -79,7 +79,11 @@ func FuzzWireFrame(f *testing.F) {
 					// encoder losslessly (the base PC may re-anchor, so
 					// compare events, not bytes). Every event of a chunk
 					// shares the frame's context.
-					again, err := decodeChunkEvents(appendChunk(nil, events[0].Ctx, events))
+					body, err := appendChunk(nil, events[0].Ctx, events)
+					if err != nil {
+						t.Fatalf("re-encoding a decoded chunk: %v", err)
+					}
+					again, err := decodeChunkEvents(body)
 					if err != nil {
 						t.Fatalf("re-encoded chunk failed to decode: %v", err)
 					}

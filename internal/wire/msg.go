@@ -95,8 +95,8 @@ func parseHelloAck(body []byte) (int, error) {
 // per-event varint stream (trace.AppendEventDeltas — byte-identical to
 // a raw BTR2 chunk payload). A chunk belongs to exactly one execution
 // context — Send splits at context boundaries — so the tag is one
-// varint per frame, not per event.
-func appendChunk(dst []byte, ctx trace.Context, events []trace.Event) []byte {
+// varint per frame, not per event. The error wraps trace.ErrPCDelta.
+func appendChunk(dst []byte, ctx trace.Context, events []trace.Event) ([]byte, error) {
 	basePC := events[0].PC
 	dst = binary.AppendUvarint(dst, uint64(len(events)))
 	dst = binary.AppendUvarint(dst, uint64(ctx))

@@ -241,7 +241,12 @@ func (sc *serverConn) loop() error {
 			st := sc.streams[f.Stream]
 			sc.smu.Unlock()
 			if st == nil {
-				return fmt.Errorf("%w: message for unknown stream %d", ErrBadFrame, f.Stream)
+				// A stream the server already finished (its sink failed,
+				// say) still has the client's in-flight frames behind it:
+				// the client sends up to its credit window before it
+				// reads the error. Drop them — killing the connection
+				// would fail every sibling session multiplexed on it.
+				continue
 			}
 			select {
 			case st.inbox <- streamMsg{typ: f.Type, body: f.Body}:

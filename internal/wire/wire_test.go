@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -149,6 +150,16 @@ func TestFrameCorruption(t *testing.T) {
 	}
 }
 
+// chunkBody is appendChunk for events whose PC deltas the encoding
+// holds.
+func chunkBody(ctx trace.Context, events []trace.Event) []byte {
+	body, err := appendChunk(nil, ctx, events)
+	if err != nil {
+		panic(err)
+	}
+	return body
+}
+
 // decodeChunkEvents decodes a chunk body and converts it back to
 // events for comparison.
 func decodeChunkEvents(body []byte) ([]trace.Event, error) {
@@ -165,7 +176,10 @@ func TestChunkRoundTrip(t *testing.T) {
 		for i := range events {
 			events[i].Ctx = ctx
 		}
-		body := appendChunk(nil, ctx, events)
+		body, err := appendChunk(nil, ctx, events)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, err := decodeChunkEvents(body)
 		if err != nil {
 			t.Fatal(err)
@@ -416,6 +430,138 @@ func TestAbortReachesSink(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestSendRejectsUnencodableDelta: a PC delta of 2^62 or more does not
+// fit the chunk encoding. Send fails with trace.ErrPCDelta before the
+// chunk holding it is written and aborts the stream, so the server
+// keeps exactly the events sent before it and never sees a corrupted
+// PC.
+func TestSendRejectsUnencodableDelta(t *testing.T) {
+	th, addr, _ := startWire(t, ServerOptions{})
+	c, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.Begin(BeginParams{ID: "far"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := testEvents(10)
+	if err := s.Send(sent); err != nil {
+		t.Fatal(err)
+	}
+	far := []trace.Event{{PC: 0x10}, {PC: 0xC000000000000010}, {PC: 0x20}}
+	if err := s.Send(far); !errors.Is(err, trace.ErrPCDelta) {
+		t.Fatalf("Send = %v, want an error wrapping trace.ErrPCDelta", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ts := th.sink("far")
+		ts.mu.Lock()
+		aborted, got := ts.aborted, append([]trace.Event(nil), ts.events...)
+		ts.mu.Unlock()
+		if aborted != nil {
+			if len(got) != len(sent) {
+				t.Fatalf("server applied %d events, want the %d sent before the bad chunk", len(got), len(sent))
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("sink never saw the stream aborted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// failingSink refuses every chunk, as a node's ingest does when its
+// session fails mid-stream.
+type failingSink struct{}
+
+func (failingSink) Events(*trace.SoABatch, int) error { return errors.New("sink failed") }
+func (failingSink) End() (Summary, error)             { return Summary{}, nil }
+func (failingSink) Abort(error)                       {}
+
+// failingHandler hands session "bad" a failingSink and every other
+// session a recording one.
+type failingHandler struct{ testHandler }
+
+func (h *failingHandler) Begin(p BeginParams) (SessionSink, error) {
+	if p.ID == "bad" {
+		return failingSink{}, nil
+	}
+	return h.testHandler.Begin(p)
+}
+
+// TestLateFramesForFinishedStreamDropped: once the server has failed a
+// stream, the client's frames already in flight for it arrive late.
+// The server drops them; a sibling stream on the same connection
+// completes.
+func TestLateFramesForFinishedStreamDropped(t *testing.T) {
+	srv := NewServer(&failingHandler{}, ServerOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	send := func(typ byte, stream uint64, body []byte) {
+		t.Helper()
+		if _, err := conn.Write(appendFrame(nil, typ, stream, body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// next reads frames until one of type typ on stream, skipping acks.
+	next := func(typ byte, stream uint64) {
+		t.Helper()
+		for {
+			f, err := readFrame(br)
+			if err != nil {
+				t.Fatalf("waiting for message %d on stream %d: %v", typ, stream, err)
+			}
+			if f.Type == typ && f.Stream == stream {
+				return
+			}
+			if f.Type != msgAck && f.Type != msgBeginAck {
+				t.Fatalf("unexpected message %d on stream %d", f.Type, f.Stream)
+			}
+		}
+	}
+	send(msgHello, 0, appendHello(nil))
+	next(msgHelloAck, 0)
+	send(msgBegin, 1, marshalJSON(BeginParams{ID: "bad"}))
+	send(msgBegin, 2, marshalJSON(BeginParams{ID: "good"}))
+	chunk := chunkBody(0, testEvents(10))
+	send(msgChunk, 1, chunk)
+	next(msgError, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for live := true; live; {
+		srv.mu.Lock()
+		live = false
+		for sc := range srv.conns {
+			sc.smu.Lock()
+			_, ok := sc.streams[1]
+			sc.smu.Unlock()
+			live = live || ok
+		}
+		srv.mu.Unlock()
+		if live && time.Now().After(deadline) {
+			t.Fatal("server never retired the failed stream")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	send(msgChunk, 1, chunk) // in flight when the client read the error
+	send(msgChunk, 2, chunk)
+	send(msgEnd, 2, nil)
+	next(msgDone, 2)
 }
 
 // TestConnDropAbortsSessions: cutting the TCP connection mid-stream
