@@ -50,8 +50,8 @@ test:
 # detector. -short skips the full experiment matrix, which is covered
 # race-free by `make test`; the concurrency tests themselves
 # (TestRunnerConcurrent, TestRunManyParallelMatchesSerial,
-# TestIngestHammer, TestParallelReplayHammer, TestIntervalFlusherSyncs,
-# ...) all run in -short mode.
+# TestIngestHammer, TestSessionGroupRace, TestParallelReplayHammer,
+# TestIntervalFlusherSyncs, ...) all run in -short mode.
 race:
 	$(GO) test -race -short ./internal/oracle ./internal/exp ./internal/core ./internal/engine ./internal/serve ./internal/trace ./internal/wire ./internal/cluster ./internal/wal
 
@@ -59,7 +59,7 @@ race:
 # regression net over the decoders and analyses without a fuzzing
 # session.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/trace ./internal/vm ./internal/asmcheck ./internal/wal ./internal/wire
+	$(GO) test -run 'Fuzz' ./internal/trace ./internal/vm ./internal/asmcheck ./internal/wal ./internal/wire ./internal/engine
 
 # The crash-recovery drill re-execs the serve test binary as a durable
 # daemon, kills it with SIGKILL (mid-stream and post-completion) and

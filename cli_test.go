@@ -163,7 +163,7 @@ func TestCLIProfiledEndToEnd(t *testing.T) {
 	p2d := buildCmd(t, "profile2d")
 	traceFile := filepath.Join(t.TempDir(), "fsm.btr")
 
-	daemon := exec.Command(pd, "-addr", "127.0.0.1:0", "-workers", "4")
+	daemon := exec.Command(pd, "-addr", "127.0.0.1:0")
 	stdout, err := daemon.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

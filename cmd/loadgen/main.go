@@ -337,9 +337,6 @@ func runNode() {
 	cfg := serve.DefaultConfig()
 	cfg.Addr = "127.0.0.1:0"
 	cfg.WireAddr = "127.0.0.1:0"
-	cfg.Shards = 1 // thousands of concurrent engines: keep each lean
-	cfg.BatchSize = 512
-	cfg.QueueDepth = 2
 	if v, err := strconv.ParseInt(os.Getenv(sliceEnv), 10, 64); err == nil && v > 0 {
 		cfg.Profile.SliceSize = v
 		cfg.Profile.ExecThreshold = 5

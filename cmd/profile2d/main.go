@@ -7,7 +7,7 @@
 //	profile2d -bench gap -input train
 //	profile2d -bench gzip -input train -predictor gshare-4KB -top 20
 //	profile2d -trace run.btr -slice 20000
-//	profile2d -trace run.btr2 -workers 8                      (BTR2 parallel replay)
+//	profile2d -trace run.btr2 -workers 8                      (BTR2 parallel chunk decode)
 //	profile2d -trace - < run.btr                              (trace on stdin)
 //	profile2d -bench gcc -input train -metric bias            (edge profiling)
 //	profile2d -trace run.btr -kernel fsm                      (annotate with asmcheck static verdicts)
@@ -40,7 +40,7 @@ func main() {
 		input     = flag.String("input", "train", "input set name")
 		traceFile = flag.String("trace", "", `trace file (BTR1, BTR2 or BTR3, optionally gzipped) to profile instead of a benchmark ("-" reads the trace from stdin, so traces can be piped without temp files)`)
 		workers   = engine.AddWorkersFlag(flag.CommandLine, 1,
-			"profiling workers (0 = all CPUs, 1 = sequential; parallel decode needs a BTR2 -trace, other sources shard only the profile)")
+			"chunk-decode workers for a BTR2/BTR3 -trace (0 = all CPUs); profiling itself is sequential, and other sources ignore it")
 		predName = flag.String("predictor", bpred.NameGshare4KB, "profiler branch predictor")
 		metric   = flag.String("metric", "accuracy", "profiled metric: accuracy or bias")
 		slice    = flag.Int64("slice", 0, "slice size in branches (0 = default)")
@@ -121,7 +121,7 @@ func main() {
 			defer f.Close()
 		}
 		// engine.ProfileStream validates the predictor name itself and,
-		// on BTR2/BTR3 traces, decodes and profiles across -workers; the
+		// on BTR2/BTR3 traces, decodes chunks across -workers; the
 		// report is byte-identical to a sequential pass either way. A
 		// trace carries no program identity, so the static prefilter
 		// column needs -kernel to name the program that produced it.

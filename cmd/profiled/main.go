@@ -1,21 +1,23 @@
 // Command profiled is the online 2D-profiling daemon. It accepts
 // branch-event streams — BTR1, chunked BTR2 or context-tagged BTR3, any
 // of them optionally gzip-compressed — over HTTP and, with -wire-addr,
-// over the binary wire protocol the cluster router speaks; shards them
-// across profiler workers; and serves live merged reports — the same
-// verdicts the offline profile2d tool computes, bit for bit, while the
-// run is still streaming.
+// over the binary wire protocol the cluster router speaks; profiles
+// each session on the goroutine that reads its stream; and serves live
+// reports — the same verdicts the offline profile2d tool computes, bit
+// for bit, while the run is still streaming. Concurrent sessions run in
+// parallel; one session uses one CPU.
 //
 // Usage:
 //
-//	profiled -addr :8377 -workers 8
+//	profiled -addr :8377
 //	tracegen gen -kernel lzchain -input train -post http://localhost:8377/v1/ingest
 //	curl localhost:8377/v1/report | jq .
 //	curl localhost:8377/metrics
 //
 // Endpoints:
 //
-//	POST /v1/ingest      ?session=ID&predictor=...&metric=...&slice=N&shards=N
+//	POST /v1/ingest      ?session=ID&predictor=...&metric=...&slice=N
+//	                     &shards=N            accepted (1..128) and ignored
 //	                     &agg=shared|private  context aggregation (BTR3)
 //	                     &kernel=NAME         annotate the report with NAME's static verdicts
 //	                     &group=G             tag the session for /v1/snapshot?group=G
@@ -51,7 +53,6 @@ import (
 	"time"
 
 	"twodprof/internal/core"
-	"twodprof/internal/engine"
 	"twodprof/internal/serve"
 	"twodprof/internal/wal"
 )
@@ -62,10 +63,6 @@ func main() {
 		addr    = flag.String("addr", cfg.Addr, "listen address")
 		wireA   = flag.String("wire-addr", "", "binary wire-protocol listen address (empty = disabled)")
 		maxAct  = flag.Int("max-active", 0, "cap on concurrently streaming sessions; excess is shed with 429 (0 = unlimited)")
-		workers = engine.AddWorkersFlag(flag.CommandLine, cfg.Shards,
-			"profiler shard workers per session (0 = all CPUs)")
-		batch   = flag.Int("batch", cfg.BatchSize, "events per shard batch")
-		queue   = flag.Int("queue", cfg.QueueDepth, "per-shard queue depth, in batches")
 		pred    = flag.String("predictor", cfg.Predictor, "profiler branch predictor")
 		metric  = flag.String("metric", "accuracy", "profiled metric: accuracy or bias")
 		slice   = flag.Int64("slice", cfg.Profile.SliceSize, "slice size in branches")
@@ -84,9 +81,6 @@ func main() {
 	cfg.Addr = *addr
 	cfg.WireAddr = *wireA
 	cfg.MaxActive = *maxAct
-	cfg.Shards = engine.ResolveWorkers(*workers)
-	cfg.BatchSize = *batch
-	cfg.QueueDepth = *queue
 	cfg.Predictor = *pred
 	cfg.Profile.SliceSize = *slice
 	cfg.Profile.ExecThreshold = *execTh
@@ -138,8 +132,8 @@ func main() {
 	if cfg.WireAddr != "" {
 		fronts += ", wire " + srv.WireAddr()
 	}
-	fmt.Printf("profiled: listening on %s (%d shards, %s metric, %s)\n",
-		fronts, cfg.Shards, cfg.Profile.Metric, durable)
+	fmt.Printf("profiled: listening on %s (%s metric, %s)\n",
+		fronts, cfg.Profile.Metric, durable)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

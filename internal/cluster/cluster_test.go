@@ -35,7 +35,6 @@ func startNode(t testing.TB) *serve.Server {
 	cfg := serve.DefaultConfig()
 	cfg.Addr = "127.0.0.1:0"
 	cfg.WireAddr = "127.0.0.1:0"
-	cfg.Shards = 2
 	cfg.Profile = testProfile()
 	cfg.DrainTimeout = 5 * time.Second
 	srv, err := serve.NewServer(cfg)

@@ -32,7 +32,6 @@ func TestMain(m *testing.M) {
 	cfg := serve.DefaultConfig()
 	cfg.Addr = "127.0.0.1:0"
 	cfg.WireAddr = "127.0.0.1:0"
-	cfg.Shards = 2
 	cfg.Profile = testProfile()
 	srv, err := serve.NewServer(cfg)
 	if err != nil {

@@ -111,10 +111,10 @@ func TestBTR2ReplayIngestZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEngineSpanRoutingZeroAlloc drives a warmed SoA batch through the
-// engine's span routing (slice clock, slice-boundary broadcast,
-// single-shard inline apply) and asserts zero steady-state
-// allocations.
+// TestEngineSpanRoutingZeroAlloc drives a warmed stream through the
+// engine's two ingress paths — SoA span routing (slice clock, inline
+// apply) and the per-event Branch buffer — and asserts zero
+// steady-state allocations.
 func TestEngineSpanRoutingZeroAlloc(t *testing.T) {
 	events := allocStream(10000)
 	var soa trace.SoABatch
@@ -129,6 +129,18 @@ func TestEngineSpanRoutingZeroAlloc(t *testing.T) {
 					eng.BranchBatchSoA(&soa)
 				}); allocs != 0 {
 					t.Fatalf("steady-state SoA span routing: %v allocs/run, want 0", allocs)
+				}
+			})
+			t.Run("Branch", func(t *testing.T) {
+				eng := newAllocEngine(t, metric)
+				feed := func() {
+					for _, ev := range events {
+						eng.Branch(ev.PC, ev.Taken)
+					}
+				}
+				feed() // warm-up
+				if allocs := testing.AllocsPerRun(10, feed); allocs != 0 {
+					t.Fatalf("steady-state per-event Branch: %v allocs/run, want 0", allocs)
 				}
 			})
 		})

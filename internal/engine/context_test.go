@@ -263,9 +263,26 @@ func TestPrivateLiveReportsRace(t *testing.T) {
 	}
 }
 
-// TestPrivateWorkersStopped: a private multi-context engine runs one
-// worker set per context, and both Abort and FinishContexts must stop
-// every one of them.
+// settledGoroutines returns the goroutine count once it has held still
+// for 20 ms (at most 2 s): goroutines of earlier tests that have
+// signalled their WaitGroup may still be on their way out.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); still < 20 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
+// TestPrivateWorkersStopped: a private multi-context engine at
+// Workers 4 starts no goroutine — not at New, not for a context engine,
+// not while feeding — so the count never rises above its value before
+// New and is back at it after Abort and after FinishContexts.
 func TestPrivateWorkersStopped(t *testing.T) {
 	const nctx, workers = 3, 4
 	events := ctxStream(5000, nctx)
@@ -278,26 +295,24 @@ func TestPrivateWorkersStopped(t *testing.T) {
 	}
 	for name, end := range ends {
 		t.Run(name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := settledGoroutines()
 			eng, err := engine.New(ctxConfig(), engine.Options{
 				Workers: workers, Predictor: matrixPredictor, Aggregation: engine.AggPrivate,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			feedPerEvent(eng, events)
-			if n := runtime.NumGoroutine(); n < before+nctx*workers {
-				t.Fatalf("%d goroutines while feeding, want at least %d (%d workers per context)", n, before+nctx*workers, workers)
+			for i, e := range events {
+				eng.BranchCtx(e.Ctx, e.PC, e.Taken)
+				if n := runtime.NumGoroutine(); n > before {
+					t.Fatalf("%d goroutines after event %d, want at most the %d from before New", n, i, before)
+				}
 			}
 			if err := end(eng); err != nil {
 				t.Fatal(err)
 			}
-			// A worker closes its done channel just before it returns.
-			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutines after %s, want the %d from before New", runtime.NumGoroutine(), name, before)
-				}
-				time.Sleep(time.Millisecond)
+			if n := runtime.NumGoroutine(); n != before {
+				t.Fatalf("%d goroutines after %s, want the %d from before New", n, name, before)
 			}
 		})
 	}

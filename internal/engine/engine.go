@@ -1,20 +1,22 @@
-// Package engine is the one true sharded 2D-profiling core. Every way
-// branch events reach a profiler in this repository — a live VM run
-// feeding a trace.Sink through vm.Hooks.OnBranch, a sequential BTR1
-// stream, a parallel BTR2/BTR3 chunk decode, or the daemon's HTTP
+// Package engine is the one 2D-profiling core. Every way branch events
+// reach a profiler in this repository — a live VM run feeding a
+// trace.Sink through vm.Hooks.OnBranch, a sequential BTR1 stream, a
+// parallel BTR2/BTR3 chunk decode, or the daemon's HTTP and wire
 // ingest — terminates in the same execution structure:
 //
-//	event source ─→ sequential front-end ─→ PC-sharded profiler workers
-//	                (predictor + slice        (per-branch Figure 9
-//	                 clock)                    statistics, disjoint by PC)
+//	event source ─→ front-end ─────────────→ one profiler
+//	(parallel       (predictor + slice        (per-branch Figure 9
+//	 chunk decode)   clock)                    statistics)
 //
-// The front-end is the part that cannot be parallelised: predictor
-// state depends on the full interleaved branch order, and the slice
-// clock is a whole-program count of retired branches. Per-branch
-// statistics partition disjointly by PC (DESIGN.md §3b), so everything
-// downstream of the front-end fans out across core.Profiler shards and
-// is reassembled with core.MergeReports, byte-identical to a single
-// sequential pass at any worker count.
+// Both stages run on the goroutine that feeds the engine. The
+// front-end cannot be parallelised: predictor state depends on the
+// full interleaved branch order, and the slice clock is a
+// whole-program count of retired branches. The profiler then sees
+// every event in program order, so a run's report is exact by
+// construction (DESIGN.md §3b). The only parallelism inside one run is
+// chunk decode, which ProfileStream spreads over Options.Workers
+// goroutines; a daemon's parallelism comes from its concurrent
+// sessions.
 //
 // Multi-context streams (trace.Context tags from BTR3 or live
 // CtxSink producers) fold in under one of two aggregation modes
@@ -24,17 +26,15 @@
 // with its own child Engine, built on first sight of c, so each
 // context's report is exactly what profiling its sub-stream alone
 // would produce. An Engine itself is single-context: one predictor,
-// one slice clock, one set of pending buffers and one profiler per
-// shard; context 0 is always the engine's own.
+// one slice clock and one profiler; context 0 is always the engine's
+// own.
 //
 // internal/serve, internal/exp and the profile2d / profiled CLIs are
-// thin adapters over this package; none of them carries its own
-// router, shard pool or slice-broadcast logic any more (DESIGN.md
-// §3e).
+// thin adapters over this package (DESIGN.md §3e).
 //
 // Batches move through every layer as trace.SoABatch — PCs plus a
-// packed outcome bitmap — and so do the shard buffers: the front-end
-// hands each shard its PCs plus the bit the profiler counts.
+// packed outcome bitmap — and reach the profiler as bitmap sub-ranges
+// cut at slice boundaries.
 package engine
 
 import (
@@ -51,18 +51,14 @@ import (
 	"twodprof/internal/trace"
 )
 
-// Defaults for the shard hand-off. They are exported so adapter
-// configurations (internal/serve) can advertise the same numbers.
-const (
-	// DefaultBatchSize is the number of events buffered per shard before
-	// a batch is handed to the worker; slice boundaries flush batches
-	// early regardless.
-	DefaultBatchSize = 512
-	// DefaultQueueDepth is the per-shard bounded channel capacity, in
-	// batches. A full queue blocks the front-end, which backpressures
-	// the event source (decode pipeline, HTTP body, VM run).
-	DefaultQueueDepth = 64
-)
+// DefaultQueueDepth is the engine's queue capacity, in batches: zero,
+// because the engine profiles inline and queues nothing. The
+// repository benchmark prints it beside engine.queue_depth_max.
+const DefaultQueueDepth = 0
+
+// batchSize is the number of per-event Branch calls buffered before
+// they are applied to the profiler in one locked batch.
+const batchSize = 512
 
 // ErrMultiContext is returned by Finish/Report/Snapshot when the
 // stream carried more than one execution context under private
@@ -73,16 +69,11 @@ var ErrMultiContext = errors.New("engine: stream carried multiple execution cont
 
 // Options configure one engine run beyond the core profiling Config.
 type Options struct {
-	// Workers is the number of PC-sharded profiler workers. <= 0 means
-	// one per available CPU. At 1 the engine runs inline — no
-	// goroutines, the classic sequential pass — with the same batching,
-	// clocking and report assembly, so output never depends on the
-	// value.
+	// Workers is the number of goroutines ProfileStream decodes
+	// BTR2/BTR3 chunks on; <= 0 means one per available CPU. Profiling
+	// itself always runs on the feeding goroutine, so output never
+	// depends on the value, and an engine fed directly ignores it.
 	Workers int
-	// BatchSize overrides DefaultBatchSize (<= 0 keeps the default).
-	BatchSize int
-	// QueueDepth overrides DefaultQueueDepth (<= 0 keeps the default).
-	QueueDepth int
 	// Predictor names the front-end branch predictor. Required for
 	// core.MetricAccuracy; for MetricBias it is validated when non-empty
 	// and never instantiated (edge profiling consults no predictor).
@@ -91,7 +82,7 @@ type Options struct {
 	// and profiler state: AggShared (the zero value) ignores context
 	// tags — one table set, one slice clock, one report, the historical
 	// behaviour; AggPrivate profiles each context with its own engine —
-	// private predictor tables, history, slice clock and profilers —
+	// private predictor tables, history, slice clock and profiler —
 	// reported through ContextReports/FinishContexts. Single-context
 	// streams behave identically in both modes.
 	Aggregation AggMode
@@ -106,101 +97,38 @@ type Options struct {
 	OnSlice func()
 }
 
-// buffer is one pending shard batch under construction: a run of PCs
-// plus a packed bitmap of the bit the profiler counts for each —
-// prediction correctness for MetricAccuracy, direction for MetricBias
-// (bit i of word i/64 belongs to pcs[i]). Buffers recycle through a
-// pool between the front-end and the workers — without recycling,
-// steady-state ingest allocates one buffer per BatchSize events per
-// shard and the GC churn eats into the throughput the sharding buys.
-type buffer struct {
-	pcs  []trace.PC
-	hits []uint64
-}
-
-// add appends one event's PC and counted bit (0 or 1).
-func (b *buffer) add(pc trace.PC, hit uint64) {
-	i := len(b.pcs)
-	b.pcs = append(b.pcs, pc)
-	if i&63 == 0 {
-		b.hits = append(b.hits, hit)
-	} else {
-		b.hits[i>>6] |= hit << uint(i&63)
-	}
-}
-
-// batch is the unit of work handed to a shard: an optional buffer
-// followed by an optional slice boundary. Boundary batches go to every
-// shard — the slice clock is global, so even a shard that saw none of
-// the slice's events must advance it.
-type batch struct {
-	buf      *buffer
-	endSlice bool
-}
-
-// shard owns one PC partition's profiler. It is only ever touched
-// under mu: by batch application (the worker goroutine, or the
-// front-end itself in inline mode) and by snapshot readers serving
-// live reports.
-type shard struct {
-	eng  *Engine
-	ch   chan batch    // nil in inline (Workers == 1) mode
-	done chan struct{} // nil in inline mode
-
-	mu   sync.Mutex
-	prof *core.Profiler
-}
-
-// apply folds one batch into the shard's profiler.
-func (s *shard) apply(b batch) {
-	s.mu.Lock()
-	if b.buf != nil {
-		s.prof.OutcomeBatchSoA(b.buf.pcs, b.buf.hits, b.buf.hits, 0)
-	}
-	if b.endSlice {
-		s.prof.EndSlice()
-	}
-	s.mu.Unlock()
-	if b.buf != nil {
-		s.eng.pool.Put(b.buf)
-	}
-}
-
-func (s *shard) run() {
-	defer close(s.done)
-	for b := range s.ch {
-		s.apply(b)
-	}
-}
-
-// snapshot takes a consistent snapshot of the shard's profiler between
-// batches; safe while the worker is still consuming.
-func (s *shard) snapshot() *core.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prof.Snapshot()
-}
-
-// Engine is one sharded profiling run: the sequential front-end state
-// (predictor, slice clock and pending batches) plus the shard workers.
-// It implements trace.Sink, trace.SoABatchSink and trace.CtxSink, so
-// any event source — live VM hooks, trace readers, the BTR2/BTR3
-// parallel decode pipeline, HTTP and wire ingest loops, WAL replay —
-// can drive it directly.
+// Engine is one profiling run: the front-end state (predictor, slice
+// clock and the per-event buffer) plus one profiler, all driven by the
+// goroutine that feeds it. It implements trace.Sink,
+// trace.SoABatchSink and trace.CtxSink, so any event source — live VM
+// hooks, trace readers, the BTR2/BTR3 parallel decode pipeline, HTTP
+// and wire ingest loops, WAL replay — can drive it directly.
 //
 // The feeding goroutine owns Branch/BranchCtx/BranchBatchSoA/Finish/
 // FinishContexts/Abort; they must not be called concurrently. Report,
 // ContextReports, Contexts, Snapshot and QueueDepths are safe from
-// other goroutines while feeding continues (live reports).
+// other goroutines while feeding continues (live reports): the
+// profiler sits behind mu, which the feeder holds only while it
+// applies a batch or ends a slice.
 type Engine struct {
 	cfg  core.Config
 	opts Options
 
 	pred      bpred.Predictor // nil for MetricBias
-	shards    []*shard
-	pending   []*buffer // per shard
-	hitWords  []uint64  // scratch for the SoA predictor path
-	sliceExec int64     // retired branches since the last slice boundary
+	hitWords  []uint64        // scratch for the SoA predictor path
+	sliceExec int64           // retired branches since the last slice boundary
+
+	// pcs and hits buffer per-event Branch calls: the PCs plus a packed
+	// bitmap of the bit the profiler counts for each — prediction
+	// correctness for MetricAccuracy, direction for MetricBias (bit i of
+	// word i/64 belongs to pcs[i]). They are applied once batchSize
+	// accumulate, at a slice end, before an SoA batch and at the end of
+	// the stream.
+	pcs  []trace.PC
+	hits []uint64
+
+	mu   sync.Mutex
+	prof *core.Profiler
 
 	// ctxs holds the engine of every context c > 0 under private
 	// aggregation. ctxMu guards it against live-report readers; the
@@ -210,7 +138,6 @@ type Engine struct {
 	ctxMu sync.Mutex
 	ctxs  map[trace.Context]*Engine
 
-	pool    sync.Pool
 	soaSpan trace.SoABatch // scratch for private-mode SoA span repacking
 
 	drained bool
@@ -221,9 +148,8 @@ type Engine struct {
 	finalCtx atomic.Pointer[map[trace.Context]*core.Report]
 }
 
-// New validates the configuration and assembles the engine. With
-// Workers > 1 the shard workers start immediately; the caller must
-// reach Finish, FinishContexts or Abort to stop them.
+// New validates the configuration and assembles the engine. It starts
+// no goroutine.
 func New(cfg core.Config, opts Options) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -234,18 +160,7 @@ func New(cfg core.Config, opts Options) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = DefaultBatchSize
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = DefaultQueueDepth
-	}
-	e := &Engine{
-		cfg:     cfg,
-		opts:    opts,
-		shards:  make([]*shard, opts.Workers),
-		pending: make([]*buffer, opts.Workers),
-	}
+	e := &Engine{cfg: cfg, opts: opts}
 	// The predictor name is validated in both metric modes, mirroring
 	// twodprof.Profile, so a typo fails loudly instead of silently
 	// profiling bias; MetricBias additionally accepts an empty name.
@@ -260,20 +175,12 @@ func New(cfg core.Config, opts Options) (*Engine, error) {
 			predName = pred.Name()
 		}
 	}
-	for i := range e.shards {
-		prof, err := core.NewShardProfiler(cfg, predName)
-		if err != nil {
-			return nil, err
-		}
-		e.shards[i] = &shard{eng: e, prof: prof}
+	// The profiler takes its outcomes and slice ends from the front-end.
+	prof, err := core.NewShardProfiler(cfg, predName)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Workers > 1 {
-		for _, s := range e.shards {
-			s.ch = make(chan batch, opts.QueueDepth)
-			s.done = make(chan struct{})
-			go s.run()
-		}
-	}
+	e.prof = prof
 	return e, nil
 }
 
@@ -323,60 +230,33 @@ func (e *Engine) multiContext() bool {
 	return len(e.ctxs) > 0
 }
 
-// shardOf maps a branch PC to its worker with a splitmix64 finaliser,
-// so typical small dense PC spaces spread evenly at any shard count.
-func (e *Engine) shardOf(pc trace.PC) int {
-	if len(e.shards) == 1 {
-		return 0
-	}
-	x := uint64(pc)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(x % uint64(len(e.shards)))
-}
-
-func (e *Engine) getBuf() *buffer {
-	if v := e.pool.Get(); v != nil {
-		b := v.(*buffer)
-		b.pcs = b.pcs[:0]
-		b.hits = b.hits[:0]
-		return b
-	}
-	return &buffer{
-		pcs:  make([]trace.PC, 0, e.opts.BatchSize),
-		hits: make([]uint64, 0, (e.opts.BatchSize+63)/64),
-	}
-}
-
-// dispatch hands a batch to shard i: through its queue when workers
-// run, inline otherwise.
-func (e *Engine) dispatch(i int, b batch) {
-	if s := e.shards[i]; s.ch != nil {
-		s.ch <- b
-	} else {
-		s.apply(b)
-	}
-}
-
 // Branch implements trace.Sink: the per-event front-end — predict
-// (accuracy metric), append to the owning shard's buffer, advance the
-// slice clock. Blocks when the owning shard's queue is full; that is
-// the backpressure path. Per-event events belong to context 0;
-// context-tagged producers use BranchCtx or the SoA batch path.
+// (accuracy metric), append to the buffer, advance the slice clock.
+// Per-event events belong to context 0; context-tagged producers use
+// BranchCtx or the SoA batch path.
 func (e *Engine) Branch(pc trace.PC, taken bool) {
 	hit := taken
 	if e.pred != nil {
 		hit = e.pred.Predict(pc) == taken
 		e.pred.Update(pc, taken)
 	}
-	e.enqueue(pc, b2u(hit))
+	if e.pcs == nil {
+		e.pcs = make([]trace.PC, 0, batchSize)
+		e.hits = make([]uint64, 0, batchSize/64)
+	}
+	i := len(e.pcs)
+	e.pcs = append(e.pcs, pc)
+	if i&63 == 0 {
+		e.hits = append(e.hits, b2u(hit))
+	} else {
+		e.hits[i>>6] |= b2u(hit) << uint(i&63)
+	}
+	if len(e.pcs) == batchSize {
+		e.flush()
+	}
 	e.sliceExec++
 	if e.sliceExec >= e.cfg.SliceSize {
-		e.broadcastSliceEnd()
-		e.sliceExec = 0
+		e.endSlice()
 	}
 }
 
@@ -392,7 +272,7 @@ func (e *Engine) BranchCtx(ctx trace.Context, pc trace.PC, taken bool) {
 	e.forCtx(ctx).Branch(pc, taken)
 }
 
-// b2u converts a bool to the 0/1 bit a shard buffer carries.
+// b2u converts a bool to the 0/1 bit the buffer carries.
 func b2u(b bool) uint64 {
 	if b {
 		return 1
@@ -403,10 +283,10 @@ func b2u(b bool) uint64 {
 // BranchBatchSoA implements trace.SoABatchSink: a whole decoded batch
 // in struct-of-arrays form, exactly equivalent to calling Branch (or,
 // under private aggregation, BranchCtx) for each event in order. The
-// predictor runs its SoA kernel into a packed hit bitmap; routing then
-// advances the slice clock a span at a time — the only place a batch
-// must split is a slice boundary — handing bitmap sub-ranges (bit
-// offsets, no re-packing) to the shard layer.
+// predictor runs its SoA kernel into a packed hit bitmap; the batch
+// then reaches the profiler a span at a time — the only place a batch
+// must split is a slice boundary — as bitmap sub-ranges (bit offsets,
+// no re-packing).
 //
 // Under private aggregation a batch with a context lane is split into
 // same-context spans; each span is repacked word-aligned (trace.
@@ -437,8 +317,10 @@ func (e *Engine) BranchBatchSoA(b *trace.SoABatch) {
 }
 
 // branchBatchSoA is BranchBatchSoA for a batch of this engine's own
-// context.
+// context. Buffered per-event calls are applied first, so the profiler
+// sees both paths in feed order.
 func (e *Engine) branchBatchSoA(b *trace.SoABatch) {
+	e.flush()
 	var hw []uint64
 	if e.pred != nil {
 		words := (b.Len() + 63) / 64
@@ -455,122 +337,52 @@ func (e *Engine) branchBatchSoA(b *trace.SoABatch) {
 		if n > len(pcs) {
 			n = len(pcs)
 		}
-		e.routeSpanSoA(pcs[:n], b.Taken, hw, bitOff)
+		// correct (hw) is nil exactly when the metric needs no
+		// outcomes (MetricBias).
+		e.mu.Lock()
+		e.prof.OutcomeBatchSoA(pcs[:n], b.Taken, hw, bitOff)
+		e.mu.Unlock()
 		pcs = pcs[n:]
 		bitOff += n
 		e.sliceExec += int64(n)
 		if e.sliceExec >= e.cfg.SliceSize {
-			e.broadcastSliceEnd()
-			e.sliceExec = 0
+			e.endSlice()
 		}
 	}
 }
 
-// singleShard returns the lone shard when the engine runs in inline
-// single-worker mode (no queues, no worker goroutines), where span
-// routing can skip the buffer machinery and apply straight to the
-// profiler. Any pending per-event buffer is flushed first so ordering
-// against the Branch path is preserved.
-func (e *Engine) singleShard() *shard {
-	if len(e.shards) != 1 || e.shards[0].ch != nil {
-		return nil
-	}
-	if b := e.pending[0]; b != nil && len(b.pcs) > 0 {
-		e.dispatch(0, batch{buf: b})
-		e.pending[0] = nil
-	}
-	return e.shards[0]
-}
-
-// routeSpanSoA routes an SoA span known not to cross a slice boundary;
-// bits bitOff..bitOff+len(pcs) of the bitmaps belong to the span.
-// correct is nil exactly when the metric needs no outcomes
-// (MetricBias). With one shard the span is applied inline with its
-// packed bitmaps; sharded runs append each event's PC and counted bit
-// to the owning shard's buffer.
-func (e *Engine) routeSpanSoA(pcs []trace.PC, taken, correct []uint64, bitOff int) {
-	if s := e.singleShard(); s != nil {
-		s.mu.Lock()
-		s.prof.OutcomeBatchSoA(pcs, taken, correct, bitOff)
-		s.mu.Unlock()
+// flush applies the buffered per-event calls to the profiler.
+func (e *Engine) flush() {
+	if len(e.pcs) == 0 {
 		return
 	}
-	bits := correct
-	if bits == nil {
-		bits = taken
-	}
-	// The loop body is enqueue, written out: the call per event costs
-	// the sharded replay path more than the buffer append itself.
-	for i, pc := range pcs {
-		j := bitOff + i
-		s := e.shardOf(pc)
-		b := e.pending[s]
-		if b == nil {
-			b = e.getBuf()
-			e.pending[s] = b
-		}
-		b.add(pc, bits[j>>6]>>uint(j&63)&1)
-		if len(b.pcs) >= e.opts.BatchSize {
-			e.dispatch(s, batch{buf: b})
-			e.pending[s] = nil
-		}
-	}
+	e.mu.Lock()
+	e.prof.OutcomeBatchSoA(e.pcs, e.hits, e.hits, 0)
+	e.mu.Unlock()
+	e.pcs, e.hits = e.pcs[:0], e.hits[:0]
 }
 
-// enqueue appends one event to its shard's pending buffer, handing the
-// buffer to the shard once it holds BatchSize events.
-func (e *Engine) enqueue(pc trace.PC, hit uint64) {
-	s := e.shardOf(pc)
-	b := e.pending[s]
-	if b == nil {
-		b = e.getBuf()
-		e.pending[s] = b
-	}
-	b.add(pc, hit)
-	if len(b.pcs) >= e.opts.BatchSize {
-		e.dispatch(s, batch{buf: b})
-		e.pending[s] = nil
-	}
-}
-
-// broadcastSliceEnd flushes every pending batch with a slice-boundary
-// marker, even to shards that saw none of the slice's events (the
-// clock is global). Each shard applies the boundary after exactly the
-// events that belong to the slice, because its channel preserves
-// order; shards need no cross-shard synchronisation beyond this.
-func (e *Engine) broadcastSliceEnd() {
-	for i := range e.shards {
-		e.dispatch(i, batch{buf: e.pending[i], endSlice: true})
-		e.pending[i] = nil
-	}
+// endSlice closes the current slice after exactly the events that
+// belong to it and resets the slice clock.
+func (e *Engine) endSlice() {
+	e.flush()
+	e.mu.Lock()
+	e.prof.EndSlice()
+	e.mu.Unlock()
+	e.sliceExec = 0
 	if e.opts.OnSlice != nil {
 		e.opts.OnSlice()
 	}
 }
 
-// drain flushes pending batches, closes the queues and waits for the
-// workers, then does the same for every context engine; idempotent.
+// drain applies the buffered per-event calls of this engine and of
+// every context engine, and marks the stream ended; idempotent.
 func (e *Engine) drain() {
 	if e.drained {
 		return
 	}
 	e.drained = true
-	for i, b := range e.pending {
-		if b != nil && len(b.pcs) > 0 {
-			e.dispatch(i, batch{buf: b})
-		}
-		e.pending[i] = nil
-	}
-	for _, s := range e.shards {
-		if s.ch != nil {
-			close(s.ch)
-		}
-	}
-	for _, s := range e.shards {
-		if s.done != nil {
-			<-s.done
-		}
-	}
+	e.flush()
 	for _, child := range e.ctxs {
 		child.drain()
 	}
@@ -578,14 +390,13 @@ func (e *Engine) drain() {
 
 // finishFlush applies the offline partial-slice flush rule to the
 // slice clock of this engine and of every context engine, and drains
-// the workers; idempotent.
+// them; idempotent.
 func (e *Engine) finishFlush() {
 	if e.drained {
 		return
 	}
 	if e.cfg.FlushPartialSlice && e.sliceExec > 0 && e.sliceExec >= e.cfg.SliceSize/2 {
-		e.broadcastSliceEnd()
-		e.sliceExec = 0
+		e.endSlice()
 	}
 	for _, child := range e.ctxs {
 		child.finishFlush()
@@ -594,11 +405,10 @@ func (e *Engine) finishFlush() {
 }
 
 // Finish completes the stream: applies the offline partial-slice flush
-// rule to each context's clock, drains the workers, and merges the
-// shard snapshots into the final (annotated) report. Idempotent —
-// repeated calls return the same report. A multi-context private run
-// has no single merged report; Finish still drains, then returns
-// ErrMultiContext (use FinishContexts).
+// rule to each context's clock, applies the buffered events, and fixes
+// the final (annotated) report. Idempotent — repeated calls return the
+// same report. A multi-context private run has no single report; Finish
+// still drains, then returns ErrMultiContext (use FinishContexts).
 func (e *Engine) Finish() (*core.Report, error) {
 	if rep := e.final.Load(); rep != nil {
 		return rep, nil
@@ -630,16 +440,16 @@ func (e *Engine) FinishContexts() (map[trace.Context]*core.Report, error) {
 	return reps, nil
 }
 
-// Abort tears the workers of the engine and of every context engine
-// down without the final slice flush (the stream failed mid-flight);
-// the partial statistics remain queryable through Report.
+// Abort ends the stream of the engine and of every context engine
+// without the final slice flush (the stream failed mid-flight); the
+// partial statistics remain queryable through Report.
 func (e *Engine) Abort() { e.drain() }
 
-// Report merges the current shard snapshots into an annotated report:
-// a live view while the stream is still flowing, the final report once
-// Finish has fixed it. Safe to call from other goroutines while the
-// owner keeps feeding. Returns ErrMultiContext once a private-mode
-// stream has carried more than one context.
+// Report assembles the profiler's current state into an annotated
+// report: a live view while the stream is still flowing, the final
+// report once Finish has fixed it. Safe to call from other goroutines
+// while the owner keeps feeding. Returns ErrMultiContext once a
+// private-mode stream has carried more than one context.
 func (e *Engine) Report() (*core.Report, error) {
 	if rep := e.final.Load(); rep != nil {
 		return rep, nil
@@ -647,18 +457,14 @@ func (e *Engine) Report() (*core.Report, error) {
 	if e.multiContext() {
 		return nil, ErrMultiContext
 	}
-	return e.merged()
+	return e.report(), nil
 }
 
-// merged merges this engine's own shard snapshots into an annotated
-// report.
-func (e *Engine) merged() (*core.Report, error) {
-	rep, err := core.MergeReports(e.snapshots()...)
-	if err != nil {
-		return nil, err
-	}
+// report assembles this engine's own annotated report.
+func (e *Engine) report() *core.Report {
+	rep := e.snapshot().Report()
 	rep.AnnotateStatic(e.opts.Static)
-	return rep, nil
+	return rep
 }
 
 // ContextReports reports per execution context: a live view while the
@@ -671,17 +477,14 @@ func (e *Engine) ContextReports() (map[trace.Context]*core.Report, error) {
 	return e.contextReports((*Engine).Report)
 }
 
-// contextReports maps context 0 to this engine's own merged report and
-// every other context to report applied to its engine.
+// contextReports maps context 0 to this engine's own report and every
+// other context to report applied to its engine.
 func (e *Engine) contextReports(report func(*Engine) (*core.Report, error)) (map[trace.Context]*core.Report, error) {
-	rep, err := e.merged()
-	if err != nil {
-		return nil, err
-	}
 	children := e.children()
 	out := make(map[trace.Context]*core.Report, 1+len(children))
-	out[0] = rep
+	out[0] = e.report()
 	for ctx, child := range children {
+		var err error
 		if out[ctx], err = report(child); err != nil {
 			return nil, err
 		}
@@ -701,50 +504,34 @@ func (e *Engine) Contexts() []trace.Context {
 	return out
 }
 
-// Snapshot merges the current shard snapshots into one whole-run
+// Snapshot returns the profiler's current state as a whole-run
 // core.Snapshot — the persistence hook: the daemon's WAL checkpoints a
-// finished engine's merged snapshot, and Snapshot().Report() on the
-// recovered side reproduces Finish's report byte for byte (both are
-// core.MergeSnapshots followed by (*core.Snapshot).Report). Safe to
-// call from other goroutines while the owner keeps feeding; for a
-// checkpoint call it after Finish or Abort so the state is frozen.
-// Returns ErrMultiContext once a private-mode stream has carried more
-// than one context.
+// finished engine's snapshot, and Snapshot().Report() on the recovered
+// side reproduces Finish's report byte for byte (Finish assembles its
+// report the same way). Safe to call from other goroutines while the
+// owner keeps feeding; for a checkpoint call it after Finish or Abort
+// so the state is frozen. Returns ErrMultiContext once a private-mode
+// stream has carried more than one context.
 func (e *Engine) Snapshot() (*core.Snapshot, error) {
 	if e.multiContext() {
 		return nil, ErrMultiContext
 	}
-	return core.MergeSnapshots(e.snapshots()...)
+	return e.snapshot(), nil
 }
 
-// snapshots takes the current snapshot of every shard.
-func (e *Engine) snapshots() []*core.Snapshot {
-	snaps := make([]*core.Snapshot, len(e.shards))
-	for i, s := range e.shards {
-		snaps[i] = s.snapshot()
-	}
-	return snaps
+// snapshot copies the profiler's state under the lock.
+func (e *Engine) snapshot() *core.Snapshot {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.prof.Snapshot()
 }
 
-// QueueDepths returns the number of queued batches per shard, summed
-// over the context engines (all zeros in inline mode).
-func (e *Engine) QueueDepths() []int {
-	d := make([]int, len(e.shards))
-	for i, s := range e.shards {
-		if s.ch != nil {
-			d[i] = len(s.ch)
-		}
-	}
-	for _, child := range e.children() {
-		for i, n := range child.QueueDepths() {
-			d[i] += n
-		}
-	}
-	return d
-}
+// QueueDepths returns nil: the engine profiles inline and has no
+// queues. It is kept for the repository benchmark, which samples it.
+func (e *Engine) QueueDepths() []int { return nil }
 
-// Workers returns the shard count the engine resolved to.
-func (e *Engine) Workers() int { return len(e.shards) }
+// Workers returns the resolved decode worker count (Options.Workers).
+func (e *Engine) Workers() int { return e.opts.Workers }
 
 // compile-time interface checks.
 var (

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"twodprof/internal/core"
 	"twodprof/internal/trace"
@@ -201,26 +202,46 @@ func TestAbortSkipsPartialFlush(t *testing.T) {
 }
 
 func TestQueueDepthsShape(t *testing.T) {
-	eng, err := New(testConfig(core.MetricBias), Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Abort()
-	d := eng.QueueDepths()
-	if len(d) != 3 {
-		t.Fatalf("QueueDepths returned %d entries, want 3", len(d))
-	}
-
-	inline, err := New(testConfig(core.MetricBias), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inline.Abort()
-	feedSynthetic(inline, 2000)
-	for i, n := range inline.QueueDepths() {
-		if n != 0 {
-			t.Errorf("inline engine reports queue depth %d on shard %d, want 0", n, i)
+	// The engine profiles inline: no queues at any worker count.
+	for _, workers := range []int{1, 3} {
+		eng, err := New(testConfig(core.MetricBias), Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
+		feedSynthetic(eng, 2000)
+		if d := eng.QueueDepths(); d != nil {
+			t.Errorf("workers=%d: QueueDepths() = %v, want nil", workers, d)
+		}
+		eng.Abort()
+	}
+}
+
+// TestReleasedEngineCollectable: an engine holds nothing the runtime
+// keeps alive on its own (no sync.Pool, no goroutine), so a finished
+// engine that nothing references is gone after one GC cycle. It is fed
+// through both ingress paths, since the per-event path is the one
+// that used to recycle buffers.
+func TestReleasedEngineCollectable(t *testing.T) {
+	rec := trace.NewRecorder(0)
+	feedSynthetic(rec, 5000)
+	var soa trace.SoABatch
+	soa.FromEvents(rec.Events)
+	ref := func() weak.Pointer[Engine] {
+		eng, err := New(testConfig(core.MetricAccuracy), Options{Workers: 2, Predictor: "gshare-4KB"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedSynthetic(eng, 5000)
+		eng.BranchBatchSoA(&soa)
+		feedSynthetic(eng, 700)
+		if _, err := eng.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(eng)
+	}()
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("finished engine still reachable after one GC cycle")
 	}
 }
 
@@ -270,7 +291,7 @@ func TestBatchMatchesPerEvent(t *testing.T) {
 // depths mid-stream.
 func TestLiveReportHammer(t *testing.T) {
 	cfg := testConfig(core.MetricAccuracy)
-	eng, err := New(cfg, Options{Workers: 4, Predictor: "gshare-4KB", BatchSize: 64, QueueDepth: 4})
+	eng, err := New(cfg, Options{Workers: 4, Predictor: "gshare-4KB"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@ import (
 	"runtime"
 )
 
-// Worker-count CLI plumbing. Every engine-backed command (profile2d,
-// profiled, experiments) takes the same canonical -workers flag.
+// Worker-count CLI plumbing. The commands with a worker count
+// (profile2d, experiments) take the same canonical -workers flag.
 
 // ResolveWorkers normalises a worker-count setting the way Options
 // does: non-positive means one worker per available CPU.

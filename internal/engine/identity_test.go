@@ -116,13 +116,13 @@ func encodeBTR3(t testing.TB, events []trace.Event) []byte {
 	return buf.Bytes()
 }
 
-// daemonReport ingests a trace into a freshly started daemon and
-// returns the /v1/report body.
+// daemonReport ingests a trace into a freshly started daemon, sending
+// shards as the session's shards parameter, and returns the /v1/report
+// body.
 func daemonReport(t testing.TB, cfg core.Config, shards int, raw []byte, query string) []byte {
 	t.Helper()
 	scfg := serve.DefaultConfig()
 	scfg.Addr = "127.0.0.1:0"
-	scfg.Shards = shards
 	scfg.Predictor = matrixPredictor
 	scfg.Profile = cfg
 	scfg.DrainTimeout = 5 * time.Second
@@ -138,7 +138,7 @@ func daemonReport(t testing.TB, cfg core.Config, shards int, raw []byte, query s
 		defer cancel()
 		srv.Shutdown(ctx)
 	}()
-	url := "http://" + srv.Addr() + "/v1/ingest?session=matrix" + query
+	url := fmt.Sprintf("http://%s/v1/ingest?session=matrix&shards=%d%s", srv.Addr(), shards, query)
 	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,6 @@ func clusterReports(t testing.TB, cfg core.Config, btr1, btr2, btr3 []byte, even
 		scfg := serve.DefaultConfig()
 		scfg.Addr = "127.0.0.1:0"
 		scfg.WireAddr = "127.0.0.1:0"
-		scfg.Shards = 2
 		scfg.Predictor = matrixPredictor
 		scfg.Profile = cfg
 		scfg.DrainTimeout = 5 * time.Second

@@ -58,24 +58,14 @@ func ParseAggMode(s string) (AggMode, error) {
 }
 
 // Option validation. New rejects nonsense configurations up front with
-// typed errors instead of letting an absurd worker count or queue depth
-// OOM the process three layers deeper (the daemon forwards client-
-// supplied session options straight into Options, so these are trust-
-// boundary checks, not just programmer-error guards).
+// typed errors instead of letting an absurd worker count start
+// thousands of decode goroutines three layers deeper.
 
-// Hard ceilings on the tunables. Zero and negative values are not
-// errors — they mean "auto" (Workers) or "default" (BatchSize,
-// QueueDepth), matching the flag semantics in flags.go.
-const (
-	// MaxWorkers caps the shard count. Shards beyond the machine's core
-	// count only add queue memory and merge time; 4096 is far above any
-	// useful setting while keeping per-shard allocations bounded.
-	MaxWorkers = 4096
-	// MaxBatchSize caps events buffered per shard batch.
-	MaxBatchSize = 1 << 20
-	// MaxQueueDepth caps the per-shard queue, in batches.
-	MaxQueueDepth = 1 << 20
-)
+// MaxWorkers caps the decode worker count. Zero and negative values
+// are not errors — they mean "one per CPU", matching the flag
+// semantics in flags.go. Workers beyond the machine's core count only
+// add goroutines; 4096 is far above any useful setting.
+const MaxWorkers = 4096
 
 // An OptionError reports one invalid Options field. Validate joins one
 // per violation, so errors.As finds the first and errors.Join's
@@ -91,8 +81,8 @@ func (e *OptionError) Error() string {
 	return fmt.Sprintf("engine: invalid option %s = %d (%s)", e.Field, e.Value, e.Reason)
 }
 
-// Validate checks the tunable fields against their ceilings and the
-// aggregation mode against the known set. It returns nil for any
+// Validate checks Workers against its ceiling and the aggregation mode
+// against the known set. It returns nil for any
 // configuration New would have accepted before validation existed —
 // in particular, zero values throughout (the all-defaults Options) are
 // valid. The Predictor name is not checked here: its validity depends
@@ -101,12 +91,6 @@ func (o Options) Validate() error {
 	var errs []error
 	if o.Workers > MaxWorkers {
 		errs = append(errs, &OptionError{"Workers", o.Workers, fmt.Sprintf("above MaxWorkers %d", MaxWorkers)})
-	}
-	if o.BatchSize > MaxBatchSize {
-		errs = append(errs, &OptionError{"BatchSize", o.BatchSize, fmt.Sprintf("above MaxBatchSize %d", MaxBatchSize)})
-	}
-	if o.QueueDepth > MaxQueueDepth {
-		errs = append(errs, &OptionError{"QueueDepth", o.QueueDepth, fmt.Sprintf("above MaxQueueDepth %d", MaxQueueDepth)})
 	}
 	if o.Aggregation != AggShared && o.Aggregation != AggPrivate {
 		errs = append(errs, &OptionError{"Aggregation", int(o.Aggregation), "not a known aggregation mode (shared, private)"})

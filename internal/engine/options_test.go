@@ -25,14 +25,6 @@ func TestOptionsValidate(t *testing.T) {
 		{name: "workers one", opts: Options{Workers: 1}},
 		{name: "workers at cap", opts: Options{Workers: MaxWorkers}},
 		{name: "workers above cap", opts: Options{Workers: MaxWorkers + 1}, field: "Workers"},
-		{name: "batch default", opts: Options{BatchSize: 0}},
-		{name: "batch negative is default", opts: Options{BatchSize: -7}},
-		{name: "batch at cap", opts: Options{BatchSize: MaxBatchSize}},
-		{name: "batch above cap", opts: Options{BatchSize: MaxBatchSize + 1}, field: "BatchSize"},
-		{name: "queue default", opts: Options{QueueDepth: 0}},
-		{name: "queue negative is default", opts: Options{QueueDepth: -3}},
-		{name: "queue at cap", opts: Options{QueueDepth: MaxQueueDepth}},
-		{name: "queue above cap", opts: Options{QueueDepth: MaxQueueDepth + 1}, field: "QueueDepth"},
 		{name: "aggregation shared", opts: Options{Aggregation: AggShared}},
 		{name: "aggregation private", opts: Options{Aggregation: AggPrivate}},
 		{name: "aggregation unknown", opts: Options{Aggregation: AggMode(7)}, field: "Aggregation"},
@@ -65,14 +57,12 @@ func TestOptionsValidate(t *testing.T) {
 func TestOptionsValidateMultipleErrors(t *testing.T) {
 	err := Options{
 		Workers:     MaxWorkers + 1,
-		BatchSize:   MaxBatchSize + 1,
-		QueueDepth:  MaxQueueDepth + 1,
 		Aggregation: AggMode(200),
 	}.Validate()
 	if err == nil {
-		t.Fatal("Validate() = nil, want four errors")
+		t.Fatal("Validate() = nil, want two errors")
 	}
-	for _, field := range []string{"Workers", "BatchSize", "QueueDepth", "Aggregation"} {
+	for _, field := range []string{"Workers", "Aggregation"} {
 		if !strings.Contains(err.Error(), field) {
 			t.Errorf("joined error %q does not mention %s", err, field)
 		}
@@ -80,7 +70,7 @@ func TestOptionsValidateMultipleErrors(t *testing.T) {
 }
 
 // TestNewRejectsInvalidOptions checks New refuses what Validate
-// refuses, before allocating any shard state.
+// refuses, before allocating any profiler state.
 func TestNewRejectsInvalidOptions(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Metric = core.MetricBias

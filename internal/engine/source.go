@@ -17,7 +17,7 @@ import (
 
 // Run profiles a live branch-event source through a fresh engine and
 // returns the finished report. This is the live-run equivalent of
-// ProfileStream: the same front-end, sharding and report assembly, fed
+// ProfileStream: the same front-end, profiler and report assembly, fed
 // by the source's Run loop instead of a decoder.
 func Run(src trace.Source, cfg core.Config, opts Options) (*core.Report, error) {
 	eng, err := New(cfg, opts)
@@ -30,10 +30,10 @@ func Run(src trace.Source, cfg core.Config, opts Options) (*core.Report, error) 
 
 // ProfileStream profiles a trace stream (BTR1, BTR2, BTR3, or gzip of
 // any) through a fresh engine. Chunked streams (BTR2/BTR3) with more
-// than one worker decode their chunks across a parallel pool (the
-// engine's worker count) ahead of the sequential front-end; BTR1
-// streams always decode sequentially — their delta chain admits no
-// decode parallelism — but still fan statistics across the shards.
+// than one worker decode their chunks across a parallel pool
+// (Options.Workers) ahead of the engine, which profiles on this
+// goroutine; BTR1 streams always decode sequentially — their delta
+// chain admits no decode parallelism.
 func ProfileStream(r io.Reader, cfg core.Config, opts Options) (*core.Report, error) {
 	eng, err := New(cfg, opts)
 	if err != nil {

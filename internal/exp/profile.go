@@ -7,11 +7,10 @@ import (
 )
 
 // profileLive profiles a live branch-event source (VM kernel instance
-// or synthetic workload) through the shared sharded-execution core
+// or synthetic workload) through the shared profiling core
 // (internal/engine) — the same front-end, slice clock and report
-// assembly the replay and daemon paths use. Drivers run at one engine
-// worker because the experiment engine already parallelises across
-// drivers and benchmarks; the report is identical at any worker count.
+// assembly the replay and daemon paths use. The experiment engine
+// parallelises across drivers and benchmarks instead.
 // static, when non-nil, attaches the asmcheck prefilter column
 // (engine Options.Static), exactly as replay -kernel and serve
 // ?kernel= do.

@@ -1,34 +1,31 @@
 // Package serve implements the online 2D-profiling service: a daemon
 // that ingests branch-event streams (BTR1, chunked BTR2 or
 // context-tagged BTR3, any of them optionally gzip-wrapped) over HTTP
-// or the binary wire protocol (internal/wire), fans them across
-// PC-sharded core.Profiler workers, and serves live merged reports
-// while runs are still in flight.
+// or the binary wire protocol (internal/wire), profiles each of them
+// with one core.Profiler, and serves live reports while runs are still
+// in flight.
 //
 // The serving pipeline preserves the offline algorithm exactly. Each
-// active ingest session is one run of the shared sharded-execution
-// core (internal/engine): a sequential front-end decodes the stream,
-// consults the session's branch predictor (whose state depends on the
-// full interleaved branch order and therefore cannot be sharded), and
-// maintains the global slice clock; per-branch statistics — which
-// partition disjointly by PC — are updated by the engine's shard
-// workers. At the end of the stream the session keeps the engine's
-// merged core.Snapshot as its checkpoint and releases the engine; the
-// final report is that snapshot's Report — the assembly engine.Finish
-// uses — and is bit-identical to twodprof.Profile over the same trace
-// at any shard count. With a data directory every session is backed by
-// a write-ahead log, so sessions survive restarts and an idle finished
+// active ingest session is one run of the shared profiling core
+// (internal/engine), driven by the goroutine that reads the session's
+// stream: it decodes the stream, consults the session's branch
+// predictor, maintains the slice clock and updates the per-branch
+// statistics, all in program order. The daemon's parallelism comes
+// from its concurrent sessions. At the end of the stream the session
+// keeps the engine's core.Snapshot as its checkpoint and releases the
+// engine; the final report is that snapshot's Report — the assembly
+// engine.Finish uses — and is bit-identical to twodprof.Profile over
+// the same trace. With a data directory every session is backed by a
+// write-ahead log, so sessions survive restarts and an idle finished
 // session holds its checkpoint only on disk (DESIGN.md §3f).
 package serve
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"twodprof/internal/bpred"
 	"twodprof/internal/core"
-	"twodprof/internal/engine"
 	"twodprof/internal/wal"
 )
 
@@ -48,18 +45,6 @@ type Config struct {
 	// not-ready so the router routes around the node. <= 0 means
 	// unlimited.
 	MaxActive int
-	// Shards is the number of profiler workers events are fanned across
-	// (sharded by branch-PC hash). Report output is identical at any
-	// value; only throughput changes.
-	Shards int
-	// BatchSize is the number of events buffered per shard before the
-	// batch is handed to the worker. Larger batches amortise channel
-	// overhead; slice boundaries flush batches early regardless.
-	BatchSize int
-	// QueueDepth is the per-shard bounded channel capacity, in batches.
-	// A full queue blocks the ingest goroutine (backpressure reaches
-	// the client through TCP flow control).
-	QueueDepth int
 	// Predictor is the profiler branch predictor for accuracy-metric
 	// sessions (ignored, and may be empty, when Profile.Metric is
 	// MetricBias). Sessions may override it per request.
@@ -107,9 +92,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Addr:            ":8377",
-		Shards:          runtime.GOMAXPROCS(0),
-		BatchSize:       engine.DefaultBatchSize,
-		QueueDepth:      engine.DefaultQueueDepth,
 		Predictor:       bpred.NameGshare4KB,
 		Profile:         core.DefaultConfig(),
 		ReadTimeout:     30 * time.Second,
@@ -125,12 +107,6 @@ func DefaultConfig() Config {
 // Validate reports a non-nil error when the configuration is unusable.
 func (c Config) Validate() error {
 	switch {
-	case c.Shards <= 0:
-		return fmt.Errorf("serve: invalid config: Shards must be positive (got %d)", c.Shards)
-	case c.BatchSize <= 0:
-		return fmt.Errorf("serve: invalid config: BatchSize must be positive (got %d)", c.BatchSize)
-	case c.QueueDepth <= 0:
-		return fmt.Errorf("serve: invalid config: QueueDepth must be positive (got %d)", c.QueueDepth)
 	case c.ReadTimeout < 0:
 		return fmt.Errorf("serve: invalid config: ReadTimeout must be non-negative")
 	case c.DrainTimeout < 0:

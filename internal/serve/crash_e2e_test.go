@@ -29,7 +29,7 @@ func TestMain(m *testing.M) {
 	if os.Getenv(helperEnv) == "" {
 		os.Exit(m.Run())
 	}
-	cfg := testConfig(4)
+	cfg := testConfig()
 	cfg.DataDir = os.Getenv(helperData)
 	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncAlways}
 	srv, err := NewServer(cfg)
@@ -239,7 +239,7 @@ func TestCrashRecoveryMidStream(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("report after mid-stream crash: %d: %s", code, got)
 	}
-	if want := referenceReport(t, testConfig(4), events[:salvaged]); !bytes.Equal(got, want) {
+	if want := referenceReport(t, testConfig(), events[:salvaged]); !bytes.Equal(got, want) {
 		t.Errorf("recovered report differs from an offline run over the %d salvaged events", salvaged)
 	}
 }

@@ -27,7 +27,9 @@ const ingestFlushEvery = 4096
 // ingestBodyBuffer is the bufio window over the request body.
 const ingestBodyBuffer = 128 << 10
 
-// maxRequestShards caps the per-request shard-count override.
+// maxRequestShards caps the per-request shards parameter. Old clients
+// and the router still send it; it is range-checked and otherwise
+// ignored.
 const maxRequestShards = 128
 
 // maxSessionID caps client-chosen session ids — they become WAL file
@@ -64,7 +66,9 @@ func (b *bodyReader) Read(p []byte) (int, error) {
 
 // paramsFromQuery parses the ingest overrides out of an HTTP query
 // into the wire begin message's shape, so both ingest fronts hand
-// beginSession the same parameters.
+// beginSession the same parameters. beginSession checks their ranges;
+// only an explicit zero is refused here, because zero is the wire's
+// "server default" and an HTTP client omits the parameter for that.
 func paramsFromQuery(q url.Values) (wire.BeginParams, error) {
 	p := wire.BeginParams{
 		ID:          q.Get("session"),
@@ -77,14 +81,14 @@ func paramsFromQuery(q url.Values) (wire.BeginParams, error) {
 	}
 	if v := q.Get("slice"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n <= 0 {
+		if err != nil || n == 0 {
 			return p, fmt.Errorf("bad slice %q (want a positive integer)", v)
 		}
 		p.SliceSize = n
 	}
 	if v := q.Get("shards"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 || n > maxRequestShards {
+		if err != nil || n == 0 {
 			return p, fmt.Errorf("bad shards %q (want 1..%d)", v, maxRequestShards)
 		}
 		p.Shards = n
@@ -145,7 +149,6 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 
 	cfg := s.cfg.Profile
 	predictor := s.cfg.Predictor
-	shards := s.cfg.Shards
 	switch p.Metric {
 	case "":
 	case "accuracy":
@@ -159,15 +162,16 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 	if p.Predictor != "" {
 		predictor = p.Predictor
 	}
-	if p.SliceSize > 0 {
+	switch {
+	case p.SliceSize < 0:
+		return nil, &ingestError{status: http.StatusBadRequest,
+			msg: fmt.Sprintf("bad slice %d (want a positive integer)", p.SliceSize)}
+	case p.SliceSize > 0:
 		cfg.SliceSize = p.SliceSize
 	}
-	if p.Shards > 0 {
-		if p.Shards > maxRequestShards {
-			return nil, &ingestError{status: http.StatusBadRequest,
-				msg: fmt.Sprintf("bad shards %d (want 1..%d)", p.Shards, maxRequestShards)}
-		}
-		shards = p.Shards
+	if p.Shards < 0 || p.Shards > maxRequestShards {
+		return nil, &ingestError{status: http.StatusBadRequest,
+			msg: fmt.Sprintf("bad shards %d (want 1..%d)", p.Shards, maxRequestShards)}
 	}
 	var agg engine.AggMode
 	if p.Aggregation != "" {
@@ -199,9 +203,6 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 			msg: fmt.Sprintf("session id longer than %d bytes", maxSessionID)}
 	}
 	eng, err := engine.New(cfg, engine.Options{
-		Workers:     shards,
-		BatchSize:   s.cfg.BatchSize,
-		QueueDepth:  s.cfg.QueueDepth,
 		Predictor:   predictor,
 		Aggregation: agg,
 		Static:      static,
@@ -211,12 +212,11 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 		return nil, &ingestError{status: http.StatusBadRequest, msg: err.Error()}
 	}
 
-	session, err := s.registry.Begin(p.ID, eng)
+	session, err := s.registry.Begin(p.ID, p.Group, eng)
 	if err != nil {
 		eng.Abort()
 		return nil, &ingestError{status: http.StatusConflict, msg: err.Error()}
 	}
-	session.Group = p.Group
 	// The session is already registered, but static, plog and store are
 	// read only by this goroutine or after the terminal transition, which
 	// this goroutine makes under the session lock.
@@ -230,7 +230,7 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 			Group:       p.Group,
 			Profile:     cfg,
 			Predictor:   predictor,
-			Shards:      shards,
+			Shards:      p.Shards,
 			Aggregation: agg.String(),
 			Kernel:      p.Kernel,
 		})
@@ -319,11 +319,11 @@ func (ir *ingestRun) failSummary(reason error) wire.Summary {
 // handleIngest services POST /v1/ingest: it decodes a BTR1, BTR2 or
 // BTR3 stream (any of them optionally gzip-wrapped) from the request
 // body one SoA batch at a time — up to trace.ReadBatchEvents events of
-// BTR1, one chunk of BTR2/BTR3 — feeds it into one internal/engine run
-// (sequential predictor front-end, PC-sharded profiler workers), and
-// on EOF fixes the session's final report. Backpressure is end to
-// end: a full shard queue blocks the decode loop, which stops reading
-// the body, which stalls the client through TCP flow control.
+// BTR1, one chunk of BTR2/BTR3 — profiles it on this goroutine through
+// one internal/engine run, and on EOF fixes the session's final
+// report. Backpressure is end to end: the handler reads the body only
+// as fast as it profiles, and a slower read stalls the client through
+// TCP flow control.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "ingest wants POST", http.StatusMethodNotAllowed)

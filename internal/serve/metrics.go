@@ -63,9 +63,8 @@ func (m *Metrics) eventsPerSec(now time.Time) float64 {
 	return rate
 }
 
-// WriteTo renders the exposition text. queueDepths carries the current
-// per-shard queue depths summed over active sessions.
-func (m *Metrics) WriteTo(w io.Writer, queueDepths []int) {
+// Render writes the exposition text.
+func (m *Metrics) Render(w io.Writer) {
 	fmt.Fprintf(w, "twodprof_events_ingested_total %d\n", m.Events.Load())
 	fmt.Fprintf(w, "twodprof_events_per_second %.1f\n", m.eventsPerSec(time.Now()))
 	fmt.Fprintf(w, "twodprof_bytes_ingested_total %d\n", m.Bytes.Load())
@@ -87,7 +86,4 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int) {
 	fmt.Fprintf(w, "twodprof_sessions_idled_total %d\n", m.SessionsIdled.Load())
 	fmt.Fprintf(w, "twodprof_wal_compactions_total %d\n", m.Compactions.Load())
 	fmt.Fprintf(w, "twodprof_wal_errors_total %d\n", m.WALErrors.Load())
-	for i, d := range queueDepths {
-		fmt.Fprintf(w, "twodprof_shard_queue_depth{shard=\"%d\"} %d\n", i, d)
-	}
 }

@@ -25,7 +25,7 @@ import (
 // The record schema on top of package wal's framing:
 //
 //	recBegin   JSON sessionMeta — resolved profiling config, predictor,
-//	           shard count and (optional) kernel name. Always first.
+//	           shards parameter and (optional) kernel name. Always first.
 //	recEvents  wal.EncodeEvents batch, appended ahead of the in-memory
 //	           engine in exact stream order (a decoded batch larger than
 //	           wal.MaxEventsPerRecord spans several records). Batches
@@ -61,7 +61,11 @@ type sessionMeta struct {
 	Group     string      `json:"group,omitempty"`
 	Profile   core.Config `json:"profile"`
 	Predictor string      `json:"predictor,omitempty"`
-	Shards    int         `json:"shards"`
+	// Shards records the session's shards parameter as sent. Older
+	// daemons sized the session's engine from it; recovery no longer
+	// reads it, and it stays so recBegin keeps one shape across
+	// versions.
+	Shards int `json:"shards"`
 	// Aggregation is the context-aggregation mode ("shared"/"private");
 	// logs written before contexts existed omit it and replay as shared.
 	Aggregation string `json:"aggregation,omitempty"`
@@ -442,7 +446,7 @@ func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 }
 
 // replay feeds logged event records through a fresh engine and returns
-// the replayed event count plus the finished engine's merged snapshot.
+// the replayed event count plus the finished engine's snapshot.
 // The static column is not part of a snapshot, so the engine is built
 // without it.
 func (st *Store) replay(meta sessionMeta, events []wal.Record) (int64, *core.Snapshot, error) {
@@ -454,7 +458,6 @@ func (st *Store) replay(meta sessionMeta, events []wal.Record) (int64, *core.Sna
 		}
 	}
 	eng, err := engine.New(meta.Profile, engine.Options{
-		Workers:     meta.Shards,
 		Predictor:   meta.Predictor,
 		Aggregation: agg,
 	})

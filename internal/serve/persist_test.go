@@ -23,8 +23,8 @@ import (
 
 // durableConfig is testConfig plus a data directory with an aggressive
 // fsync policy (tests care about correctness, not write latency).
-func durableConfig(t testing.TB, shards int) Config {
-	cfg := testConfig(shards)
+func durableConfig(t testing.TB) Config {
+	cfg := testConfig()
 	cfg.DataDir = t.TempDir()
 	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncAlways}
 	return cfg
@@ -88,7 +88,7 @@ func referenceReport(t testing.TB, cfg Config, events []trace.Event) []byte {
 // restart — the recovered /v1/report is byte-identical, and the session
 // reappears idle-tier with the recovered marker.
 func TestDurableRestartReport(t *testing.T) {
-	cfg := durableConfig(t, 4)
+	cfg := durableConfig(t)
 	srv := startServer(t, cfg)
 	raw := kernelTrace(t, "fsm", "train", false)
 	if code, body := postTrace(t, srv, "/v1/ingest?session=dur-1&kernel=fsm", raw); code != 200 {
@@ -137,7 +137,7 @@ func TestDurableRestartReport(t *testing.T) {
 // offline profiler run over the same durable prefix, and the log gains
 // a terminal record so the next restart is cheap.
 func TestMidStreamRecovery(t *testing.T) {
-	cfg := durableConfig(t, 4)
+	cfg := durableConfig(t)
 	raw := kernelTrace(t, "typesum", "train", false)
 	events := traceEvents(t, raw)
 	prefix := events[:len(events)/2]
@@ -225,7 +225,7 @@ func TestMidStreamRecovery(t *testing.T) {
 // session to the idle tier (report released), and the next query
 // reloads it byte-identically from the checkpoint.
 func TestIdleEvictionAndReload(t *testing.T) {
-	cfg := durableConfig(t, 2)
+	cfg := durableConfig(t)
 	cfg.IdleAfter = 30 * time.Millisecond
 	cfg.CompactInterval = 10 * time.Millisecond
 	srv := startServer(t, cfg)
@@ -284,7 +284,7 @@ func TestIdleEvictionAndReload(t *testing.T) {
 // checkpoint was resident or reloaded from the log. Not skipped under
 // -short: `make race` runs it.
 func TestLifecycleReadersRace(t *testing.T) {
-	cfg := durableConfig(t, 2)
+	cfg := durableConfig(t)
 	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
 	cfg.IdleAfter = time.Millisecond
 	cfg.CompactInterval = time.Millisecond
@@ -388,7 +388,7 @@ func TestLifecycleReadersRace(t *testing.T) {
 // begin + checkpoint, and the compacted log still reproduces the
 // original report across a restart.
 func TestCompactionShrinksLog(t *testing.T) {
-	cfg := durableConfig(t, 2)
+	cfg := durableConfig(t)
 	cfg.CheckpointEvery = 1 // any finished log qualifies
 	// Long enough that the full (uncompacted) log is observable below
 	// before the first janitor pass rewrites it — ingest is fast enough
@@ -443,7 +443,7 @@ func TestCompactionShrinksLog(t *testing.T) {
 // retention cap dropped is still served from its on-disk checkpoint —
 // the deepest lifecycle tier.
 func TestCapEvictedSessionServedFromDisk(t *testing.T) {
-	cfg := durableConfig(t, 2)
+	cfg := durableConfig(t)
 	cfg.MaxSessions = 1
 	srv := startServer(t, cfg)
 
@@ -483,7 +483,7 @@ func TestDurableIngestOversizedChunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-event session")
 	}
-	cfg := durableConfig(t, 1)
+	cfg := durableConfig(t)
 	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
 	events := make([]trace.Event, wal.MaxEventsPerRecord+1000)
 	state := uint64(0x9e3779b97f4a7c15)
@@ -550,7 +550,7 @@ func TestDurableIngestOversizedChunk(t *testing.T) {
 // a 1-shard durable session at -fsync never — WAL encode, append,
 // engine — allocates nothing.
 func TestDurableIngestZeroAlloc(t *testing.T) {
-	cfg := durableConfig(t, 1)
+	cfg := durableConfig(t)
 	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
 	srv, err := NewServer(cfg)
 	if err != nil {
@@ -601,7 +601,7 @@ func walErrors(t testing.TB, srv *Server) int64 {
 // survives are counted in /metrics, not only printed to stderr.
 func TestPersistenceErrorsCounted(t *testing.T) {
 	t.Run("unrecoverable-log", func(t *testing.T) {
-		cfg := durableConfig(t, 2)
+		cfg := durableConfig(t)
 		if err := os.WriteFile(filepath.Join(cfg.DataDir, "garbage.wal"), []byte("not a session log"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -616,7 +616,7 @@ func TestPersistenceErrorsCounted(t *testing.T) {
 	t.Run("private-multi-context-checkpoint", func(t *testing.T) {
 		// A private session that carried two contexts has no merged
 		// snapshot (engine.ErrMultiContext), so its checkpoint fails.
-		srv := startServer(t, durableConfig(t, 2))
+		srv := startServer(t, durableConfig(t))
 		var buf bytes.Buffer
 		w, err := trace.NewBTR3Writer(&buf, trace.BTR2Options{})
 		if err != nil {

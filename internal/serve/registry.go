@@ -45,7 +45,7 @@ func (s SessionState) String() string {
 // single-shot), the ingest byte/event accounting and — when the daemon
 // runs with a data directory — the WAL handle. At the terminal
 // transition the engine is released and the session keeps only its
-// checkpoint, the engine's merged snapshot: every later read (report,
+// checkpoint, the engine's snapshot: every later read (report,
 // snapshot, group merge) assembles from it. A durable session's memory
 // tier is whether that checkpoint is resident (hot) or only in its log
 // (idle, reloaded on the next read).
@@ -53,7 +53,8 @@ type Session struct {
 	ID string
 	// Group, when non-empty, tags the session as one member of a
 	// PC-sharded collector group; /v1/snapshot?group merges all members
-	// (DESIGN.md §3g). Fixed at setup.
+	// (DESIGN.md §3g). Set before the session is published and never
+	// written again.
 	Group string
 
 	mu    sync.Mutex
@@ -61,7 +62,7 @@ type Session struct {
 	eng   *engine.Engine // the live run; nil once finished
 	// snap is the checkpoint, fixed at the terminal transition and
 	// never mutated, so readers share it. nil while active, while idle,
-	// and after a transition whose engine had no merged snapshot.
+	// and after a transition whose engine had no single snapshot.
 	snap *core.Snapshot
 	// static is the report's static prefilter column (ingest
 	// ?kernel=NAME), resident and dropped together with snap.
@@ -169,7 +170,7 @@ func (s *Session) failLocked(reason error) {
 }
 
 // terminateLocked is the terminal step complete and fail share (mu
-// held, engine drained): it keeps the engine's merged snapshot as the
+// held, engine drained): it keeps the engine's snapshot as the
 // session's checkpoint, releases the engine, and appends the
 // checkpoint (plus the byte/event totals) to the WAL as the terminal
 // record, closing the log. A persistence error does not fail the
@@ -306,17 +307,6 @@ func (s *Session) maybeCompact(checkpointEvery int64) bool {
 	return did
 }
 
-// queueDepths reports the shard queue depths of an active session (nil
-// once finished).
-func (s *Session) queueDepths() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != SessionActive {
-		return nil
-	}
-	return s.eng.QueueDepths()
-}
-
 // Registry tracks sessions by id, newest last. Finished sessions are
 // evicted oldest-first once more than the retention cap of them have
 // accumulated; active sessions never are and never count against the
@@ -346,12 +336,13 @@ func NewRegistry(cap int) *Registry {
 	return &Registry{byID: make(map[string]*Session), cap: cap}
 }
 
-// Begin registers a new active session. An empty id is assigned the
-// next free generated id (generation skips ids already taken by a live
-// registry entry or reserved on disk, so a client that registered
-// "s-1" itself never causes a spurious conflict); a duplicate
-// user-supplied id is an error.
-func (r *Registry) Begin(id string, eng *engine.Engine) (*Session, error) {
+// Begin registers a new active session in group ("" for none). An
+// empty id is assigned the next free generated id (generation skips
+// ids already taken by a live registry entry or reserved on disk, so a
+// client that registered "s-1" itself never causes a spurious
+// conflict); a duplicate user-supplied id is an error. The group is
+// set before the session is published, so readers need no lock for it.
+func (r *Registry) Begin(id, group string, eng *engine.Engine) (*Session, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if id == "" {
@@ -370,7 +361,7 @@ func (r *Registry) Begin(id string, eng *engine.Engine) (*Session, error) {
 			return nil, fmt.Errorf("serve: session %q already exists in the session store", id)
 		}
 	}
-	s := &Session{ID: id, state: SessionActive, eng: eng, lastTouch: time.Now()}
+	s := &Session{ID: id, Group: group, state: SessionActive, eng: eng, lastTouch: time.Now()}
 	r.byID[id] = s
 	r.order = append(r.order, id)
 	r.evictLocked()
@@ -466,18 +457,4 @@ func (r *Registry) List() []*Session {
 		out = append(out, r.byID[id])
 	}
 	return out
-}
-
-// ActiveQueueDepths sums shard queue depths across active sessions,
-// per shard index (for /metrics).
-func (r *Registry) ActiveQueueDepths(nShards int) []int {
-	depths := make([]int, nShards)
-	for _, s := range r.List() {
-		for i, d := range s.queueDepths() {
-			if i < nShards {
-				depths[i] += d
-			}
-		}
-	}
-	return depths
 }

@@ -49,20 +49,20 @@ func checkpoint(t *testing.T, s *Session) *core.Snapshot {
 // taken ids instead of erroring.
 func TestBeginGeneratedIDSkipsTaken(t *testing.T) {
 	r := NewRegistry(10)
-	if _, err := r.Begin("s-1", regEngine(t)); err != nil {
+	if _, err := r.Begin("s-1", "", regEngine(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Begin("s-3", regEngine(t)); err != nil {
+	if _, err := r.Begin("s-3", "", regEngine(t)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := r.Begin("", regEngine(t))
+	s, err := r.Begin("", "", regEngine(t))
 	if err != nil {
 		t.Fatalf("generated id collided with user-supplied ones: %v", err)
 	}
 	if s.ID != "s-2" {
 		t.Errorf("first generated id = %q, want s-2", s.ID)
 	}
-	s, err = r.Begin("", regEngine(t))
+	s, err = r.Begin("", "", regEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,24 +77,24 @@ func TestBeginGeneratedIDSkipsTaken(t *testing.T) {
 func TestBeginRespectsReservations(t *testing.T) {
 	r := NewRegistry(10)
 	r.Reserved = func(id string) bool { return id == "s-1" || id == "old" }
-	s, err := r.Begin("", regEngine(t))
+	s, err := r.Begin("", "", regEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.ID != "s-2" {
 		t.Errorf("generated id = %q, want s-2 (s-1 is reserved)", s.ID)
 	}
-	if _, err := r.Begin("old", regEngine(t)); err == nil {
+	if _, err := r.Begin("old", "", regEngine(t)); err == nil {
 		t.Error("Begin accepted an id reserved in the session store")
 	}
 }
 
 func TestBeginDuplicateUserID(t *testing.T) {
 	r := NewRegistry(10)
-	if _, err := r.Begin("mine", regEngine(t)); err != nil {
+	if _, err := r.Begin("mine", "", regEngine(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Begin("mine", regEngine(t)); err == nil {
+	if _, err := r.Begin("mine", "", regEngine(t)); err == nil {
 		t.Error("Begin accepted a duplicate user-supplied id")
 	}
 }
@@ -106,7 +106,7 @@ func TestEvictionIgnoresActiveSessions(t *testing.T) {
 	r := NewRegistry(2)
 	var finished []*Session
 	for i := 0; i < 2; i++ {
-		s, err := r.Begin(fmt.Sprintf("fin-%d", i), regEngine(t))
+		s, err := r.Begin(fmt.Sprintf("fin-%d", i), "", regEngine(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestEvictionIgnoresActiveSessions(t *testing.T) {
 	// Three concurrent active sessions: under the buggy accounting
 	// (5 sessions > cap 2) these evicted the finished pair.
 	for i := 0; i < 3; i++ {
-		if _, err := r.Begin(fmt.Sprintf("act-%d", i), regEngine(t)); err != nil {
+		if _, err := r.Begin(fmt.Sprintf("act-%d", i), "", regEngine(t)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestEvictionIgnoresActiveSessions(t *testing.T) {
 	// sweep runs on the next Begin) and the two oldest finished must go,
 	// actives untouched.
 	for i := 2; i < 4; i++ {
-		s, err := r.Begin(fmt.Sprintf("fin-%d", i), regEngine(t))
+		s, err := r.Begin(fmt.Sprintf("fin-%d", i), "", regEngine(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestEvictionIgnoresActiveSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.Begin("act-3", regEngine(t)); err != nil {
+	if _, err := r.Begin("act-3", "", regEngine(t)); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"fin-0", "fin-1"} {
@@ -168,7 +168,7 @@ func TestNewRegistryClampsCap(t *testing.T) {
 	for _, cap := range []int{0, -3} {
 		r := NewRegistry(cap)
 		for i := 0; i < 2; i++ {
-			s, err := r.Begin(fmt.Sprintf("s%d", i), regEngine(t))
+			s, err := r.Begin(fmt.Sprintf("s%d", i), "", regEngine(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestNewRegistryClampsCap(t *testing.T) {
 			}
 		}
 		// The sweep runs on the next Begin.
-		trigger, err := r.Begin("trigger", regEngine(t))
+		trigger, err := r.Begin("trigger", "", regEngine(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestNewRegistryClampsCap(t *testing.T) {
 func TestLifecycleSingleShot(t *testing.T) {
 	t.Run("fail then fail keeps the first reason", func(t *testing.T) {
 		r := NewRegistry(4)
-		s, err := r.Begin("", regEngine(t))
+		s, err := r.Begin("", "", regEngine(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestLifecycleSingleShot(t *testing.T) {
 
 	t.Run("complete after fail reports the original failure", func(t *testing.T) {
 		r := NewRegistry(4)
-		s, err := r.Begin("", regEngine(t))
+		s, err := r.Begin("", "", regEngine(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestLifecycleSingleShot(t *testing.T) {
 
 	t.Run("complete is idempotent", func(t *testing.T) {
 		r := NewRegistry(4)
-		s, err := r.Begin("", regEngine(t))
+		s, err := r.Begin("", "", regEngine(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestLifecycleSingleShot(t *testing.T) {
 
 	t.Run("fail after complete is a no-op", func(t *testing.T) {
 		r := NewRegistry(4)
-		s, err := r.Begin("", regEngine(t))
+		s, err := r.Begin("", "", regEngine(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,8 +314,8 @@ func TestFinishedSessionIsItsCheckpoint(t *testing.T) {
 		{"fail", func(s *Session) error { s.fail(errors.New("client hung up")); return nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := startServer(t, testConfig(1))
-			s, err := srv.registry.Begin("fin", regEngine(t))
+			srv := startServer(t, testConfig())
+			s, err := srv.registry.Begin("fin", "", regEngine(t))
 			if err != nil {
 				t.Fatal(err)
 			}

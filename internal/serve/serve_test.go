@@ -91,10 +91,9 @@ func marshalReport(t testing.TB, rep *core.Report) []byte {
 
 // testConfig is the shared profiling setup of the end-to-end tests:
 // small slices so the kernel traces produce a few hundred of them.
-func testConfig(shards int) Config {
+func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Addr = "127.0.0.1:0"
-	cfg.Shards = shards
 	cfg.Profile.SliceSize = 5000
 	cfg.Profile.ExecThreshold = 20
 	cfg.DrainTimeout = 5 * time.Second
@@ -150,21 +149,22 @@ func get(t testing.TB, srv *Server, path string) (int, []byte) {
 
 // TestEndToEndMatchesOffline is the subsystem's central claim: for a
 // fixed trace, the daemon's /v1/report is byte-identical to the
-// offline profiler at every shard count, plain or gzip transport.
+// offline profiler at every shards session parameter, plain or gzip
+// transport.
 func TestEndToEndMatchesOffline(t *testing.T) {
 	raw := kernelTrace(t, "fsm", "train", false)
-	want := offlineReportJSON(t, raw, testConfig(1).Profile, DefaultConfig().Predictor)
+	want := offlineReportJSON(t, raw, testConfig().Profile, DefaultConfig().Predictor)
 
 	for _, shards := range []int{1, 4, 8} {
 		for _, compressed := range []bool{false, true} {
 			name := fmt.Sprintf("shards=%d/gzip=%v", shards, compressed)
 			t.Run(name, func(t *testing.T) {
-				srv := startServer(t, testConfig(shards))
+				srv := startServer(t, testConfig())
 				payload := raw
 				if compressed {
 					payload = kernelTrace(t, "fsm", "train", true)
 				}
-				status, body := postTrace(t, srv, "/v1/ingest?session=e2e", payload)
+				status, body := postTrace(t, srv, fmt.Sprintf("/v1/ingest?session=e2e&shards=%d", shards), payload)
 				if status != http.StatusOK {
 					t.Fatalf("ingest status %d: %s", status, body)
 				}
@@ -187,7 +187,7 @@ func TestEndToEndMatchesOffline(t *testing.T) {
 // and chunk sizes not aligned to the slice size.
 func TestIngestBTR2MatchesOffline(t *testing.T) {
 	raw := kernelTrace(t, "fsm", "train", false)
-	want := offlineReportJSON(t, raw, testConfig(1).Profile, DefaultConfig().Predictor)
+	want := offlineReportJSON(t, raw, testConfig().Profile, DefaultConfig().Predictor)
 
 	// Re-encode the same events as BTR2.
 	rd, err := trace.OpenReader(bytes.NewReader(raw))
@@ -213,7 +213,7 @@ func TestIngestBTR2MatchesOffline(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			srv := startServer(t, testConfig(4))
+			srv := startServer(t, testConfig())
 			status, body := postTrace(t, srv, "/v1/ingest?session=b2", buf.Bytes())
 			if status != http.StatusOK {
 				t.Fatalf("ingest status %d: %s", status, body)
@@ -235,9 +235,9 @@ func TestIngestBTR2MatchesOffline(t *testing.T) {
 // profiler produces.
 func TestIngestHammer(t *testing.T) {
 	raw := kernelTrace(t, "typesum", "train", false)
-	want := offlineReportJSON(t, raw, testConfig(1).Profile, DefaultConfig().Predictor)
+	want := offlineReportJSON(t, raw, testConfig().Profile, DefaultConfig().Predictor)
 
-	srv := startServer(t, testConfig(4))
+	srv := startServer(t, testConfig())
 	base := "http://" + srv.Addr()
 	const sessions = 6
 	var wg sync.WaitGroup
@@ -300,7 +300,7 @@ func TestIngestHammer(t *testing.T) {
 }
 
 func TestIngestErrors(t *testing.T) {
-	srv := startServer(t, testConfig(2))
+	srv := startServer(t, testConfig())
 
 	t.Run("empty body", func(t *testing.T) {
 		status, body := postTrace(t, srv, "/v1/ingest?session=empty", nil)
@@ -355,7 +355,7 @@ func TestIngestErrors(t *testing.T) {
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
-	srv := startServer(t, testConfig(2))
+	srv := startServer(t, testConfig())
 	if status, body := get(t, srv, "/healthz"); status != http.StatusOK || !strings.Contains(string(body), "ok") {
 		t.Fatalf("healthz: %d %q", status, body)
 	}
@@ -373,8 +373,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"twodprof_slices_completed_total",
 		"twodprof_sessions_active",
 		"twodprof_sessions_total",
-		"twodprof_shard_queue_depth{shard=\"0\"}",
-		"twodprof_shard_queue_depth{shard=\"1\"}",
 	} {
 		if !strings.Contains(text, key) {
 			t.Errorf("metrics output missing %s:\n%s", key, text)
@@ -396,8 +394,69 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestSessionGroupRace: a session's group is fixed before the session
+// is published, so group snapshot merges and session listings that run
+// beside group ingests read it without a data race (run under -race).
+func TestSessionGroupRace(t *testing.T) {
+	srv := startServer(t, testConfig())
+	base := "http://" + srv.Addr()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, path := range []string{"/v1/snapshot?group=g", "/v1/sessions"} {
+				resp, err := http.Get(base + path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}
+	}()
+	const sessions = 30
+	for i := 0; i < sessions; i++ {
+		// Disjoint PCs per member, so the group stays mergeable.
+		var buf bytes.Buffer
+		w, err := trace.NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 2000; j++ {
+			w.Branch(trace.PC(0x10000*(i+1)+4*(j%50)), j%3 == 0)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if status, body := postTrace(t, srv, fmt.Sprintf("/v1/ingest?session=g%d&group=g", i), buf.Bytes()); status != http.StatusOK {
+			t.Fatalf("ingest %d: %d %s", i, status, body)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	status, body := get(t, srv, "/v1/snapshot?group=g")
+	if status != http.StatusOK {
+		t.Fatalf("group snapshot: %d %s", status, body)
+	}
+	var snap core.Snapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.TotalExec != sessions*2000 {
+		t.Errorf("group snapshot counts %d branches, want %d", snap.TotalExec, sessions*2000)
+	}
+}
+
 func TestGracefulShutdownDrains(t *testing.T) {
-	cfg := testConfig(2)
+	cfg := testConfig()
 	srv := startServer(t, cfg)
 
 	// Stream a session through a deliberately slow pipe while shutdown

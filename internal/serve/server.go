@@ -408,7 +408,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.metrics.WriteTo(w, s.registry.ActiveQueueDepths(s.cfg.Shards))
+	s.metrics.Render(w)
 }
 
 // writeJSON writes v as a JSON response.

@@ -16,7 +16,7 @@ import (
 // match running the pipeline directly; sessions without the parameter
 // stay unannotated (wire format unchanged).
 func TestIngestKernelAnnotation(t *testing.T) {
-	srv := startServer(t, testConfig(2))
+	srv := startServer(t, testConfig())
 	raw := kernelTrace(t, "typesum", "train", false)
 
 	if status, body := postTrace(t, srv, "/v1/ingest?session=ann&kernel=typesum", raw); status != http.StatusOK {
@@ -55,7 +55,7 @@ func TestIngestKernelAnnotation(t *testing.T) {
 }
 
 func TestIngestUnknownKernel(t *testing.T) {
-	srv := startServer(t, testConfig(2))
+	srv := startServer(t, testConfig())
 	status, body := postTrace(t, srv, "/v1/ingest?session=x&kernel=nope", nil)
 	if status != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400; body %s", status, body)

@@ -37,7 +37,7 @@ func dialWire(t testing.TB, srv *Server) *wire.Client {
 func TestWireIngestMatchesHTTP(t *testing.T) {
 	raw := kernelTrace(t, "fsm", "train", false)
 	events := traceEvents(t, raw)
-	srv := startWireServer(t, testConfig(2))
+	srv := startWireServer(t, testConfig())
 
 	if status, body := postTrace(t, srv, "/v1/ingest?session=http", raw); status != http.StatusOK {
 		t.Fatalf("http ingest status %d: %s", status, body)
@@ -71,15 +71,22 @@ func TestWireIngestMatchesHTTP(t *testing.T) {
 
 // TestWireBeginValidation maps setup refusals onto wire error codes.
 func TestWireBeginValidation(t *testing.T) {
-	srv := startWireServer(t, testConfig(1))
+	srv := startWireServer(t, testConfig())
 	c := dialWire(t, srv)
 
-	if _, err := c.Begin(wire.BeginParams{ID: "x", Metric: "nope"}); err == nil {
-		t.Fatal("bad metric accepted")
-	} else {
-		var werr *wire.Error
-		if !errors.As(err, &werr) || werr.Code != wire.CodeBadRequest {
-			t.Fatalf("bad metric error: %v", err)
+	// The wire front refuses what the HTTP front answers 400 to.
+	for _, p := range []wire.BeginParams{
+		{ID: "x", Metric: "nope"},
+		{ID: "neg-slice", SliceSize: -5},
+		{ID: "neg-shards", Shards: -1},
+	} {
+		if _, err := c.Begin(p); err == nil {
+			t.Fatalf("bad begin %+v accepted", p)
+		} else {
+			var werr *wire.Error
+			if !errors.As(err, &werr) || werr.Code != wire.CodeBadRequest {
+				t.Fatalf("bad begin %+v: %v", p, err)
+			}
 		}
 	}
 
@@ -105,7 +112,7 @@ func TestWireBeginValidation(t *testing.T) {
 // 200 through overload and drain, readiness flips to 503, and /healthz
 // aliases readiness.
 func TestHealthzSplit(t *testing.T) {
-	cfg := testConfig(1)
+	cfg := testConfig()
 	cfg.MaxActive = 1
 	srv := startWireServer(t, cfg)
 
@@ -174,7 +181,7 @@ func TestHealthzSplit(t *testing.T) {
 // connections outlive Shutdown, so new begins on them must be refused
 // explicitly.
 func TestWireDrainRefusesBegins(t *testing.T) {
-	srv := startWireServer(t, testConfig(1))
+	srv := startWireServer(t, testConfig())
 	c := dialWire(t, srv)
 
 	srv.draining.Store(true)
@@ -195,7 +202,7 @@ func TestWireDrainRefusesBegins(t *testing.T) {
 func TestSnapshotEndpoint(t *testing.T) {
 	raw := kernelTrace(t, "fsm", "train", false)
 	events := traceEvents(t, raw)
-	srv := startWireServer(t, testConfig(1))
+	srv := startWireServer(t, testConfig())
 	c := dialWire(t, srv)
 
 	// Partition the stream by PC parity into a two-collector group.

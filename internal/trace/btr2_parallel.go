@@ -17,9 +17,7 @@ import (
 //	frame reader ─→ bounded worker pool (decode) ─→ reorder ─→ sink
 //
 // The sink sees exactly the sequential event stream; only the decode
-// runs concurrently. Consumers that parallelise further (PC-sharded
-// profiling) layer their own fan-out behind the sink (see
-// internal/engine).
+// runs concurrently.
 //
 // Chunk frames (payload backing arrays included) and decode buffers are
 // recycled through sync.Pools, so the steady state allocates nothing

@@ -40,8 +40,8 @@ const Version = 2
 // DefaultWindow is the per-stream credit window in chunks: a client may
 // have this many chunks unacknowledged before it must wait. The window
 // bounds per-stream server memory (window × chunk size) and is what
-// carries engine backpressure to the client — a stalled shard stops the
-// acks, which stops the sends.
+// carries engine backpressure to the client — a stalled session stops
+// the acks, which stops the sends.
 const DefaultWindow = 8
 
 // MaxChunkEvents caps the events in a single chunk frame.
@@ -265,7 +265,9 @@ type BeginParams struct {
 	Predictor string `json:"predictor,omitempty"`
 	// SliceSize overrides the profiling slice size.
 	SliceSize int64 `json:"sliceSize,omitempty"`
-	// Shards overrides the per-session engine worker count.
+	// Shards is accepted for older clients and the router, which still
+	// send it: the server refuses a value outside 1..128 and otherwise
+	// ignores it (a session profiles on one goroutine).
 	Shards int `json:"shards,omitempty"`
 	// Aggregation selects the multi-context aggregation mode ("shared"
 	// or "private"; "" means shared).

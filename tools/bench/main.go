@@ -70,9 +70,10 @@ func main() {
 // tables records the workloads and builds the row and guard tables.
 // The guarded rows run the fsm/train kernel. The record-only sweeps
 // run bsearch/train, a dense hot loop, and the wide synthetic
-// population, at the worker and shard counts a multi-core host would
-// use, and the record-only BTR3 rows run ext-mt's multi-context
-// streams. The transport rows share the returned daemon.
+// population, at the worker counts (and daemon shards parameters) a
+// multi-core host would use, and the record-only BTR3 rows run
+// ext-mt's multi-context streams. The transport rows share the
+// returned daemon.
 func tables() (rows []*row, guards []*guard, tr *transport) {
 	fsm := kernel("fsm", "train", true)
 	bsearch := kernel("bsearch", "train", false)
