@@ -152,6 +152,35 @@ func TestCLIProfile2dJSON(t *testing.T) {
 	}
 }
 
+// TestCLIProfile2dRejectsNonFiniteThresholds: a NaN or infinite
+// threshold must fail before any profiling, naming the field, and print
+// no report (it used to surface only when the JSON report was rendered,
+// or to be dropped in favour of the default).
+func TestCLIProfile2dRejectsNonFiniteThresholds(t *testing.T) {
+	p2d := buildCmd(t, "profile2d")
+	for _, tc := range []struct{ flag, value, field string }{
+		{"-meanth", "NaN", "MeanTh"},
+		{"-meanth", "Inf", "MeanTh"},
+		{"-stdth", "NaN", "StdTh"},
+		{"-stdth", "Inf", "StdTh"},
+		{"-pamth", "NaN", "PAMTh"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(p2d, "-kernel", "fsm", "-input", "train", "-json", tc.flag, tc.value)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("%s %s: exited 0\n%s", tc.flag, tc.value, stdout.Bytes())
+			continue
+		}
+		if !strings.Contains(stderr.String(), tc.field) {
+			t.Errorf("%s %s: error does not name %s: %s", tc.flag, tc.value, tc.field, stderr.Bytes())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s %s: printed a report:\n%s", tc.flag, tc.value, stdout.Bytes())
+		}
+	}
+}
+
 // TestCLIProfiledEndToEnd drives the online path with the real
 // binaries: profiled serves, tracegen streams a generated trace at it
 // with -post (writing the same trace to disk), and the daemon's

@@ -92,11 +92,13 @@ func main() {
 	if *execTh >= 0 {
 		cfg.ExecThreshold = *execTh
 	}
+	// A negative threshold keeps the default; anything else, NaN
+	// included, reaches the config and its validation.
 	cfg.MeanTh = *meanTh
-	if *stdTh >= 0 {
+	if !(*stdTh < 0) {
 		cfg.StdTh = *stdTh
 	}
-	if *pamTh >= 0 {
+	if !(*pamTh < 0) {
 		cfg.PAMTh = *pamTh
 	}
 	cfg.UseFIR = !*noFIR

@@ -10,6 +10,8 @@
 // argues is insufficient.
 package core
 
+import "math"
+
 // Metric selects what per-slice quantity the profiler records for each
 // branch.
 type Metric int
@@ -94,16 +96,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports a non-nil error when the configuration is unusable.
+// Validate reports a non-nil error, naming the offending field, when
+// the configuration is unusable. The thresholds must be finite: a NaN
+// or infinite one would only surface once the report is rendered.
 func (c Config) Validate() error {
 	switch {
 	case c.SliceSize <= 0:
 		return errConfig("SliceSize must be positive")
 	case c.ExecThreshold < 0:
 		return errConfig("ExecThreshold must be non-negative")
-	case c.StdTh < 0:
-		return errConfig("StdTh must be non-negative")
-	case c.PAMTh < 0 || c.PAMTh >= 0.5:
+	case math.IsNaN(c.MeanTh) || math.IsInf(c.MeanTh, 0):
+		return errConfig("MeanTh must be finite")
+	case !(c.StdTh >= 0) || math.IsInf(c.StdTh, 1):
+		return errConfig("StdTh must be finite and non-negative")
+	case !(c.PAMTh >= 0 && c.PAMTh < 0.5):
 		return errConfig("PAMTh must be in [0, 0.5)")
 	case c.SliceStride < 0:
 		return errConfig("SliceStride must be non-negative")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"twodprof/internal/bpred"
@@ -10,20 +11,62 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	nan, inf := math.NaN(), math.Inf(1)
+	valid := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"defaults", func(*Config) {}},
+		{"explicit MeanTh", func(c *Config) { c.MeanTh = 97.5 }},
+		{"zero ExecThreshold", func(c *Config) { c.ExecThreshold = 0 }},
+		{"zero StdTh", func(c *Config) { c.StdTh = 0 }},
+		{"zero PAMTh", func(c *Config) { c.PAMTh = 0 }},
+		{"PAMTh just below 0.5", func(c *Config) { c.PAMTh = 0.49 }},
+		{"SliceStride 1", func(c *Config) { c.SliceStride = 1 }},
 	}
-	bad := []Config{
-		{SliceSize: 0, PAMTh: 0.1},
-		{SliceSize: 10, ExecThreshold: -1},
-		{SliceSize: 10, StdTh: -1},
-		{SliceSize: 10, PAMTh: 0.5},
-		{SliceSize: 10, PAMTh: -0.1},
+	for _, tc := range valid {
+		t.Run("accepts "+tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.set(&cfg)
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+		})
 	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
+
+	invalid := []struct {
+		field, value string
+		set          func(*Config)
+	}{
+		{"SliceSize", "0", func(c *Config) { c.SliceSize = 0 }},
+		{"SliceSize", "-1", func(c *Config) { c.SliceSize = -1 }},
+		{"ExecThreshold", "-1", func(c *Config) { c.ExecThreshold = -1 }},
+		{"MeanTh", "NaN", func(c *Config) { c.MeanTh = nan }},
+		{"MeanTh", "+Inf", func(c *Config) { c.MeanTh = inf }},
+		{"MeanTh", "-Inf", func(c *Config) { c.MeanTh = -inf }},
+		{"StdTh", "-1", func(c *Config) { c.StdTh = -1 }},
+		{"StdTh", "NaN", func(c *Config) { c.StdTh = nan }},
+		{"StdTh", "+Inf", func(c *Config) { c.StdTh = inf }},
+		{"StdTh", "-Inf", func(c *Config) { c.StdTh = -inf }},
+		{"PAMTh", "-0.1", func(c *Config) { c.PAMTh = -0.1 }},
+		{"PAMTh", "0.5", func(c *Config) { c.PAMTh = 0.5 }},
+		{"PAMTh", "NaN", func(c *Config) { c.PAMTh = nan }},
+		{"PAMTh", "+Inf", func(c *Config) { c.PAMTh = inf }},
+		{"PAMTh", "-Inf", func(c *Config) { c.PAMTh = -inf }},
+		{"SliceStride", "-1", func(c *Config) { c.SliceStride = -1 }},
+	}
+	for _, tc := range invalid {
+		t.Run("rejects "+tc.field+"="+tc.value, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.set(&cfg)
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("error %q does not name %s", err, tc.field)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"twodprof/internal/bpred"
 	"twodprof/internal/trace"
 )
@@ -8,19 +10,19 @@ import (
 // record holds the seven per-branch variables of Figure 9a. Everything
 // the three input-dependence tests need is maintained incrementally; the
 // profiler never stores per-slice histories (except for explicitly
-// watched branches).
+// watched branches). The fields every event touches come first.
 type record struct {
-	pc      trace.PC // the branch site (for the active-set walk)
+	pc      trace.PC // the branch site (for snapshots and index hits)
+	exec    int64    // exec_counter within the current slice
+	hit     int64    // predict_counter within the current slice
+	totExec int64    // lifetime executions (for reporting)
+	totHit  int64    // lifetime hits (for reporting)
 	n       int64    // N:    number of contributing slices
 	spa     float64  // SPA:  sum of (filtered) slice accuracies
 	sspa    float64  // SSPA: sum of squares of slice accuracies
 	npam    int64    // NPAM: slices whose accuracy exceeded the running mean
-	exec    int64    // exec_counter within the current slice
-	hit     int64    // predict_counter within the current slice
 	lpa     float64  // LPA: previous slice's filtered accuracy
 	hasLPA  bool     // whether lpa holds a real previous sample
-	totExec int64    // lifetime executions (for reporting)
-	totHit  int64    // lifetime hits (for reporting)
 }
 
 // SlicePoint is one sample of a watched branch's per-slice metric,
@@ -49,17 +51,17 @@ type Profiler struct {
 	// shard profiler, for report metadata (pred itself is nil there).
 	extPredName string
 
-	recs map[trace.PC]*record
-	// dense caches record pointers in a flat window over the PC range —
-	// branch sites cluster tightly, so the steady-state lookup is one
-	// array index instead of a map probe. The map stays canonical (the
-	// window is only a cache, rebuilt through lookupSlow); see lookup.
-	dense     []*record
-	denseBase trace.PC
-	// active lists the records touched in the current slice, so slice
-	// boundaries cost O(branches executed in the slice) instead of
-	// O(all static branches ever seen).
-	active []*record
+	// recs holds one record per static branch, indexed by the branch's
+	// dense id: the order in which its PC was first seen. ids is the
+	// PC → id index (see applyBits), so the per-event cost does not depend
+	// on where the branches sit in the binary.
+	recs  []record
+	ids   []uint32
+	shift uint8 // 64 - log2(len(ids)): the hash's bits that pick a slot
+	// active lists the ids of the records touched in the current slice,
+	// so slice boundaries cost O(branches executed in the slice) instead
+	// of O(all static branches ever seen).
+	active []uint32
 
 	sliceExec int64 // retired branches in the current slice
 	sliceHit  int64 // metric numerator for the whole program in the slice
@@ -93,12 +95,17 @@ func NewProfiler(cfg Config, pred bpred.Predictor) (*Profiler, error) {
 	if pred != nil {
 		pred.Reset()
 	}
-	return &Profiler{
-		cfg:   cfg,
-		pred:  pred,
-		recs:  make(map[trace.PC]*record),
-		watch: make(map[trace.PC][]SlicePoint),
-	}, nil
+	p := newProfiler(cfg)
+	p.pred = pred
+	return p, nil
+}
+
+// newProfiler returns a profiler of cfg with no records; each
+// constructor then sets how the profiler is fed.
+func newProfiler(cfg Config) *Profiler {
+	p := &Profiler{cfg: cfg, watch: make(map[trace.PC][]SlicePoint)}
+	p.resize(minIDs)
+	return p
 }
 
 // MustNewProfiler is NewProfiler but panics on error, for use with known
@@ -135,12 +142,9 @@ func NewHardwareProfiler(cfg Config) (*Profiler, error) {
 	if cfg.Metric != MetricAccuracy {
 		return nil, errConfig("hardware profiler requires MetricAccuracy")
 	}
-	return &Profiler{
-		cfg:      cfg,
-		external: true,
-		recs:     make(map[trace.PC]*record),
-		watch:    make(map[trace.PC][]SlicePoint),
-	}, nil
+	p := newProfiler(cfg)
+	p.external = true
+	return p, nil
 }
 
 // Branch implements trace.Sink. For every dynamic branch the profiler
@@ -159,7 +163,7 @@ func (p *Profiler) Branch(pc trace.PC, taken bool) {
 	case MetricBias:
 		hit = taken
 	}
-	p.record(pc, taken, hit)
+	p.record(pc, hit)
 }
 
 // BranchBatchSoA implements trace.SoABatchSink: a whole decoded batch
@@ -223,15 +227,28 @@ func (p *Profiler) applyBitsSliced(pcs []trace.PC, bits []uint64, bitOff int) {
 	}
 }
 
-// applyBits is the statistics inner loop: per event, one dense-window
-// record lookup and six counter bumps, branchless on the hit bit (the
-// whole-program counters accumulate locally and fold in once).
+// applyBits is the statistics inner loop: per event, one index probe
+// and four counter bumps, branchless on the hit bit (the whole-program
+// counters accumulate locally and fold in once).
 func (p *Profiler) applyBits(pcs []trace.PC, bits []uint64, bitOff int) {
 	var hitSum int64
 	for i, pc := range pcs {
-		r := p.lookup(pc)
+		// Probe from pc's home slot to its id. An empty slot means pc
+		// is new; only then does the loop call out.
+		var id uint32
+		for s, mask := p.home(pc), uint64(len(p.ids)-1); ; s = (s + 1) & mask {
+			v := p.ids[s]
+			if v == 0 {
+				id = p.add(pc)
+				break
+			}
+			if id = v - 1; p.recs[id].pc == pc {
+				break
+			}
+		}
+		r := &p.recs[id]
 		if r.exec == 0 {
-			p.active = append(p.active, r)
+			p.active = append(p.active, id)
 		}
 		j := bitOff + i
 		h := int64(bits[j>>6] >> uint(j&63) & 1)
@@ -256,70 +273,62 @@ func (p *Profiler) BranchOutcome(pc trace.PC, taken, correct bool) {
 	if p.cfg.Metric == MetricBias {
 		hit = taken
 	}
-	p.record(pc, taken, hit)
+	p.record(pc, hit)
 }
 
-// denseAlign rounds the dense window's anchor down so sites slightly
-// below the first PC seen still land inside it; denseMax bounds the
-// window at 64 K sites (512 KB of pointers), far above any real static
-// branch footprint.
+// The index is open-addressed with linear probing over a power-of-two
+// table of at least minIDs slots. A slot holds id+1, so 0 means empty;
+// a probe compares against the record's own PC, which keeps a slot at
+// 4 bytes but costs a record load per probe. The table is kept at most
+// a quarter full, so that random PCs, whose home slots collide, rarely
+// probe twice. hashMul is 2^64 divided by the golden ratio: the
+// product's top bits, which pick the slot, depend on every bit of the
+// PC.
 const (
-	denseAlign = 1 << 12
-	denseMax   = 1 << 16
+	minIDs  = 64
+	hashMul = 0x9e3779b97f4a7c15
 )
 
-// lookup returns pc's record, creating it on first sight. The fast path
-// is a single bounds-checked index into the dense window (an out-of-
-// window PC wraps negative and fails the bound, falling through).
-func (p *Profiler) lookup(pc trace.PC) *record {
-	if off := uint64(pc - p.denseBase); off < uint64(len(p.dense)) {
-		if r := p.dense[off]; r != nil {
-			return r
-		}
+// home returns pc's home slot in the index.
+func (p *Profiler) home(pc trace.PC) uint64 { return uint64(pc) * hashMul >> (p.shift & 63) }
+
+// add gives pc the next id and a new record, growing the index first
+// when the record would fill more than a quarter of it.
+func (p *Profiler) add(pc trace.PC) uint32 {
+	id := uint32(len(p.recs))
+	p.recs = append(p.recs, record{pc: pc})
+	if 4*len(p.recs) > len(p.ids) {
+		p.resize(2 * len(p.ids))
+	} else {
+		p.place(id)
 	}
-	return p.lookupSlow(pc)
+	return id
 }
 
-// lookupSlow is the map path: find or create the record, then cache it
-// in the dense window when the PC fits (growing the window by doubling
-// up to denseMax).
-func (p *Profiler) lookupSlow(pc trace.PC) *record {
-	r := p.recs[pc]
-	if r == nil {
-		r = &record{pc: pc}
-		p.recs[pc] = r
+// resize replaces the index with an empty one of n slots (a power of
+// two) and places every record in it.
+func (p *Profiler) resize(n int) {
+	p.ids = make([]uint32, n)
+	p.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	for id := range p.recs {
+		p.place(uint32(id))
 	}
-	if p.dense == nil {
-		p.denseBase = pc &^ (denseAlign - 1)
-		p.dense = make([]*record, denseAlign)
-	}
-	if off := uint64(pc - p.denseBase); off < denseMax {
-		for uint64(len(p.dense)) <= off {
-			p.dense = append(p.dense, make([]*record, len(p.dense))...)
-		}
-		p.dense[off] = r
-	}
-	return r
 }
 
-func (p *Profiler) record(pc trace.PC, taken, hit bool) {
-	r := p.lookup(pc)
-	if r.exec == 0 {
-		p.active = append(p.active, r)
+// place stores id in the first empty slot at or after its PC's home.
+func (p *Profiler) place(id uint32) {
+	mask := uint64(len(p.ids) - 1)
+	s := p.home(p.recs[id].pc)
+	for p.ids[s] != 0 {
+		s = (s + 1) & mask
 	}
-	h := int64(b2i(hit))
-	r.exec++
-	r.totExec++
-	p.sliceExec++
-	p.totalExec++
-	r.hit += h
-	r.totHit += h
-	p.sliceHit += h
-	p.totalHit += h
+	p.ids[s] = id + 1
+}
 
-	if !p.manualSlice && p.sliceExec >= p.cfg.SliceSize {
-		p.endSlice()
-	}
+// record is the per-event path: one event through the batch path.
+func (p *Profiler) record(pc trace.PC, hit bool) {
+	pcs, hits := [1]trace.PC{pc}, [1]uint64{uint64(b2i(hit))}
+	p.applyBitsSliced(pcs[:], hits[:], 0)
 }
 
 // b2i converts a bool to 0/1 without a branch (the compiler lowers it
@@ -359,7 +368,8 @@ func (p *Profiler) endSlice() {
 	if p.sliceExec > 0 {
 		overall = p.metricOf(p.sliceHit, p.sliceExec)
 	}
-	for _, r := range p.active {
+	for _, id := range p.active {
+		r := &p.recs[id]
 		pc := r.pc
 		// The paper's rule: a branch contributes a sample iff it executed
 		// at least exec_threshold times in the slice. Active records
@@ -456,16 +466,12 @@ func (p *Profiler) Finish() *Report {
 }
 
 // Reset returns the profiler to its initial state so experiment loops
-// can reuse its allocations (the record map, the active-set slice and
-// the predictor tables). Watched branches stay watched; their recorded
-// series are discarded.
+// can reuse its allocations (the records, the index, the active-set
+// slice and the predictor tables). Watched branches stay watched; their
+// recorded series are discarded.
 func (p *Profiler) Reset() {
-	clear(p.recs)
-	// Drop the dense window entirely so the next run re-anchors it at
-	// its own first PC (a reused window could be anchored at the wrong
-	// range and degrade every lookup to the map path).
-	p.dense = nil
-	p.denseBase = 0
+	p.recs = p.recs[:0]
+	clear(p.ids)
 	p.active = p.active[:0]
 	p.sliceExec = 0
 	p.sliceHit = 0

@@ -70,8 +70,9 @@ func (p *Profiler) Snapshot() *Snapshot {
 	} else {
 		s.Predictor = p.extPredName
 	}
-	for pc, r := range p.recs {
-		s.Branches[pc] = BranchCounters{
+	for i := range p.recs {
+		r := &p.recs[i]
+		s.Branches[r.pc] = BranchCounters{
 			SliceN:    r.n,
 			SPA:       r.spa,
 			SSPA:      r.sspa,
@@ -217,12 +218,9 @@ func NewShardProfiler(cfg Config, predictor string) (*Profiler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Profiler{
-		cfg:         cfg,
-		external:    true,
-		manualSlice: true,
-		extPredName: predictor,
-		recs:        make(map[trace.PC]*record),
-		watch:       make(map[trace.PC][]SlicePoint),
-	}, nil
+	p := newProfiler(cfg)
+	p.external = true
+	p.manualSlice = true
+	p.extPredName = predictor
+	return p, nil
 }

@@ -32,8 +32,8 @@ const (
 // has a taken probability that flips to another at a planted event
 // index, so per-slice metrics move and some branches test
 // input-dependent. Contexts switch in random bursts over nctx tags.
-// wide spreads the site PCs over megabytes, beyond the profiler's
-// dense record window.
+// wide spreads the site PCs over megabytes, as in a real binary's
+// text.
 func fuzzStream(seed uint64, n int, wide bool) []trace.Event {
 	r := rng.New(seed)
 	nSites := 1 + r.Intn(48)

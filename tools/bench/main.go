@@ -1,16 +1,16 @@
 // Command bench guards the per-event cost of the profiling pass. Every
 // path a branch stream can take to a report (the plain profiler, engine
-// replay, daemon HTTP and wire ingest, and the decode and predict
-// kernels beneath them) is a row of one table, timed once per pass. A
-// second table holds the guards: each is the throughput ratio of one row
-// to a baseline row measured in the same process, held to a floor.
-// Same-process ratios stay meaningful on a loaded runner where absolute
-// rates do not; the floors catch gross regressions, such as a kernel
-// falling back to its scalar path, not micro-variance. Every report a
-// row yields must equal the plain profiler's byte for byte (for
-// transport rows, the first HTTP BTR1 report; for private-aggregation
-// BTR3 rows, each context's solo report). A missed floor or a mismatch
-// exits non-zero.
+// replay, daemon HTTP and wire ingest, and the decode, predict and
+// profile kernels beneath them) is a row of one table, timed once per
+// pass. A second table holds the guards: each is the throughput ratio
+// of one row to a baseline row measured in the same process, held to a
+// floor. Same-process ratios stay meaningful on a loaded runner where
+// absolute rates do not; the floors catch gross regressions, such as a
+// kernel falling back to its scalar path, not micro-variance. Every
+// report a row yields must equal the plain profiler's byte for byte
+// (for transport rows, the first HTTP BTR1 report; for
+// private-aggregation BTR3 rows, each context's solo report). A missed
+// floor or a mismatch exits non-zero.
 //
 // Usage:
 //
@@ -40,6 +40,7 @@ const (
 	floorPredict = 1.2 // SoA predictor kernel vs per-event Predict/Update
 	floorE2E     = 1.0 // SoA replay at one worker vs per-event Engine.Branch
 	floorWire    = 0.9 // wire session vs HTTP BTR1+gzip
+	floorLayout  = 0.7 // profile layer over spread PCs vs the same stream's compact PCs
 
 	// The wide synthetic population has far more static sites than any
 	// VM kernel, so per-event statistics work dominates its rows.
@@ -68,12 +69,13 @@ func main() {
 }
 
 // tables records the workloads and builds the row and guard tables.
-// The guarded rows run the fsm/train kernel. The record-only sweeps
-// run bsearch/train, a dense hot loop, and the wide synthetic
-// population, at the worker counts (and daemon shards parameters) a
-// multi-core host would use, and the record-only BTR3 rows run
-// ext-mt's multi-context streams. The transport rows share the
-// returned daemon.
+// The guarded rows run the fsm/train kernel, except the layout pair,
+// which profiles one synthetic stream in two PC layouts. The
+// record-only sweeps run bsearch/train, a dense hot loop, and the wide
+// synthetic population, at the worker counts (and daemon shards
+// parameters) a multi-core host would use, and the record-only BTR3
+// rows run ext-mt's multi-context streams. The transport rows share
+// the returned daemon.
 func tables() (rows []*row, guards []*guard, tr *transport) {
 	fsm := kernel("fsm", "train", true)
 	bsearch := kernel("bsearch", "train", false)
@@ -111,6 +113,11 @@ func tables() (rows []*row, guards []*guard, tr *transport) {
 	hold(add(soa), add(scalar), floorDecode)
 	perEvent, batch := predictRows(fsm)
 	hold(add(batch), add(perEvent), floorPredict)
+	compact, spread := layoutPair()
+	for _, m := range metrics {
+		base := add(compact.profileRow(m))
+		hold(add(spread.profileRow(m)), base, floorLayout)
+	}
 
 	tr = newTransport(fsm)
 	add(tr.httpRow("http-btr1", false))
