@@ -216,11 +216,11 @@ func BenchmarkProfilerBranch(b *testing.B) {
 	}
 }
 
-// BenchmarkEndSliceSparse measures slice-boundary cost when the static
+// BenchmarkSliceBoundarySparse measures slice-boundary cost when the static
 // branch population is large but only a few branches execute per slice —
 // the sparse case the active-set optimisation targets: endSlice walks
 // the branches touched in the slice, not every record ever seen.
-func BenchmarkEndSliceSparse(b *testing.B) {
+func BenchmarkSliceBoundarySparse(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.SliceSize = 1000
 	cfg.ExecThreshold = 10

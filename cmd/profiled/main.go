@@ -17,7 +17,6 @@
 // Endpoints:
 //
 //	POST /v1/ingest      ?session=ID&predictor=...&metric=...&slice=N
-//	                     &shards=N            accepted (1..128) and ignored
 //	                     &agg=shared|private  context aggregation (BTR3)
 //	                     &kernel=NAME         annotate the report with NAME's static verdicts
 //	                     &group=G             tag the session for /v1/snapshot?group=G

@@ -515,3 +515,32 @@ func TestRouterEscapesQueryValues(t *testing.T) {
 		t.Errorf("router group report for %q: status %d: %s", "g&h", status, body)
 	}
 }
+
+// TestRouterConfigValidate: NewRouter refuses each invalid field of
+// its config with an error that names it.
+func TestRouterConfigValidate(t *testing.T) {
+	node := func(name, addr string) Node { return Node{Name: name, HTTPAddr: addr} }
+	if _, err := NewRouter(Config{Nodes: []Node{node("a", "127.0.0.1:1"), node("b", "127.0.0.1:2")}}); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	invalid := []struct {
+		name, field string
+		nodes       []Node
+	}{
+		{"no nodes", "Nodes", nil},
+		{"empty Name", "Name", []Node{node("a", "127.0.0.1:1"), node("", "127.0.0.1:2")}},
+		{"empty HTTPAddr", "HTTPAddr", []Node{node("a", "")}},
+		{"duplicate Name", "Name", []Node{node("a", "127.0.0.1:1"), node("a", "127.0.0.1:2")}},
+	}
+	for _, tc := range invalid {
+		t.Run("rejects "+tc.name, func(t *testing.T) {
+			_, err := NewRouter(Config{Nodes: tc.nodes})
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("error %q does not name %s", err, tc.field)
+			}
+		})
+	}
+}

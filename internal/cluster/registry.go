@@ -82,11 +82,14 @@ func NewRegistry(nodes []Node, interval time.Duration) (*Registry, error) {
 		done:     make(chan struct{}),
 	}
 	for _, n := range nodes {
-		if n.Name == "" || n.HTTPAddr == "" {
-			return nil, fmt.Errorf("cluster: node needs a name and an HTTP address (got %+v)", n)
+		if n.Name == "" {
+			return nil, fmt.Errorf("cluster: node at %q has an empty Name", n.HTTPAddr)
+		}
+		if n.HTTPAddr == "" {
+			return nil, fmt.Errorf("cluster: node %q has an empty HTTPAddr", n.Name)
 		}
 		if _, dup := reg.nodes[n.Name]; dup {
-			return nil, fmt.Errorf("cluster: duplicate node name %q", n.Name)
+			return nil, fmt.Errorf("cluster: duplicate node Name %q", n.Name)
 		}
 		st := &nodeState{node: n}
 		st.up.Store(true) // optimistic: first probe corrects within one interval

@@ -45,9 +45,11 @@ type Config struct {
 }
 
 // Validate reports a non-nil error when the configuration is unusable.
+// NewRouter also refuses a node with an empty Name or HTTPAddr, and a
+// duplicate Name, when it builds the health registry.
 func (c Config) Validate() error {
 	if len(c.Nodes) == 0 {
-		return fmt.Errorf("cluster: config needs at least one node")
+		return fmt.Errorf("cluster: config needs at least one node (Nodes is empty)")
 	}
 	return nil
 }
@@ -87,15 +89,15 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	reg, err := NewRegistry(cfg.Nodes, cfg.Heartbeat)
+	if err != nil {
+		return nil, err
+	}
 	names := make([]string, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
 		names[i] = n.Name
 	}
 	ring, err := NewRing(names, cfg.VNodes)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := NewRegistry(cfg.Nodes, cfg.Heartbeat)
 	if err != nil {
 		return nil, err
 	}

@@ -43,13 +43,6 @@ type Profiler struct {
 	// external marks a hardware-counter profiler: prediction outcomes
 	// arrive via BranchOutcome instead of an internal predictor.
 	external bool
-	// manualSlice disables automatic slice boundaries: the owner calls
-	// EndSlice explicitly. Used by shard profilers, whose slice clock is
-	// the whole program's retired-branch count, not the shard's own.
-	manualSlice bool
-	// extPredName names the external front-end predictor feeding a
-	// shard profiler, for report metadata (pred itself is nil there).
-	extPredName string
 
 	// recs holds one record per static branch, indexed by the branch's
 	// dense id: the order in which its PC was first seen. ids is the
@@ -193,10 +186,8 @@ func (p *Profiler) BranchBatchSoA(b *trace.SoABatch) {
 // OutcomeBatchSoA is the batched BranchOutcome: a run of externally
 // observed events whose directions and prediction correctness arrive
 // as packed bitmaps. Bit bitOff+i of the bitmaps belongs to pcs[i],
-// so callers can pass sub-ranges of a larger batch without re-packing
-// (engine spans split batches at slice boundaries, which rarely fall
-// on a 64-bit word edge). correct may be nil for MetricBias
-// profilers.
+// so callers can pass sub-ranges of a larger batch without re-packing.
+// correct may be nil for MetricBias profilers.
 func (p *Profiler) OutcomeBatchSoA(pcs []trace.PC, taken, correct []uint64, bitOff int) {
 	bits := correct
 	if p.cfg.Metric == MetricBias {
@@ -205,14 +196,9 @@ func (p *Profiler) OutcomeBatchSoA(pcs []trace.PC, taken, correct []uint64, bitO
 	p.applyBitsSliced(pcs, bits, bitOff)
 }
 
-// applyBitsSliced folds a batch into the statistics, honouring
-// automatic slice boundaries (which can fall anywhere inside the
-// batch). Manual-slice profilers take the whole batch in one stride.
+// applyBitsSliced folds a batch into the statistics, honouring the
+// slice boundaries (which can fall anywhere inside the batch).
 func (p *Profiler) applyBitsSliced(pcs []trace.PC, bits []uint64, bitOff int) {
-	if p.manualSlice {
-		p.applyBits(pcs, bits, bitOff)
-		return
-	}
 	for len(pcs) > 0 {
 		n := len(pcs)
 		if room := p.cfg.SliceSize - p.sliceExec; int64(n) > room {
@@ -433,15 +419,6 @@ func (p *Profiler) Slices() int64 { return p.slices }
 // Series returns the recorded per-slice series for a watched branch.
 func (p *Profiler) Series(pc trace.PC) []SlicePoint { return p.watch[pc] }
 
-// EndSlice ends the current slice explicitly, folding its per-branch
-// counters into the running statistics (Figure 9b) even when fewer than
-// SliceSize branches retired. It is the slice clock of externally-driven
-// (shard) profilers, where the boundary is defined by the whole
-// program's retired-branch count; on an ordinary profiler it simply
-// forces an early boundary. Ending an empty slice still advances the
-// slice index.
-func (p *Profiler) EndSlice() { p.endSlice() }
-
 // Finish flushes a sufficiently large trailing partial slice, runs the
 // three input-dependence tests for every branch (Figure 9c), and returns
 // the report. Finish is idempotent: calling it again without feeding new
@@ -449,9 +426,8 @@ func (p *Profiler) EndSlice() { p.endSlice() }
 // flushed at most once. The profiler may keep receiving events after
 // Finish; a later Finish folds the new events into a fresh report.
 //
-// The report is assembled through the same Snapshot path that sharded
-// profiling uses, so a PC-sharded run merged with MergeReports
-// reproduces Finish bit for bit.
+// The report is Snapshot().Report(): a checkpointed snapshot of the
+// finished profiler reproduces it bit for bit.
 func (p *Profiler) Finish() *Report {
 	if p.finRep != nil && p.finExec == p.totalExec {
 		return p.finRep

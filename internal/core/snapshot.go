@@ -7,17 +7,18 @@ import (
 	"twodprof/internal/trace"
 )
 
-// Snapshot/merge support for online, sharded profiling.
+// Snapshots and their merge.
 //
 // A Snapshot is a consistent, copy-on-read view of a profiler's
-// per-branch Figure 9 counters. Because the seven per-branch variables
-// are keyed by PC and never reference another branch's state, profilers
-// whose branch sets partition disjointly by PC can be merged by plain
-// union: MergeSnapshots recombines shard snapshots and
-// (*Snapshot).Report runs the Figure 9c tests over the union with the
-// globally resolved MEAN threshold. Finish is implemented on top of the
-// same assembly path, so a merged sharded run reproduces the offline
-// single-profiler report bit for bit.
+// per-branch Figure 9 counters. (*Snapshot).Report runs the Figure 9c
+// tests over it, and Finish is Snapshot().Report(), so a snapshot
+// checkpointed from a finished profiler reproduces its report bit for
+// bit. Because the seven per-branch variables are keyed by PC and never
+// reference another branch's state, snapshots whose branch sets are
+// disjoint by PC merge by plain union: MergeSnapshots recombines the
+// members of a collector group, each profiled with its own slice
+// clock, and the merged report resolves the MEAN threshold against the
+// union's totals.
 
 // BranchCounters holds one branch's accumulated statistics: the
 // Figure 9a variables that survive slice boundaries, plus the lifetime
@@ -38,7 +39,7 @@ type BranchCounters struct {
 
 // Snapshot is a self-contained copy of a profiler's statistical state
 // at one instant. It can be taken mid-run, serialised, merged with
-// snapshots of disjoint shards, and turned into a Report.
+// PC-disjoint snapshots, and turned into a Report.
 type Snapshot struct {
 	Config    Config
 	Predictor string // profiler predictor name ("" for edge profiling)
@@ -56,7 +57,7 @@ type Snapshot struct {
 //
 // The profiler itself is not safe for concurrent use; callers that
 // snapshot a live profiler must serialise Snapshot against the feeding
-// goroutine (internal/serve does this per shard).
+// goroutine (internal/engine holds one mutex for both).
 func (p *Profiler) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Config:    p.cfg,
@@ -67,8 +68,6 @@ func (p *Profiler) Snapshot() *Snapshot {
 	}
 	if p.pred != nil {
 		s.Predictor = p.pred.Name()
-	} else {
-		s.Predictor = p.extPredName
 	}
 	for i := range p.recs {
 		r := &p.recs[i]
@@ -86,13 +85,13 @@ func (p *Profiler) Snapshot() *Snapshot {
 	return s
 }
 
-// MergeSnapshots combines shard snapshots whose branch sets partition
-// disjointly by PC (the invariant PC-sharding guarantees). Lifetime
-// totals sum; the slice count is the shards' common slice clock (they
-// may disagree transiently while a live run drains, so the maximum is
-// taken). It is an error to merge snapshots with differing
-// configurations or predictors, or with overlapping branches — both
-// indicate the shards did not come from one sharded run.
+// MergeSnapshots unions snapshots whose branch sets are disjoint by PC:
+// the members of a collector group. Lifetime totals sum; each member
+// kept its own slice clock, so the slice count is the largest member's.
+// The union is not the report of one interleaved stream and is not
+// claimed to equal it. It is an error to merge snapshots with differing
+// configurations or predictors, or with overlapping branches — the
+// collector-group contract.
 func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("core: merging zero snapshots")
@@ -104,7 +103,7 @@ func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 	}
 	for i, s := range snaps {
 		if s.Config != out.Config {
-			return nil, fmt.Errorf("core: merging snapshots with differing configs (shard %d)", i)
+			return nil, fmt.Errorf("core: merging snapshots with differing configs (snapshot %d)", i)
 		}
 		if s.Predictor != out.Predictor {
 			return nil, fmt.Errorf("core: merging snapshots with differing predictors (%q vs %q)",
@@ -117,24 +116,12 @@ func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 		}
 		for pc, bc := range s.Branches {
 			if _, dup := out.Branches[pc]; dup {
-				return nil, fmt.Errorf("core: branch %#x present in more than one shard snapshot", uint64(pc))
+				return nil, fmt.Errorf("core: branch %#x present in more than one snapshot", uint64(pc))
 			}
 			out.Branches[pc] = bc
 		}
 	}
 	return out, nil
-}
-
-// MergeReports merges shard snapshots and assembles the final report —
-// the sharded equivalent of Finish. The MEAN-test threshold is resolved
-// against the merged whole-program metric, so per-shard views never
-// leak into the verdicts.
-func MergeReports(snaps ...*Snapshot) (*Report, error) {
-	merged, err := MergeSnapshots(snaps...)
-	if err != nil {
-		return nil, err
-	}
-	return merged.Report(), nil
 }
 
 // OverallMetric returns the snapshot's whole-program metric in percent.
@@ -194,33 +181,4 @@ func (s *Snapshot) Report() *Report {
 		rep.Branches[pc] = res
 	}
 	return rep
-}
-
-// NewShardProfiler creates a profiler suitable for use as one worker of
-// a PC-sharded profiling service:
-//
-//   - prediction outcomes arrive externally through BranchOutcome (the
-//     shard must not run its own predictor — predictor state depends on
-//     the full interleaved branch stream, so prediction happens in the
-//     sequential ingest stage before sharding);
-//   - slice boundaries are driven externally through EndSlice (slices
-//     are defined over the whole program's retired branches, which no
-//     single shard observes).
-//
-// Both metrics are supported; for MetricBias the `correct` argument of
-// BranchOutcome is ignored as usual.
-//
-// predictor names the front-end predictor whose outcomes the shard
-// receives; it is carried into snapshots and reports as metadata so a
-// merged sharded run is indistinguishable from the equivalent offline
-// run. Pass "" for edge (bias) profiling.
-func NewShardProfiler(cfg Config, predictor string) (*Profiler, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	p := newProfiler(cfg)
-	p.external = true
-	p.manualSlice = true
-	p.extPredName = predictor
-	return p, nil
 }

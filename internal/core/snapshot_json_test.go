@@ -89,7 +89,7 @@ func TestSnapshotJSONRoundtrip(t *testing.T) {
 }
 
 // TestSnapshotJSONMergeable: snapshots that crossed the wire still
-// merge (the recovery path may combine logged shard snapshots).
+// merge (group reads merge snapshots fetched from other nodes).
 func TestSnapshotJSONMergeable(t *testing.T) {
 	snap := populatedSnapshot(t, MetricBias)
 	raw, err := json.Marshal(snap)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -11,58 +9,6 @@ import (
 	"twodprof/internal/trace"
 )
 
-// shardRun replays src through nShards shard profilers the way the
-// online service does: a sequential front-end owns the predictor and
-// the global slice clock, shards own disjoint PC partitions, and the
-// final report is assembled with MergeReports.
-func shardRun(t *testing.T, src trace.Source, cfg Config, predName string, nShards int) *Report {
-	t.Helper()
-	var pred bpred.Predictor
-	shardPred := ""
-	if cfg.Metric == MetricAccuracy {
-		pred = bpred.MustNew(predName)
-		shardPred = pred.Name()
-	}
-	shards := make([]*Profiler, nShards)
-	for i := range shards {
-		p, err := NewShardProfiler(cfg, shardPred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = p
-	}
-	var sliceExec int64
-	src.Run(trace.SinkFunc(func(pc trace.PC, taken bool) {
-		hit := taken
-		if pred != nil {
-			hit = pred.Predict(pc) == taken
-			pred.Update(pc, taken)
-		}
-		shards[uint64(pc)%uint64(nShards)].BranchOutcome(pc, taken, hit)
-		sliceExec++
-		if sliceExec >= cfg.SliceSize {
-			for _, s := range shards {
-				s.EndSlice()
-			}
-			sliceExec = 0
-		}
-	}))
-	if cfg.FlushPartialSlice && sliceExec > 0 && sliceExec >= cfg.SliceSize/2 {
-		for _, s := range shards {
-			s.EndSlice()
-		}
-	}
-	snaps := make([]*Snapshot, nShards)
-	for i, s := range shards {
-		snaps[i] = s.Snapshot()
-	}
-	rep, err := MergeReports(snaps...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
-
 func snapshotWorkload(name string) trace.Source {
 	pc := synth.DefaultPopulationConfig(name, 0x5eed)
 	pc.NumSites = 120
@@ -70,36 +16,79 @@ func snapshotWorkload(name string) trace.Source {
 	return synth.NewPopulation(pc).Workload("train")
 }
 
-func TestShardedRunMatchesFinish(t *testing.T) {
+// TestMergeSnapshotsUnion merges the snapshots of PC-disjoint
+// profilers, each with its own predictor and slice clock, the way a
+// collector group is merged. The merge is a union: every member's
+// branch counters survive unchanged, the totals sum, the slice count is
+// the largest member's, the member order does not matter, and the
+// merged report's per-branch results are each member's own, with only
+// the MEAN test resolved against the union's overall metric.
+func TestMergeSnapshotsUnion(t *testing.T) {
 	for _, metric := range []Metric{MetricAccuracy, MetricBias} {
-		for _, nShards := range []int{1, 3, 8} {
-			cfg := DefaultConfig()
-			cfg.SliceSize = 4000
-			cfg.ExecThreshold = 10
-			cfg.Metric = metric
-
+		cfg := DefaultConfig()
+		cfg.SliceSize = 4000
+		cfg.ExecThreshold = 10
+		cfg.Metric = metric
+		const members = 3
+		profs := make([]*Profiler, members)
+		for i := range profs {
 			var pred bpred.Predictor
 			if metric == MetricAccuracy {
 				pred = bpred.MustNew(bpred.NameGshare4KB)
 			}
-			offline := MustNewProfiler(cfg, pred)
-			snapshotWorkload("snapmatch").Run(offline)
-			want := offline.Finish()
+			profs[i] = MustNewProfiler(cfg, pred)
+		}
+		snapshotWorkload("snapmatch").Run(trace.SinkFunc(func(pc trace.PC, taken bool) {
+			profs[uint64(pc)%members].Branch(pc, taken)
+		}))
+		snaps := make([]*Snapshot, members)
+		reps := make([]*Report, members)
+		for i, p := range profs {
+			reps[i] = p.Finish()
+			snaps[i] = p.Snapshot()
+		}
+		merged, err := MergeSnapshots(snaps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reversed, err := MergeSnapshots(snaps[2], snaps[1], snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(merged, reversed) {
+			t.Errorf("metric %v: the merge depends on member order", metric)
+		}
 
-			got := shardRun(t, snapshotWorkload("snapmatch"), cfg, bpred.NameGshare4KB, nShards)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("metric %v, %d shards: merged report differs from Finish", metric, nShards)
+		var exec, hit, slices int64
+		branches := 0
+		for _, s := range snaps {
+			exec += s.TotalExec
+			hit += s.TotalHit
+			slices = max(slices, s.Slices)
+			branches += len(s.Branches)
+			for pc, bc := range s.Branches {
+				if merged.Branches[pc] != bc {
+					t.Errorf("metric %v: branch %#x counters changed in the merge", metric, uint64(pc))
+				}
 			}
-			wantJSON, err := json.Marshal(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotJSON, err := json.Marshal(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wantJSON, gotJSON) {
-				t.Errorf("metric %v, %d shards: JSON encodings differ", metric, nShards)
+		}
+		if merged.TotalExec != exec || merged.TotalHit != hit || merged.Slices != slices || len(merged.Branches) != branches {
+			t.Errorf("metric %v: merged totals exec %d hit %d slices %d branches %d, want %d %d %d %d",
+				metric, merged.TotalExec, merged.TotalHit, merged.Slices, len(merged.Branches), exec, hit, slices, branches)
+		}
+
+		rep := merged.Report()
+		if rep.MeanThApplied != merged.OverallMetric() {
+			t.Errorf("metric %v: MEAN threshold %v, want the union's overall metric %v", metric, rep.MeanThApplied, merged.OverallMetric())
+		}
+		for _, member := range reps {
+			for pc, want := range member.Branches {
+				got := rep.Branches[pc]
+				want.PassMean = want.SliceN > 0 && want.Mean < rep.MeanThApplied
+				want.InputDependent = want.SliceN > 0 && (want.PassMean || want.PassStd) && want.PassPAM
+				if got != want {
+					t.Errorf("metric %v: branch %#x merged result %+v, want %+v", metric, uint64(pc), got, want)
+				}
 			}
 		}
 	}
@@ -130,47 +119,22 @@ func TestSnapshotIsCopyOnRead(t *testing.T) {
 
 func TestMergeSnapshotsRejectsOverlapAndMismatch(t *testing.T) {
 	cfg := DefaultConfig()
-	a, _ := NewShardProfiler(cfg, "")
-	b, _ := NewShardProfiler(cfg, "")
-	a.BranchOutcome(1, true, true)
-	b.BranchOutcome(1, false, false)
+	cfg.Metric = MetricBias
+	a := MustNewProfiler(cfg, nil)
+	b := MustNewProfiler(cfg, nil)
+	a.Branch(1, true)
+	b.Branch(1, false)
 	if _, err := MergeSnapshots(a.Snapshot(), b.Snapshot()); err == nil {
-		t.Error("merging overlapping shards should fail")
+		t.Error("merging overlapping snapshots should fail")
 	}
 
 	cfg2 := cfg
 	cfg2.SliceSize++
-	c, _ := NewShardProfiler(cfg2, "")
+	c := MustNewProfiler(cfg2, nil)
 	if _, err := MergeSnapshots(a.Snapshot(), c.Snapshot()); err == nil {
 		t.Error("merging differing configs should fail")
 	}
 	if _, err := MergeSnapshots(); err == nil {
 		t.Error("merging zero snapshots should fail")
-	}
-}
-
-func TestShardProfilerManualSlices(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SliceSize = 10
-	p, err := NewShardProfiler(cfg, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed far past SliceSize: a shard profiler must not end slices on
-	// its own (its local count is not the program's slice clock).
-	for i := 0; i < 100; i++ {
-		p.BranchOutcome(7, true, true)
-	}
-	if p.Slices() != 0 {
-		t.Fatalf("shard profiler ended %d slices on its own", p.Slices())
-	}
-	p.EndSlice()
-	if p.Slices() != 1 {
-		t.Fatalf("Slices = %d after explicit EndSlice, want 1", p.Slices())
-	}
-	// An empty EndSlice still advances the slice clock.
-	p.EndSlice()
-	if p.Slices() != 2 {
-		t.Fatalf("Slices = %d after empty EndSlice, want 2", p.Slices())
 	}
 }

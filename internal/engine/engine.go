@@ -4,19 +4,18 @@
 // parallel BTR2/BTR3 chunk decode, or the daemon's HTTP and wire
 // ingest — terminates in the same execution structure:
 //
-//	event source ─→ front-end ─────────────→ one profiler
-//	(parallel       (predictor + slice        (per-branch Figure 9
-//	 chunk decode)   clock)                    statistics)
+//	event source ─────────→ one core.Profiler
+//	(parallel chunk          (predictor, slice clock and the
+//	 decode)                  per-branch Figure 9 statistics)
 //
-// Both stages run on the goroutine that feeds the engine. The
-// front-end cannot be parallelised: predictor state depends on the
-// full interleaved branch order, and the slice clock is a
-// whole-program count of retired branches. The profiler then sees
-// every event in program order, so a run's report is exact by
-// construction (DESIGN.md §3b). The only parallelism inside one run is
-// chunk decode, which ProfileStream spreads over Options.Workers
-// goroutines; a daemon's parallelism comes from its concurrent
-// sessions.
+// The profiler runs on the goroutine that feeds the engine. It cannot
+// be parallelised: predictor state depends on the full interleaved
+// branch order, and the slice clock is a whole-program count of
+// retired branches. It sees every event in program order, so a run's
+// report is exact by construction (DESIGN.md §3b). The only
+// parallelism inside one run is chunk decode, which ProfileStream
+// spreads over Options.Workers goroutines; a daemon's parallelism
+// comes from its concurrent sessions.
 //
 // Multi-context streams (trace.Context tags from BTR3 or live
 // CtxSink producers) fold in under one of two aggregation modes
@@ -25,16 +24,15 @@
 // classic single-context path; private profiles every context c > 0
 // with its own child Engine, built on first sight of c, so each
 // context's report is exactly what profiling its sub-stream alone
-// would produce. An Engine itself is single-context: one predictor,
-// one slice clock and one profiler; context 0 is always the engine's
-// own.
+// would produce. An Engine itself is single-context: one
+// core.Profiler, which owns the predictor and the slice clock; context
+// 0 is always the engine's own.
 //
 // internal/serve, internal/exp and the profile2d / profiled CLIs are
 // thin adapters over this package (DESIGN.md §3e).
 //
 // Batches move through every layer as trace.SoABatch — PCs plus a
-// packed outcome bitmap — and reach the profiler as bitmap sub-ranges
-// cut at slice boundaries.
+// packed outcome bitmap — and reach the profiler whole.
 package engine
 
 import (
@@ -57,7 +55,7 @@ import (
 const DefaultQueueDepth = 0
 
 // batchSize is the number of per-event Branch calls buffered before
-// they are applied to the profiler in one locked batch.
+// they are applied to the profiler as one batch.
 const batchSize = 512
 
 // ErrMultiContext is returned by Finish/Report/Snapshot when the
@@ -91,41 +89,28 @@ type Options struct {
 	// are annotated with the static prefilter column. nil leaves reports
 	// byte-identical to unannotated runs.
 	Static map[trace.PC]string
-	// OnSlice, when set, is invoked by the front-end once per completed
-	// slice (the daemon counts slices in /metrics through it). Under
-	// private aggregation it fires for every context's slice boundary.
-	OnSlice func()
 }
 
-// Engine is one profiling run: the front-end state (predictor, slice
-// clock and the per-event buffer) plus one profiler, all driven by the
-// goroutine that feeds it. It implements trace.Sink,
-// trace.SoABatchSink and trace.CtxSink, so any event source — live VM
-// hooks, trace readers, the BTR2/BTR3 parallel decode pipeline, HTTP
-// and wire ingest loops, WAL replay — can drive it directly.
+// Engine is one profiling run: one core.Profiler plus a buffer for
+// per-event calls, both driven by the goroutine that feeds it. It
+// implements trace.Sink, trace.SoABatchSink and trace.CtxSink, so any
+// event source — live VM hooks, trace readers, the BTR2/BTR3 parallel
+// decode pipeline, HTTP and wire ingest loops, WAL replay — can drive
+// it directly.
 //
 // The feeding goroutine owns Branch/BranchCtx/BranchBatchSoA/Finish/
 // FinishContexts/Abort; they must not be called concurrently. Report,
-// ContextReports, Contexts, Snapshot and QueueDepths are safe from
-// other goroutines while feeding continues (live reports): the
+// ContextReports, Contexts, Snapshot, Slices and QueueDepths are safe
+// from other goroutines while feeding continues (live reports): the
 // profiler sits behind mu, which the feeder holds only while it
-// applies a batch or ends a slice.
+// applies a batch or finishes.
 type Engine struct {
 	cfg  core.Config
 	opts Options
 
-	pred      bpred.Predictor // nil for MetricBias
-	hitWords  []uint64        // scratch for the SoA predictor path
-	sliceExec int64           // retired branches since the last slice boundary
-
-	// pcs and hits buffer per-event Branch calls: the PCs plus a packed
-	// bitmap of the bit the profiler counts for each — prediction
-	// correctness for MetricAccuracy, direction for MetricBias (bit i of
-	// word i/64 belongs to pcs[i]). They are applied once batchSize
-	// accumulate, at a slice end, before an SoA batch and at the end of
-	// the stream.
-	pcs  []trace.PC
-	hits []uint64
+	// buf buffers per-event Branch calls. It is applied once batchSize
+	// accumulate, before an SoA batch and at the end of the stream.
+	buf trace.SoABatch
 
 	mu   sync.Mutex
 	prof *core.Profiler
@@ -140,12 +125,10 @@ type Engine struct {
 
 	soaSpan trace.SoABatch // scratch for private-mode SoA span repacking
 
-	drained bool
-	// final and finalCtx are the reports Finish and FinishContexts
-	// fixed; atomic because Report and ContextReports read them from
-	// live-report goroutines while the owner finishes.
-	final    atomic.Pointer[core.Report]
-	finalCtx atomic.Pointer[map[trace.Context]*core.Report]
+	// final is the report finish fixed; atomic because Report and
+	// ContextReports read it from live-report goroutines while the owner
+	// finishes.
+	final atomic.Pointer[core.Report]
 }
 
 // New validates the configuration and assembles the engine. It starts
@@ -160,28 +143,25 @@ func New(cfg core.Config, opts Options) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{cfg: cfg, opts: opts}
 	// The predictor name is validated in both metric modes, mirroring
 	// twodprof.Profile, so a typo fails loudly instead of silently
-	// profiling bias; MetricBias additionally accepts an empty name.
-	var predName string
+	// profiling bias; MetricBias additionally accepts an empty name and
+	// never consults a predictor.
+	var pred bpred.Predictor
 	if cfg.Metric == core.MetricAccuracy || opts.Predictor != "" {
-		pred, err := bpred.New(opts.Predictor)
+		p, err := bpred.New(opts.Predictor)
 		if err != nil {
 			return nil, err
 		}
 		if cfg.Metric == core.MetricAccuracy {
-			e.pred = pred
-			predName = pred.Name()
+			pred = p
 		}
 	}
-	// The profiler takes its outcomes and slice ends from the front-end.
-	prof, err := core.NewShardProfiler(cfg, predName)
+	prof, err := core.NewProfiler(cfg, pred)
 	if err != nil {
 		return nil, err
 	}
-	e.prof = prof
-	return e, nil
+	return &Engine{cfg: cfg, opts: opts, prof: prof}, nil
 }
 
 // private reports whether each execution context gets its own engine.
@@ -230,33 +210,13 @@ func (e *Engine) multiContext() bool {
 	return len(e.ctxs) > 0
 }
 
-// Branch implements trace.Sink: the per-event front-end — predict
-// (accuracy metric), append to the buffer, advance the slice clock.
+// Branch implements trace.Sink: the event joins the per-event buffer.
 // Per-event events belong to context 0; context-tagged producers use
 // BranchCtx or the SoA batch path.
 func (e *Engine) Branch(pc trace.PC, taken bool) {
-	hit := taken
-	if e.pred != nil {
-		hit = e.pred.Predict(pc) == taken
-		e.pred.Update(pc, taken)
-	}
-	if e.pcs == nil {
-		e.pcs = make([]trace.PC, 0, batchSize)
-		e.hits = make([]uint64, 0, batchSize/64)
-	}
-	i := len(e.pcs)
-	e.pcs = append(e.pcs, pc)
-	if i&63 == 0 {
-		e.hits = append(e.hits, b2u(hit))
-	} else {
-		e.hits[i>>6] |= b2u(hit) << uint(i&63)
-	}
-	if len(e.pcs) == batchSize {
+	e.buf.Append(pc, taken)
+	if e.buf.Len() == batchSize {
 		e.flush()
-	}
-	e.sliceExec++
-	if e.sliceExec >= e.cfg.SliceSize {
-		e.endSlice()
 	}
 }
 
@@ -272,21 +232,10 @@ func (e *Engine) BranchCtx(ctx trace.Context, pc trace.PC, taken bool) {
 	e.forCtx(ctx).Branch(pc, taken)
 }
 
-// b2u converts a bool to the 0/1 bit the buffer carries.
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // BranchBatchSoA implements trace.SoABatchSink: a whole decoded batch
 // in struct-of-arrays form, exactly equivalent to calling Branch (or,
 // under private aggregation, BranchCtx) for each event in order. The
-// predictor runs its SoA kernel into a packed hit bitmap; the batch
-// then reaches the profiler a span at a time — the only place a batch
-// must split is a slice boundary — as bitmap sub-ranges (bit offsets,
-// no re-packing).
+// batch reaches the profiler's own BranchBatchSoA whole.
 //
 // Under private aggregation a batch with a context lane is split into
 // same-context spans; each span is repacked word-aligned (trace.
@@ -321,173 +270,112 @@ func (e *Engine) BranchBatchSoA(b *trace.SoABatch) {
 // sees both paths in feed order.
 func (e *Engine) branchBatchSoA(b *trace.SoABatch) {
 	e.flush()
-	var hw []uint64
-	if e.pred != nil {
-		words := (b.Len() + 63) / 64
-		if cap(e.hitWords) < words {
-			e.hitWords = make([]uint64, words)
-		}
-		hw = e.hitWords[:words]
-		bpred.ApplyBatchSoA(e.pred, b.PCs, b.Taken, hw)
-	}
-	pcs := b.PCs
-	bitOff := 0
-	for len(pcs) > 0 {
-		n := int(e.cfg.SliceSize - e.sliceExec)
-		if n > len(pcs) {
-			n = len(pcs)
-		}
-		// correct (hw) is nil exactly when the metric needs no
-		// outcomes (MetricBias).
-		e.mu.Lock()
-		e.prof.OutcomeBatchSoA(pcs[:n], b.Taken, hw, bitOff)
-		e.mu.Unlock()
-		pcs = pcs[n:]
-		bitOff += n
-		e.sliceExec += int64(n)
-		if e.sliceExec >= e.cfg.SliceSize {
-			e.endSlice()
-		}
-	}
+	e.apply(b)
 }
 
 // flush applies the buffered per-event calls to the profiler.
 func (e *Engine) flush() {
-	if len(e.pcs) == 0 {
+	if e.buf.Len() == 0 {
 		return
 	}
+	e.apply(&e.buf)
+	e.buf.Reset()
+}
+
+// apply feeds one batch to the profiler under the lock.
+func (e *Engine) apply(b *trace.SoABatch) {
 	e.mu.Lock()
-	e.prof.OutcomeBatchSoA(e.pcs, e.hits, e.hits, 0)
+	e.prof.BranchBatchSoA(b)
 	e.mu.Unlock()
-	e.pcs, e.hits = e.pcs[:0], e.hits[:0]
 }
 
-// endSlice closes the current slice after exactly the events that
-// belong to it and resets the slice clock.
-func (e *Engine) endSlice() {
-	e.flush()
-	e.mu.Lock()
-	e.prof.EndSlice()
-	e.mu.Unlock()
-	e.sliceExec = 0
-	if e.opts.OnSlice != nil {
-		e.opts.OnSlice()
-	}
-}
-
-// drain applies the buffered per-event calls of this engine and of
-// every context engine, and marks the stream ended; idempotent.
-func (e *Engine) drain() {
-	if e.drained {
-		return
-	}
-	e.drained = true
-	e.flush()
-	for _, child := range e.ctxs {
-		child.drain()
-	}
-}
-
-// finishFlush applies the offline partial-slice flush rule to the
-// slice clock of this engine and of every context engine, and drains
-// them; idempotent.
-func (e *Engine) finishFlush() {
-	if e.drained {
-		return
-	}
-	if e.cfg.FlushPartialSlice && e.sliceExec > 0 && e.sliceExec >= e.cfg.SliceSize/2 {
-		e.endSlice()
-	}
-	for _, child := range e.ctxs {
-		child.finishFlush()
-	}
-	e.drain()
-}
-
-// Finish completes the stream: applies the offline partial-slice flush
-// rule to each context's clock, applies the buffered events, and fixes
-// the final (annotated) report. Idempotent — repeated calls return the
-// same report. A multi-context private run has no single report; Finish
-// still drains, then returns ErrMultiContext (use FinishContexts).
+// Finish completes the stream: it applies the buffered events, then
+// the profiler's Finish — the trailing partial-slice rule and report
+// assembly — for this engine and every context engine, and fixes the
+// final (annotated) report. Idempotent — repeated calls return the same
+// report. A multi-context private run has no single report; Finish
+// still finishes every context, then returns ErrMultiContext (use
+// FinishContexts).
 func (e *Engine) Finish() (*core.Report, error) {
-	if rep := e.final.Load(); rep != nil {
-		return rep, nil
+	rep := e.finish()
+	if e.multiContext() {
+		return nil, ErrMultiContext
 	}
-	e.finishFlush()
-	rep, err := e.Report()
-	if err != nil {
-		return nil, err
-	}
-	e.final.Store(rep)
 	return rep, nil
+}
+
+// finish fixes the final report of every context engine and of this
+// one, once, and returns this engine's.
+func (e *Engine) finish() *core.Report {
+	if rep := e.final.Load(); rep != nil {
+		return rep
+	}
+	for _, child := range e.ctxs {
+		child.finish()
+	}
+	e.flush()
+	e.mu.Lock()
+	rep := e.prof.Finish()
+	e.mu.Unlock()
+	rep.AnnotateStatic(e.opts.Static)
+	e.final.Store(rep)
+	return rep
 }
 
 // FinishContexts completes the stream like Finish but reports per
 // execution context: this engine's own report at context 0 plus each
-// context engine's Finish. A single-context run (or any
-// shared-aggregation run) yields the map {0: report} with the report
-// byte-identical to Finish's. Idempotent.
+// context engine's. A single-context run (or any shared-aggregation
+// run) yields the map {0: report} with the report byte-identical to
+// Finish's. Idempotent.
 func (e *Engine) FinishContexts() (map[trace.Context]*core.Report, error) {
-	if reps := e.finalCtx.Load(); reps != nil {
-		return *reps, nil
-	}
-	e.finishFlush()
-	reps, err := e.contextReports((*Engine).Finish)
-	if err != nil {
-		return nil, err
-	}
-	e.finalCtx.Store(&reps)
-	return reps, nil
+	e.finish()
+	return e.ContextReports()
 }
 
 // Abort ends the stream of the engine and of every context engine
-// without the final slice flush (the stream failed mid-flight); the
-// partial statistics remain queryable through Report.
-func (e *Engine) Abort() { e.drain() }
-
-// Report assembles the profiler's current state into an annotated
-// report: a live view while the stream is still flowing, the final
-// report once Finish has fixed it. Safe to call from other goroutines
-// while the owner keeps feeding. Returns ErrMultiContext once a
-// private-mode stream has carried more than one context.
-func (e *Engine) Report() (*core.Report, error) {
-	if rep := e.final.Load(); rep != nil {
-		return rep, nil
+// without the trailing partial-slice rule (the stream failed
+// mid-flight): the buffered events are applied, and the partial
+// statistics remain queryable through Report.
+func (e *Engine) Abort() {
+	e.flush()
+	for _, child := range e.ctxs {
+		child.Abort()
 	}
+}
+
+// Report returns the engine's annotated report: a live view while the
+// stream is still flowing, the final report once Finish has fixed it.
+// Safe to call from other goroutines while the owner keeps feeding.
+// Returns ErrMultiContext once a private-mode stream has carried more
+// than one context.
+func (e *Engine) Report() (*core.Report, error) {
 	if e.multiContext() {
 		return nil, ErrMultiContext
 	}
 	return e.report(), nil
 }
 
-// report assembles this engine's own annotated report.
+// report returns this engine's own annotated report: the final one
+// once finish has fixed it, otherwise one assembled from a snapshot.
 func (e *Engine) report() *core.Report {
+	if rep := e.final.Load(); rep != nil {
+		return rep
+	}
 	rep := e.snapshot().Report()
 	rep.AnnotateStatic(e.opts.Static)
 	return rep
 }
 
-// ContextReports reports per execution context: a live view while the
-// stream is flowing, the final per-context reports once FinishContexts
+// ContextReports reports per execution context — context 0 is this
+// engine's own report, every other context its engine's: a live view
+// while the stream is flowing, the final reports once FinishContexts
 // has fixed them. Context 0 is always present.
 func (e *Engine) ContextReports() (map[trace.Context]*core.Report, error) {
-	if reps := e.finalCtx.Load(); reps != nil {
-		return *reps, nil
-	}
-	return e.contextReports((*Engine).Report)
-}
-
-// contextReports maps context 0 to this engine's own report and every
-// other context to report applied to its engine.
-func (e *Engine) contextReports(report func(*Engine) (*core.Report, error)) (map[trace.Context]*core.Report, error) {
 	children := e.children()
 	out := make(map[trace.Context]*core.Report, 1+len(children))
 	out[0] = e.report()
 	for ctx, child := range children {
-		var err error
-		if out[ctx], err = report(child); err != nil {
-			return nil, err
-		}
+		out[ctx] = child.report()
 	}
 	return out, nil
 }
@@ -524,6 +412,19 @@ func (e *Engine) snapshot() *core.Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.prof.Snapshot()
+}
+
+// Slices returns the number of slices completed so far, summed over
+// every context's profiler. Per-event calls still in the buffer are not
+// counted until it is applied. Safe from any goroutine.
+func (e *Engine) Slices() int64 {
+	e.mu.Lock()
+	n := e.prof.Slices()
+	e.mu.Unlock()
+	for _, child := range e.children() {
+		n += child.Slices()
+	}
+	return n
 }
 
 // QueueDepths returns nil: the engine profiles inline and has no

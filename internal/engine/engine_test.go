@@ -22,7 +22,7 @@ func testConfig(metric core.Metric) core.Config {
 }
 
 // feedSynthetic drives n deterministic pseudo-random events through the
-// sink (an LCG over a small PC space, so every shard sees work).
+// sink (an LCG over a small PC space).
 func feedSynthetic(sink trace.Sink, n int) {
 	state := uint64(0x2545f4914f6cdd1d)
 	for i := 0; i < n; i++ {
@@ -80,15 +80,10 @@ func TestWorkerResolution(t *testing.T) {
 	}
 }
 
-func TestOnSliceCountsGlobalSlices(t *testing.T) {
+func TestSlicesCountsGlobalSlices(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := testConfig(core.MetricAccuracy)
-		var slices int
-		eng, err := New(cfg, Options{
-			Workers:   workers,
-			Predictor: "gshare-4KB",
-			OnSlice:   func() { slices++ },
-		})
+		eng, err := New(cfg, Options{Workers: workers, Predictor: "gshare-4KB"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,23 +93,21 @@ func TestOnSliceCountsGlobalSlices(t *testing.T) {
 		if _, err := eng.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		if slices != 4 {
-			t.Errorf("workers=%d: OnSlice fired %d times, want 4 (3 full + 1 flushed partial)", workers, slices)
+		if n := eng.Slices(); n != 4 {
+			t.Errorf("workers=%d: Slices() = %d, want 4 (3 full + 1 flushed partial)", workers, n)
 		}
 	}
 
 	// Under private aggregation every context keeps its own slice clock
-	// and OnSlice fires at each context's boundaries: here each of 3
-	// interleaved contexts runs 3 full slices plus a flushed partial.
+	// and Slices sums them: here each of 3 interleaved contexts runs 3
+	// full slices plus a flushed partial.
 	const nctx = 3
 	for _, workers := range []int{1, 4} {
 		cfg := testConfig(core.MetricAccuracy)
-		var slices int
 		eng, err := New(cfg, Options{
 			Workers:     workers,
 			Predictor:   "gshare-4KB",
 			Aggregation: AggPrivate,
-			OnSlice:     func() { slices++ },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -127,16 +120,15 @@ func TestOnSliceCountsGlobalSlices(t *testing.T) {
 		if _, err := eng.FinishContexts(); err != nil {
 			t.Fatal(err)
 		}
-		if slices != 4*nctx {
-			t.Errorf("private workers=%d: OnSlice fired %d times, want %d (4 per context)", workers, slices, 4*nctx)
+		if n := eng.Slices(); n != 4*nctx {
+			t.Errorf("private workers=%d: Slices() = %d, want %d (4 per context)", workers, n, 4*nctx)
 		}
 	}
 }
 
 func TestShortPartialSliceNotFlushed(t *testing.T) {
 	cfg := testConfig(core.MetricAccuracy)
-	var slices int
-	eng, err := New(cfg, Options{Workers: 1, Predictor: "gshare-4KB", OnSlice: func() { slices++ }})
+	eng, err := New(cfg, Options{Workers: 1, Predictor: "gshare-4KB"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +137,8 @@ func TestShortPartialSliceNotFlushed(t *testing.T) {
 	if _, err := eng.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if slices != 2 {
-		t.Errorf("OnSlice fired %d times, want 2 (short partial dropped)", slices)
+	if n := eng.Slices(); n != 2 {
+		t.Errorf("Slices() = %d, want 2 (short partial dropped)", n)
 	}
 }
 
@@ -194,7 +186,7 @@ func TestAbortSkipsPartialFlush(t *testing.T) {
 	if rep.Slices != 2 {
 		t.Errorf("after Abort report has %d slices, want 2 (no partial flush)", rep.Slices)
 	}
-	// The partial slice's events still reached the shards.
+	// The partial slice's events still reached the profiler.
 	if rep.TotalExec != 2*cfg.SliceSize+cfg.SliceSize/2 {
 		t.Errorf("after Abort report counts %d branches, want %d",
 			rep.TotalExec, 2*cfg.SliceSize+cfg.SliceSize/2)
@@ -287,8 +279,8 @@ func TestBatchMatchesPerEvent(t *testing.T) {
 }
 
 // TestLiveReportHammer exercises the live-snapshot path under -race:
-// one goroutine feeds while others pull merged reports and queue
-// depths mid-stream.
+// one goroutine feeds while others pull merged reports, slice counts
+// and queue depths mid-stream.
 func TestLiveReportHammer(t *testing.T) {
 	cfg := testConfig(core.MetricAccuracy)
 	eng, err := New(cfg, Options{Workers: 4, Predictor: "gshare-4KB"})
@@ -314,6 +306,10 @@ func TestLiveReportHammer(t *testing.T) {
 				}
 				if rep.TotalExec < 0 {
 					t.Error("negative branch count in live report")
+					return
+				}
+				if eng.Slices() < 0 {
+					t.Error("negative slice count mid-stream")
 					return
 				}
 				eng.QueueDepths()

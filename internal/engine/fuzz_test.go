@@ -2,16 +2,24 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"twodprof/internal/core"
 	"twodprof/internal/engine"
 	"twodprof/internal/refprof"
 	"twodprof/internal/rng"
+	"twodprof/internal/serve"
 	"twodprof/internal/trace"
+	"twodprof/internal/wal"
+	"twodprof/internal/wire"
 )
 
 // fuzzPredictors are the accuracy-metric predictors a case draws from.
@@ -25,7 +33,17 @@ const (
 	pathBTR2            // ProfileStream over BTR2 (no contexts)
 	pathBTR3            // ProfileStream over BTR3 (context-tagged)
 	pathMixed           // random runs of per-event calls and SoA batches
+	pathHTTP            // daemon HTTP ingest of BTR1/BTR2/BTR3 bytes
+	pathWire            // daemon wire ingest through wire.Session.Send
+	pathWAL             // daemon recovery of a durable session's log cut after k event records
 	numPaths
+)
+
+// Event record types of the daemon's session log schema (DESIGN.md
+// §3f): plain batches and batches carrying execution contexts.
+const (
+	walEvents    = 2
+	walEventsCtx = 5
 )
 
 // fuzzStream draws n events over a few synth-style sites: each site
@@ -123,15 +141,125 @@ func compareReports(t *testing.T, what string, got map[trace.Context]*core.Repor
 		if !ok {
 			t.Fatalf("%s: no report for context %d", what, ctx)
 		}
-		if g := mustJSON(t, rep); !bytes.Equal(g, w) {
-			i := 0
-			for i < len(g) && i < len(w) && g[i] == w[i] {
-				i++
-			}
-			t.Fatalf("%s: context %d report differs from the reference at byte %d (%d vs %d bytes)\ngot  …%s\nwant …%s",
-				what, ctx, i, len(g), len(w), g[max(0, i-80):min(len(g), i+80)], w[max(0, i-80):min(len(w), i+80)])
-		}
+		compareJSON(t, fmt.Sprintf("%s: context %d", what, ctx), mustJSON(t, rep), w)
 	}
+}
+
+// compareJSON fails the case unless the report encodings are
+// byte-identical, showing the bytes around the first difference.
+func compareJSON(t *testing.T, what string, g, w []byte) {
+	t.Helper()
+	if bytes.Equal(g, w) {
+		return
+	}
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	t.Fatalf("%s: report differs from the reference at byte %d (%d vs %d bytes)\ngot  …%s\nwant …%s",
+		what, i, len(g), len(w), g[max(0, i-80):min(len(g), i+80)], w[max(0, i-80):min(len(w), i+80)])
+}
+
+// fuzzDaemon builds a daemon profiling with the case's config and
+// predictor; dir, when non-empty, makes its sessions durable there. It
+// is not started: requests go straight to its handler.
+func fuzzDaemon(t *testing.T, cfg core.Config, pred, dir string) *serve.Server {
+	t.Helper()
+	scfg := serve.DefaultConfig()
+	scfg.Addr, scfg.WireAddr = "127.0.0.1:0", "127.0.0.1:0"
+	scfg.Profile, scfg.Predictor = cfg, pred
+	scfg.DataDir = dir
+	scfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
+	srv, err := serve.NewServer(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// call serves one request through the daemon's handler and returns the
+// body of its 200 response.
+func call(t *testing.T, srv *serve.Server, method, target string, body []byte) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s %s: status %d: %s", method, target, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// fuzzDaemonReport fetches a session's /v1/report in compact JSON, the
+// encoding the reference reports use.
+func fuzzDaemonReport(t *testing.T, srv *serve.Server, id string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, call(t, srv, http.MethodGet, "/v1/report?session="+id, nil)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wireIngest streams events into a started daemon's wire front in
+// Send calls of random length and completes the session.
+func wireIngest(t *testing.T, srv *serve.Server, params wire.BeginParams, events []trace.Event, r *rng.Source, chunk int) {
+	t.Helper()
+	c, err := wire.Dial(srv.WireAddr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Begin(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(events); {
+		j := min(len(events), i+1+r.Intn(1+2*chunk))
+		if err := sess.Send(events[i:j]); err != nil {
+			t.Fatal(err)
+		}
+		i = j
+	}
+	if sum, err := sess.End(); err != nil {
+		t.Fatal(err)
+	} else if sum.State != "done" {
+		t.Fatalf("wire session ended %q: %s", sum.State, sum.Error)
+	}
+}
+
+// cutLog rewrites a finished durable session's log to its begin record
+// plus its first k event records, k drawn from r, and returns the
+// events those records hold.
+func cutLog(t *testing.T, path string, r *rng.Source) []trace.Event {
+	t.Helper()
+	recs, _, err := wal.ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 2 {
+		t.Fatalf("%s: %d records, want begin and terminal at least", path, len(recs))
+	}
+	k := r.Intn(len(recs) - 1) // event records sit between begin and terminal
+	if err := wal.Rewrite(path, recs[:1+k]); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		prefix []trace.Event
+		b      trace.SoABatch
+	)
+	for _, rec := range recs[1 : 1+k] {
+		decode := wal.DecodeEvents
+		if rec.Type == walEventsCtx {
+			decode = wal.DecodeEventsCtx
+		} else if rec.Type != walEvents {
+			t.Fatalf("%s: record type %d where an event record belongs", path, rec.Type)
+		}
+		if err := decode(&b, rec.Payload); err != nil {
+			t.Fatal(err)
+		}
+		prefix = b.AppendEvents(prefix)
+	}
+	return prefix
 }
 
 // encodeBTR3With encodes events as BTR3, keeping their context tags.
@@ -157,7 +285,11 @@ func encodeBTR3With(t testing.TB, events []trace.Event, opts trace.BTR2Options) 
 // flags: bit 0 FIR on, bit 1 bias metric, bits 2-4 predictor, bit 5
 // private aggregation, bit 6 wide PC layout, bit 7 compressed chunks.
 // path: path%numPaths is the ingress path, path/numPaths%4 picks
-// Workers 1, 2, 4 or 8.
+// Workers 1, 2, 4 or 8. The daemon paths have no worker knob:
+// path/numPaths%3 picks the BTR1, BTR2 or BTR3 body of the HTTP and WAL
+// paths instead. They run under shared aggregation, or private with
+// one context, because a private multi-context daemon session does not
+// finish yet.
 func FuzzEngineDifferential(f *testing.F) {
 	for i, c := range []struct {
 		n, slice    uint16
@@ -183,6 +315,14 @@ func FuzzEngineDifferential(f *testing.F) {
 		{5000, 4, 3, 0x61, pathSoA, 65},
 		{6000, 333, 3, 0x01, pathMixed, 700},
 		{6000, 999, 5, 0x27, pathMixed, 1500}, // private, bias
+		{5000, 499, 5, 0x01, pathHTTP, 0},     // BTR1 body
+		{6000, 300, 4, 0x85, 1*numPaths + pathHTTP, 700},
+		{6000, 777, 3, 0xa3, 2*numPaths + pathHTTP, 333}, // BTR3, private, bias
+		{4000, 250, 2, 0x01, pathWire, 300},
+		{6000, 999, 6, 0x4b, pathWire, 4000}, // bias, wide
+		{6000, 400, 4, 0x01, pathWAL, 77},
+		{6000, 1000, 8, 0x45, 1*numPaths + pathWAL, 500}, // wide
+		{5000, 64, 1, 0xa7, 2*numPaths + pathWAL, 3000},  // BTR3, private, bias
 	} {
 		f.Add(uint64(i)*0x9e3779b97f4a7c15+1, c.n, c.slice, c.execTh, c.flags, c.path, c.chunk)
 	}
@@ -204,14 +344,38 @@ func FuzzEngineDifferential(f *testing.F) {
 			opts.Aggregation = engine.AggPrivate
 		}
 		what := fmt.Sprintf("path %d, workers %d, private %v, %+v", p, workers, private, cfg)
+		daemon := p >= pathHTTP
+		format := pathBTR1 + int(path)/numPaths%3
+		if daemon {
+			what = fmt.Sprintf("path %d, format %d, private %v, %+v", p, format, private, cfg)
+		}
 
-		if p == pathBTR1 || p == pathBTR2 {
-			// These formats carry no context tags.
+		if p == pathBTR1 || p == pathBTR2 || daemon && (private || p != pathWire && format != pathBTR3) {
+			// These formats carry no context tags, and the daemon paths
+			// keep private sessions to one context.
 			for i := range events {
 				events[i].Ctx = 0
 			}
 		}
 		want := refReports(t, events, cfg, pred, private)
+
+		var raw []byte
+		chunkOpts := trace.BTR2Options{ChunkEvents: 1 + int(chunk)%3000, Compress: flags&0x80 != 0}
+		encode := func(format int) {
+			switch format {
+			case pathBTR1:
+				raw = encodeBTR1(t, events)
+			case pathBTR2:
+				raw = encodeBTR2With(t, events, chunkOpts)
+			case pathBTR3:
+				raw = encodeBTR3With(t, events, chunkOpts)
+			}
+		}
+		agg := ""
+		if private {
+			agg = "private"
+		}
+		r := rng.New(seed ^ uint64(chunk)<<32)
 
 		switch p {
 		case pathPerEvent, pathSoA, pathMixed:
@@ -219,7 +383,6 @@ func FuzzEngineDifferential(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := rng.New(seed ^ uint64(chunk)<<32)
 			var b trace.SoABatch
 			for i := 0; i < len(events); {
 				j := min(len(events), i+1+r.Intn(1+2*int(chunk)))
@@ -239,18 +402,38 @@ func FuzzEngineDifferential(f *testing.F) {
 			}
 			compareReports(t, what, got, want)
 			return
+		case pathHTTP:
+			encode(format)
+			srv := fuzzDaemon(t, cfg, pred, "")
+			call(t, srv, http.MethodPost, "/v1/ingest?session=f&agg="+agg, raw)
+			compareJSON(t, what, fuzzDaemonReport(t, srv, "f"), want[0])
+			return
+		case pathWire:
+			srv := fuzzDaemon(t, cfg, pred, "")
+			if _, err := srv.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				srv.Shutdown(ctx)
+			}()
+			wireIngest(t, srv, wire.BeginParams{ID: "f", Aggregation: agg}, events, r, int(chunk))
+			compareJSON(t, what, fuzzDaemonReport(t, srv, "f"), want[0])
+			return
+		case pathWAL:
+			encode(format)
+			dir := t.TempDir()
+			call(t, fuzzDaemon(t, cfg, pred, dir), http.MethodPost, "/v1/ingest?session=f&agg="+agg, raw)
+			prefix := cutLog(t, filepath.Join(dir, "f.wal"), r)
+			// A restarted daemon replays the cut log as an interrupted
+			// session, through the trailing partial-slice rule.
+			got := fuzzDaemonReport(t, fuzzDaemon(t, cfg, pred, dir), "f")
+			compareJSON(t, fmt.Sprintf("%s, %d of %d events", what, len(prefix), len(events)), got, refReports(t, prefix, cfg, pred, private)[0])
+			return
 		}
 
-		var raw []byte
-		chunkOpts := trace.BTR2Options{ChunkEvents: 1 + int(chunk)%3000, Compress: flags&0x80 != 0}
-		switch p {
-		case pathBTR1:
-			raw = encodeBTR1(t, events)
-		case pathBTR2:
-			raw = encodeBTR2With(t, events, chunkOpts)
-		case pathBTR3:
-			raw = encodeBTR3With(t, events, chunkOpts)
-		}
+		encode(p)
 		rep, err := engine.ProfileStream(bytes.NewReader(raw), cfg, opts)
 		if len(want) > 1 {
 			if !errors.Is(err, engine.ErrMultiContext) {

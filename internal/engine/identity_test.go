@@ -48,7 +48,7 @@ func marshal(t testing.TB, rep *core.Report) []byte {
 }
 
 // referenceReport is the ground truth every path must reproduce: a
-// plain, unsharded core.Profiler driven one event at a time through
+// plain core.Profiler driven one event at a time through
 // Branch — the pre-engine code path, kept in the test on purpose so
 // the engine is pinned to the primitive it replaced, sharing no batch
 // code with the paths under test.
@@ -116,10 +116,9 @@ func encodeBTR3(t testing.TB, events []trace.Event) []byte {
 	return buf.Bytes()
 }
 
-// daemonReport ingests a trace into a freshly started daemon, sending
-// shards as the session's shards parameter, and returns the /v1/report
-// body.
-func daemonReport(t testing.TB, cfg core.Config, shards int, raw []byte, query string) []byte {
+// daemonReport ingests a trace into a freshly started daemon and
+// returns the /v1/report body.
+func daemonReport(t testing.TB, cfg core.Config, raw []byte, query string) []byte {
 	t.Helper()
 	scfg := serve.DefaultConfig()
 	scfg.Addr = "127.0.0.1:0"
@@ -138,7 +137,7 @@ func daemonReport(t testing.TB, cfg core.Config, shards int, raw []byte, query s
 		defer cancel()
 		srv.Shutdown(ctx)
 	}()
-	url := fmt.Sprintf("http://%s/v1/ingest?session=matrix&shards=%d%s", srv.Addr(), shards, query)
+	url := fmt.Sprintf("http://%s/v1/ingest?session=matrix%s", srv.Addr(), query)
 	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +271,7 @@ func clusterReports(t testing.TB, cfg core.Config, btr1, btr2, btr3 []byte, even
 // live VM run through the engine, sequential BTR1 replay, parallel
 // BTR2 replay at several worker counts, daemon HTTP ingest, and
 // routed ingest through a three-node cluster (HTTP and binary wire) —
-// produces a byte-identical report, equal to a plain unsharded
+// produces a byte-identical report, equal to a plain
 // sequential profiler over the same events.
 func TestCrossPathIdentityMatrix(t *testing.T) {
 	if testing.Short() {
@@ -302,7 +301,7 @@ func TestCrossPathIdentityMatrix(t *testing.T) {
 				}
 			}
 
-			// Live VM run through the engine, sequential and sharded.
+			// Live VM run through the engine, at 1 and 4 decode workers.
 			for _, workers := range []int{1, 4} {
 				inst, err := progs.StandardInput(kernel, "train")
 				if err != nil {
@@ -337,14 +336,14 @@ func TestCrossPathIdentityMatrix(t *testing.T) {
 				check(fmt.Sprintf("btr3/workers=%d", workers), marshal(t, rep))
 			}
 
-			// Daemon ingest, BTR1, BTR2 and BTR3 bodies, sharded.
+			// Daemon ingest, BTR1, BTR2 and BTR3 bodies.
 			query := ""
 			if metric == core.MetricBias {
 				query = "&metric=bias"
 			}
-			check("daemon/btr1", daemonReport(t, cfg, 4, btr1, query))
-			check("daemon/btr2", daemonReport(t, cfg, 4, btr2, query))
-			check("daemon/btr3", daemonReport(t, cfg, 4, btr3, query))
+			check("daemon/btr1", daemonReport(t, cfg, btr1, query))
+			check("daemon/btr2", daemonReport(t, cfg, btr2, query))
+			check("daemon/btr3", daemonReport(t, cfg, btr3, query))
 
 			// Cluster column: the same streams through a 3-node cluster
 			// behind the router, over HTTP and the binary wire protocol.
@@ -393,7 +392,7 @@ func TestAnnotatedLiveMatchesAnnotatedReplay(t *testing.T) {
 		t.Errorf("annotated replay report differs from annotated live report")
 	}
 
-	if got := daemonReport(t, cfg, 4, btr1, "&kernel="+kernel); !bytes.Equal(want, got) {
+	if got := daemonReport(t, cfg, btr1, "&kernel="+kernel); !bytes.Equal(want, got) {
 		t.Errorf("annotated daemon report differs from annotated live report")
 	}
 }

@@ -143,8 +143,7 @@ func TestTruncatedStreamFails(t *testing.T) {
 }
 
 // TestParallelReplayHammer drives the full pipeline concurrently; it is
-// the -race workout for the decode pool, the reorder stage and the
-// shard fan-out.
+// the -race workout for the decode pool and the reorder stage.
 func TestParallelReplayHammer(t *testing.T) {
 	events := streamEvents(t)
 	if testing.Short() {

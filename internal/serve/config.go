@@ -116,7 +116,7 @@ func (c Config) Validate() error {
 	}
 	if c.DataDir != "" {
 		if err := c.Fsync.Validate(); err != nil {
-			return fmt.Errorf("serve: invalid config: %w", err)
+			return fmt.Errorf("serve: invalid config: Fsync: %w", err)
 		}
 		if c.CompactInterval <= 0 {
 			return fmt.Errorf("serve: invalid config: CompactInterval must be positive with DataDir set")
@@ -124,8 +124,11 @@ func (c Config) Validate() error {
 	}
 	if c.Profile.Metric == core.MetricAccuracy {
 		if _, err := bpred.New(c.Predictor); err != nil {
-			return fmt.Errorf("serve: invalid config: %w", err)
+			return fmt.Errorf("serve: invalid config: Predictor: %w", err)
 		}
 	}
-	return c.Profile.Validate()
+	if err := c.Profile.Validate(); err != nil {
+		return fmt.Errorf("serve: invalid config: Profile: %w", err)
+	}
+	return nil
 }

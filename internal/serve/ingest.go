@@ -27,11 +27,6 @@ const ingestFlushEvery = 4096
 // ingestBodyBuffer is the bufio window over the request body.
 const ingestBodyBuffer = 128 << 10
 
-// maxRequestShards caps the per-request shards parameter. Old clients
-// and the router still send it; it is range-checked and otherwise
-// ignored.
-const maxRequestShards = 128
-
 // maxSessionID caps client-chosen session ids — they become WAL file
 // names (escaped), and filesystems cap name components at 255 bytes.
 const maxSessionID = 64
@@ -86,13 +81,6 @@ func paramsFromQuery(q url.Values) (wire.BeginParams, error) {
 		}
 		p.SliceSize = n
 	}
-	if v := q.Get("shards"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n == 0 {
-			return p, fmt.Errorf("bad shards %q (want 1..%d)", v, maxRequestShards)
-		}
-		p.Shards = n
-	}
 	return p, nil
 }
 
@@ -127,7 +115,8 @@ type ingestRun struct {
 	s       *Server
 	session *Session
 	eng     *engine.Engine
-	local   int64
+	local   int64 // events not yet folded into the shared counters
+	slices  int64 // engine slices already folded into the slice metric
 	done    bool
 }
 
@@ -169,10 +158,6 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 	case p.SliceSize > 0:
 		cfg.SliceSize = p.SliceSize
 	}
-	if p.Shards < 0 || p.Shards > maxRequestShards {
-		return nil, &ingestError{status: http.StatusBadRequest,
-			msg: fmt.Sprintf("bad shards %d (want 1..%d)", p.Shards, maxRequestShards)}
-	}
 	var agg engine.AggMode
 	if p.Aggregation != "" {
 		var err error
@@ -206,7 +191,6 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 		Predictor:   predictor,
 		Aggregation: agg,
 		Static:      static,
-		OnSlice:     func() { s.metrics.Slices.Add(1) },
 	})
 	if err != nil {
 		return nil, &ingestError{status: http.StatusBadRequest, msg: err.Error()}
@@ -230,7 +214,6 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 			Group:       p.Group,
 			Profile:     cfg,
 			Predictor:   predictor,
-			Shards:      p.Shards,
 			Aggregation: agg.String(),
 			Kernel:      p.Kernel,
 		})
@@ -260,17 +243,24 @@ func (ir *ingestRun) events(b *trace.SoABatch) error {
 	return nil
 }
 
-// flushCounters folds the local event count into the shared atomics.
+// flushCounters folds the local event count and the engine's newly
+// completed slices into the shared atomics.
 func (ir *ingestRun) flushCounters() {
 	ir.session.events.Add(ir.local)
 	ir.s.metrics.Events.Add(ir.local)
 	ir.local = 0
+	n := ir.eng.Slices()
+	ir.s.metrics.Slices.Add(n - ir.slices)
+	ir.slices = n
 }
 
-// finish retires the run from the active-session gauge exactly once.
+// finish retires the run from the active-session gauge exactly once,
+// after the terminal transition: it folds the counters once more, so
+// the trailing slice that Finish completes is counted too.
 func (ir *ingestRun) finish() {
 	if !ir.done {
 		ir.done = true
+		ir.flushCounters()
 		ir.s.metrics.ActiveSessions.Add(-1)
 	}
 }

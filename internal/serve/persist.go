@@ -25,7 +25,7 @@ import (
 // The record schema on top of package wal's framing:
 //
 //	recBegin   JSON sessionMeta — resolved profiling config, predictor,
-//	           shards parameter and (optional) kernel name. Always first.
+//	           aggregation mode and (optional) kernel name. Always first.
 //	recEvents  wal.EncodeEvents batch, appended ahead of the in-memory
 //	           engine in exact stream order (a decoded batch larger than
 //	           wal.MaxEventsPerRecord spans several records). Batches
@@ -61,11 +61,6 @@ type sessionMeta struct {
 	Group     string      `json:"group,omitempty"`
 	Profile   core.Config `json:"profile"`
 	Predictor string      `json:"predictor,omitempty"`
-	// Shards records the session's shards parameter as sent. Older
-	// daemons sized the session's engine from it; recovery no longer
-	// reads it, and it stays so recBegin keeps one shape across
-	// versions.
-	Shards int `json:"shards"`
 	// Aggregation is the context-aggregation mode ("shared"/"private");
 	// logs written before contexts existed omit it and replay as shared.
 	Aggregation string `json:"aggregation,omitempty"`

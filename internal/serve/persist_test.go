@@ -148,13 +148,19 @@ func TestMidStreamRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plog, err := st.Create(sessionMeta{
-		ID:        "interrupted",
-		Profile:   cfg.Profile,
-		Predictor: cfg.Predictor,
-		Shards:    4,
-	})
+	// The begin record is an older daemon's: it still carries the
+	// session's shards parameter, which recovery must ignore.
+	meta, err := json.Marshal(sessionMeta{ID: "interrupted", Profile: cfg.Profile, Predictor: cfg.Predictor})
 	if err != nil {
+		t.Fatal(err)
+	}
+	meta = append(meta[:len(meta)-1], `,"shards":4}`...)
+	l, err := wal.Create(st.path("interrupted"), st.policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plog := &sessionLog{st: st, id: "interrupted", l: l}
+	if err := plog.append(recBegin, meta); err != nil {
 		t.Fatal(err)
 	}
 	var b trace.SoABatch
@@ -547,7 +553,7 @@ func TestDurableIngestOversizedChunk(t *testing.T) {
 
 // TestDurableIngestZeroAlloc extends the engine's zero-alloc contract
 // through the durable tee: once warmed up, applying a decoded batch to
-// a 1-shard durable session at -fsync never — WAL encode, append,
+// a durable session at -fsync never — WAL encode, append,
 // engine — allocates nothing.
 func TestDurableIngestZeroAlloc(t *testing.T) {
 	cfg := durableConfig(t)
@@ -583,9 +589,15 @@ func TestDurableIngestZeroAlloc(t *testing.T) {
 // walErrors reads twodprof_wal_errors_total from /metrics.
 func walErrors(t testing.TB, srv *Server) int64 {
 	t.Helper()
+	return metric(t, srv, "twodprof_wal_errors_total")
+}
+
+// metric reads one counter from /metrics.
+func metric(t testing.TB, srv *Server, name string) int64 {
+	t.Helper()
 	_, body := get(t, srv, "/metrics")
 	for _, line := range strings.Split(string(body), "\n") {
-		if v, ok := strings.CutPrefix(line, "twodprof_wal_errors_total "); ok {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
 			var n int64
 			if _, err := fmt.Sscan(v, &n); err != nil {
 				t.Fatalf("metrics line %q: %v", line, err)
@@ -593,7 +605,7 @@ func walErrors(t testing.TB, srv *Server) int64 {
 			return n
 		}
 	}
-	t.Fatalf("/metrics has no twodprof_wal_errors_total:\n%s", body)
+	t.Fatalf("/metrics has no %s:\n%s", name, body)
 	return 0
 }
 

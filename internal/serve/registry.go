@@ -52,9 +52,9 @@ func (s SessionState) String() string {
 type Session struct {
 	ID string
 	// Group, when non-empty, tags the session as one member of a
-	// PC-sharded collector group; /v1/snapshot?group merges all members
-	// (DESIGN.md §3g). Set before the session is published and never
-	// written again.
+	// collector group of PC-disjoint sessions; /v1/snapshot?group
+	// unions all members (DESIGN.md §3g). Set before the session is
+	// published and never written again.
 	Group string
 
 	mu    sync.Mutex

@@ -27,10 +27,14 @@ func regEngine(t *testing.T) *engine.Engine {
 	return eng
 }
 
+// feed applies n events to the engine as one batch, so live reads see
+// all of them.
 func feed(eng *engine.Engine, n int) {
+	var b trace.SoABatch
 	for i := 0; i < n; i++ {
-		eng.Branch(trace.PC(4096+i%7*4), i%2 == 0)
+		b.Append(trace.PC(4096+i%7*4), i%2 == 0)
 	}
+	eng.BranchBatchSoA(&b)
 }
 
 // checkpoint returns the finished session's resident checkpoint.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -69,6 +70,51 @@ func TestWireIngestMatchesHTTP(t *testing.T) {
 	}
 }
 
+// TestSliceMetricCountsEverySlice: once an HTTP session and a wire
+// session complete, twodprof_slices_completed_total equals the sum of
+// their summaries' slices. The slice size leaves a trailing partial
+// slice that Finish completes, so the count must be folded again after
+// the terminal transition.
+func TestSliceMetricCountsEverySlice(t *testing.T) {
+	raw := kernelTrace(t, "fsm", "train", false)
+	events := traceEvents(t, raw)
+	n := int64(len(events))
+	slice := int64(1000)
+	for rem := n % slice; rem == 0 || rem < slice/2; rem = n % slice {
+		slice++
+	}
+	srv := startWireServer(t, testConfig())
+
+	status, body := postTrace(t, srv, fmt.Sprintf("/v1/ingest?session=http&slice=%d", slice), raw)
+	if status != http.StatusOK {
+		t.Fatalf("http ingest status %d: %s", status, body)
+	}
+	var httpSum wire.Summary
+	if err := json.Unmarshal(body, &httpSum); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := dialWire(t, srv).Begin(wire.BeginParams{ID: "wire", SliceSize: slice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Send(events); err != nil {
+		t.Fatal(err)
+	}
+	wireSum, err := sess.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, sum := range []wire.Summary{httpSum, wireSum} {
+		if want := n/slice + 1; sum.Slices != want {
+			t.Fatalf("session %s: %d slices, want %d (the trailing partial slice completes)", sum.Session, sum.Slices, want)
+		}
+	}
+	if got, want := metric(t, srv, "twodprof_slices_completed_total"), httpSum.Slices+wireSum.Slices; got != want {
+		t.Errorf("twodprof_slices_completed_total = %d, want %d", got, want)
+	}
+}
+
 // TestWireBeginValidation maps setup refusals onto wire error codes.
 func TestWireBeginValidation(t *testing.T) {
 	srv := startWireServer(t, testConfig())
@@ -78,7 +124,6 @@ func TestWireBeginValidation(t *testing.T) {
 	for _, p := range []wire.BeginParams{
 		{ID: "x", Metric: "nope"},
 		{ID: "neg-slice", SliceSize: -5},
-		{ID: "neg-shards", Shards: -1},
 	} {
 		if _, err := c.Begin(p); err == nil {
 			t.Fatalf("bad begin %+v accepted", p)
@@ -197,8 +242,8 @@ func TestWireDrainRefusesBegins(t *testing.T) {
 }
 
 // TestSnapshotEndpoint exercises /v1/snapshot: per-session snapshots,
-// and the group merge over a PC-disjoint collector group (the sharding
-// model DESIGN.md §3g's cluster aggregation rests on).
+// and the group merge over a PC-disjoint collector group (the union
+// DESIGN.md §3g's cluster aggregation rests on).
 func TestSnapshotEndpoint(t *testing.T) {
 	raw := kernelTrace(t, "fsm", "train", false)
 	events := traceEvents(t, raw)
@@ -247,7 +292,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 		seen[b.PC%2 == 0] = true
 	}
 	if !seen[true] || !seen[false] {
-		t.Fatalf("merged group snapshot missing a shard's branches (parities seen: %v)", seen)
+		t.Fatalf("merged group snapshot missing a member's branches (parities seen: %v)", seen)
 	}
 
 	// The group listing carries the tag.

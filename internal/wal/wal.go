@@ -116,11 +116,11 @@ func (p SyncPolicy) Validate() error {
 		return nil
 	case SyncInterval:
 		if p.Interval <= 0 {
-			return fmt.Errorf("wal: SyncInterval policy needs a positive Interval")
+			return fmt.Errorf("wal: invalid SyncPolicy: Interval must be positive with SyncInterval (got %v)", p.Interval)
 		}
 		return nil
 	default:
-		return fmt.Errorf("wal: unknown sync mode %d", p.Mode)
+		return fmt.Errorf("wal: invalid SyncPolicy: unknown Mode %d", p.Mode)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -499,5 +500,38 @@ func TestDecodeEventsCtxRejectsGarbage(t *testing.T) {
 	// And the plain decoder must refuse a ctx payload (trailing bytes).
 	if err := DecodeEvents(&b, good); err == nil {
 		t.Error("DecodeEvents accepted a context-carrying payload")
+	}
+}
+
+// TestSyncPolicyValidate: every mode with its required cadence passes,
+// and each invalid field is refused with an error that names it.
+func TestSyncPolicyValidate(t *testing.T) {
+	for _, p := range []SyncPolicy{
+		{Mode: SyncAlways},
+		{Mode: SyncNever},
+		{Mode: SyncInterval, Interval: DefaultSyncInterval},
+	} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", p, err)
+		}
+	}
+	invalid := []struct {
+		field, value string
+		policy       SyncPolicy
+	}{
+		{"Mode", "99", SyncPolicy{Mode: 99}},
+		{"Interval", "0", SyncPolicy{Mode: SyncInterval}},
+		{"Interval", "-1ms", SyncPolicy{Mode: SyncInterval, Interval: -time.Millisecond}},
+	}
+	for _, tc := range invalid {
+		t.Run("rejects "+tc.field+"="+tc.value, func(t *testing.T) {
+			err := tc.policy.Validate()
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("error %q does not name %s", err, tc.field)
+			}
+		})
 	}
 }

@@ -265,10 +265,6 @@ type BeginParams struct {
 	Predictor string `json:"predictor,omitempty"`
 	// SliceSize overrides the profiling slice size.
 	SliceSize int64 `json:"sliceSize,omitempty"`
-	// Shards is accepted for older clients and the router, which still
-	// send it: the server refuses a value outside 1..128 and otherwise
-	// ignores it (a session profiles on one goroutine).
-	Shards int `json:"shards,omitempty"`
 	// Aggregation selects the multi-context aggregation mode ("shared"
 	// or "private"; "" means shared).
 	Aggregation string `json:"aggregation,omitempty"`

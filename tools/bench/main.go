@@ -72,10 +72,9 @@ func main() {
 // The guarded rows run the fsm/train kernel, except the layout pair,
 // which profiles one synthetic stream in two PC layouts. The
 // record-only sweeps run bsearch/train, a dense hot loop, and the wide
-// synthetic population, at the worker counts (and daemon shards
-// parameters) a multi-core host would use, and the record-only BTR3
-// rows run ext-mt's multi-context streams. The transport rows share
-// the returned daemon.
+// synthetic population, at the decode worker counts a multi-core host
+// would use, and the record-only BTR3 rows run ext-mt's multi-context
+// streams. The transport rows share the returned daemon.
 func tables() (rows []*row, guards []*guard, tr *transport) {
 	fsm := kernel("fsm", "train", true)
 	bsearch := kernel("bsearch", "train", false)
@@ -105,8 +104,8 @@ func tables() (rows []*row, guards []*guard, tr *transport) {
 			if n == 1 {
 				hold(r, perEvent, floorE2E)
 			}
-			hold(add(fsm.daemonRow(m, n)), plain1, floorDaemon)
 		}
+		hold(add(fsm.daemonRow(m)), plain1, floorDaemon)
 	}
 
 	scalar, soa := decodeRows(fsm)
@@ -131,9 +130,7 @@ func tables() (rows []*row, guards []*guard, tr *transport) {
 			for _, n := range []int{1, 2, 4, 8} {
 				add(w.replayRow("btr2", m, n))
 			}
-			for _, n := range []int{1, 4, 8} {
-				add(w.daemonRow(m, n))
-			}
+			add(w.daemonRow(m))
 		}
 	}
 	rows = append(rows, contextRows(workers)...)

@@ -88,12 +88,10 @@ func (w *workload) replayRow(format string, m core.Metric, workers int) *row {
 	})
 }
 
-// daemonRow boots a loopback daemon, posts the BTR1 encoding with the
-// shard count as the session's shards parameter (which the daemon
-// accepts and ignores), fetches and decodes the report, and shuts the
-// daemon down.
-func (w *workload) daemonRow(m core.Metric, shards int) *row {
-	return w.metricRow(fmt.Sprintf("daemon-ingest shards=%d", shards), m, func(cfg core.Config) (*core.Report, error) {
+// daemonRow boots a loopback daemon, posts the BTR1 encoding, fetches
+// and decodes the report, and shuts the daemon down.
+func (w *workload) daemonRow(m core.Metric) *row {
+	return w.metricRow("daemon-ingest", m, func(cfg core.Config) (*core.Report, error) {
 		scfg := serve.DefaultConfig()
 		scfg.Addr = "127.0.0.1:0"
 		scfg.Predictor, scfg.Profile = predictor, cfg
@@ -103,7 +101,7 @@ func (w *workload) daemonRow(m core.Metric, shards int) *row {
 		}
 		defer stop(srv)
 		base := "http://" + srv.Addr()
-		if _, err := body(http.Post(fmt.Sprintf("%s/v1/ingest?session=bench&shards=%d", base, shards), "application/octet-stream", bytes.NewReader(w.btr1))); err != nil {
+		if _, err := body(http.Post(base+"/v1/ingest?session=bench", "application/octet-stream", bytes.NewReader(w.btr1))); err != nil {
 			return nil, err
 		}
 		js, err := body(http.Get(base + "/v1/report?session=bench"))
@@ -124,8 +122,8 @@ func config(m core.Metric) core.Config {
 // encoded is one encoding of a workload's stream.
 type encoded []byte
 
-// plain is the primitive the engine replaced: one unsharded
-// core.Profiler fed by the sequential trace reader, decode included.
+// plain is the primitive the engine replaced: one core.Profiler fed by
+// the sequential trace reader, decode included.
 func (raw encoded) plain(cfg core.Config) (*core.Report, error) {
 	var pred bpred.Predictor
 	if cfg.Metric == core.MetricAccuracy {

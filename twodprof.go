@@ -140,10 +140,10 @@ func NewHardwareProfiler(cfg Config) (*Profiler, error) {
 	return core.NewHardwareProfiler(cfg)
 }
 
-// Online / sharded profiling types. A Snapshot is a consistent
-// copy-on-read view of a live profiler's counters; snapshots whose
-// branch sets partition disjointly by PC merge into a report identical
-// to a single sequential pass (see DESIGN.md §3b).
+// Snapshot types. A Snapshot is a consistent copy-on-read view of a
+// live profiler's counters; snapshots whose branch sets are disjoint by
+// PC merge by union, as the daemon's collector groups do (see DESIGN.md
+// §3b).
 type (
 	// Snapshot is a consistent copy of a profiler's per-branch counters.
 	Snapshot = core.Snapshot
@@ -151,24 +151,12 @@ type (
 	BranchCounters = core.BranchCounters
 )
 
-// NewShardProfiler creates a profiler for one PC-shard of a split
-// stream: outcomes arrive via BranchOutcome and slice boundaries via
-// EndSlice, both driven by a sequential front-end that owns the
-// predictor and the global slice clock (internal/serve, cmd/profiled).
-func NewShardProfiler(cfg Config, predictor string) (*Profiler, error) {
-	return core.NewShardProfiler(cfg, predictor)
-}
-
-// MergeSnapshots unions shard snapshots with disjoint branch sets into
-// one; configurations and predictor names must match.
+// MergeSnapshots unions snapshots with disjoint branch sets into one;
+// configurations and predictor names must match. Each member profiled
+// with its own slice clock, so the union is not the report of one
+// interleaved stream.
 func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 	return core.MergeSnapshots(snaps...)
-}
-
-// MergeReports merges shard snapshots and evaluates the combined
-// report, byte-identical to profiling the unsplit stream.
-func MergeReports(snaps ...*Snapshot) (*Report, error) {
-	return core.MergeReports(snaps...)
 }
 
 // Profile runs a complete 2D-profiling pass: it streams src through a
