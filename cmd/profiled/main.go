@@ -30,8 +30,9 @@
 //	GET  /metrics
 //
 // With -data-dir every session is backed by a write-ahead log and
-// survives restarts; a finished session keeps only its checkpoint
-// snapshot, and after -idle-after unqueried only the copy in its log.
+// survives restarts. A finished session keeps only its checkpoint
+// snapshot: its log is rewritten to that checkpoint when it finishes,
+// and after -idle-after unqueried the copy in its log is the only one.
 //
 // With -pprof-addr a separate listener serves Go's /debug/pprof
 // endpoints for live CPU/heap profiling of the daemon.
@@ -71,8 +72,7 @@ func main() {
 		keep    = flag.Int("sessions", cfg.MaxSessions, "finished sessions retained for /v1/report")
 		dataDir = flag.String("data-dir", "", "session WAL directory; enables durable sessions and crash recovery (empty = in-memory only)")
 		fsync   = flag.String("fsync", cfg.Fsync.String(), "WAL durability: always, never, or a flush cadence like 100ms")
-		ckpt    = flag.Int64("checkpoint-every", cfg.CheckpointEvery, "compact a finished session log once it holds this many events (0 = always)")
-		idle    = flag.Duration("idle-after", cfg.IdleAfter, "drop a finished session's checkpoint from memory after this long unqueried; its log keeps it (0 = never)")
+		idle    = flag.Duration("idle-after", cfg.IdleAfter, "drop a finished session's checkpoint from memory after this long unqueried, checked every quarter of it; its log keeps it (0 = never)")
 		pprofA  = flag.String("pprof-addr", "", "serve /debug/pprof on this address (empty = disabled); keep it on a loopback or firewalled port")
 	)
 	flag.Parse()
@@ -87,7 +87,6 @@ func main() {
 	cfg.DrainTimeout = *drainTO
 	cfg.MaxSessions = *keep
 	cfg.DataDir = *dataDir
-	cfg.CheckpointEvery = *ckpt
 	cfg.IdleAfter = *idle
 	if policy, err := wal.ParseSyncPolicy(*fsync); err != nil {
 		fail(err)

@@ -35,7 +35,7 @@ const (
 	pathMixed           // random runs of per-event calls and SoA batches
 	pathHTTP            // daemon HTTP ingest of BTR1/BTR2/BTR3 bytes
 	pathWire            // daemon wire ingest through wire.Session.Send
-	pathWAL             // daemon recovery of a durable session's log cut after k event records
+	pathWAL             // daemon recovery of a durable wire session's live log cut after k event records
 	numPaths
 )
 
@@ -161,15 +161,16 @@ func compareJSON(t *testing.T, what string, g, w []byte) {
 }
 
 // fuzzDaemon builds a daemon profiling with the case's config and
-// predictor; dir, when non-empty, makes its sessions durable there. It
-// is not started: requests go straight to its handler.
+// predictor; dir, when non-empty, makes its sessions durable there,
+// every appended record in the file when its append returns. It is not
+// started: requests go straight to its handler.
 func fuzzDaemon(t *testing.T, cfg core.Config, pred, dir string) *serve.Server {
 	t.Helper()
 	scfg := serve.DefaultConfig()
 	scfg.Addr, scfg.WireAddr = "127.0.0.1:0", "127.0.0.1:0"
 	scfg.Profile, scfg.Predictor = cfg, pred
 	scfg.DataDir = dir
-	scfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
+	scfg.Fsync = wal.SyncPolicy{Mode: wal.SyncAlways}
 	srv, err := serve.NewServer(scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -200,9 +201,26 @@ func fuzzDaemonReport(t *testing.T, srv *serve.Server, id string) []byte {
 	return buf.Bytes()
 }
 
+// startFuzzDaemon starts srv's listeners and stops it with the test.
+func startFuzzDaemon(t *testing.T, srv *serve.Server) *serve.Server {
+	t.Helper()
+	if _, err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stopFuzzDaemon(srv) })
+	return srv
+}
+
+func stopFuzzDaemon(srv *serve.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	srv.Shutdown(ctx)
+}
+
 // wireIngest streams events into a started daemon's wire front in
-// Send calls of random length and completes the session.
-func wireIngest(t *testing.T, srv *serve.Server, params wire.BeginParams, events []trace.Event, r *rng.Source, chunk int) {
+// Send calls of random length, runs beforeEnd (when non-nil) and
+// completes the session.
+func wireIngest(t *testing.T, srv *serve.Server, params wire.BeginParams, events []trace.Event, r *rng.Source, chunk int, beforeEnd func()) {
 	t.Helper()
 	c, err := wire.Dial(srv.WireAddr(), 5*time.Second)
 	if err != nil {
@@ -220,6 +238,9 @@ func wireIngest(t *testing.T, srv *serve.Server, params wire.BeginParams, events
 		}
 		i = j
 	}
+	if beforeEnd != nil {
+		beforeEnd()
+	}
 	if sum, err := sess.End(); err != nil {
 		t.Fatal(err)
 	} else if sum.State != "done" {
@@ -227,39 +248,67 @@ func wireIngest(t *testing.T, srv *serve.Server, params wire.BeginParams, events
 	}
 }
 
-// cutLog rewrites a finished durable session's log to its begin record
-// plus its first k event records, k drawn from r, and returns the
-// events those records hold.
-func cutLog(t *testing.T, path string, r *rng.Source) []trace.Event {
+// logEvents decodes the events of a session log's event records.
+func logEvents(t *testing.T, recs []wal.Record) []trace.Event {
 	t.Helper()
-	recs, _, err := wal.ReadAll(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) < 2 {
-		t.Fatalf("%s: %d records, want begin and terminal at least", path, len(recs))
-	}
-	k := r.Intn(len(recs) - 1) // event records sit between begin and terminal
-	if err := wal.Rewrite(path, recs[:1+k]); err != nil {
-		t.Fatal(err)
-	}
 	var (
-		prefix []trace.Event
+		events []trace.Event
 		b      trace.SoABatch
 	)
-	for _, rec := range recs[1 : 1+k] {
+	for _, rec := range recs {
 		decode := wal.DecodeEvents
 		if rec.Type == walEventsCtx {
 			decode = wal.DecodeEventsCtx
 		} else if rec.Type != walEvents {
-			t.Fatalf("%s: record type %d where an event record belongs", path, rec.Type)
+			t.Fatalf("record type %d where an event record belongs", rec.Type)
 		}
 		if err := decode(&b, rec.Payload); err != nil {
 			t.Fatal(err)
 		}
-		prefix = b.AppendEvents(prefix)
+		events = b.AppendEvents(events)
 	}
-	return prefix
+	return events
+}
+
+// awaitLiveLog polls a streaming session's log until its event records
+// hold n events and returns its records: the copy of the live log a
+// crash at that moment would leave.
+func awaitLiveLog(t *testing.T, path string, n int) []wal.Record {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		// A record being appended may show as a torn tail; the valid
+		// prefix before it is what a crash would keep.
+		recs, _, err := wal.ReadAll(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) > 0 && len(logEvents(t, recs[1:])) == n {
+			return recs
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: the live log never held all %d events", path, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// walCut is where the WAL path cut a live log: it kept the first kept
+// of the log's records event records.
+type walCut struct{ kept, records int }
+
+// cutLog replaces the log at path with a copy of its live records cut
+// to the begin record plus the first k event records, k drawn from r
+// — the log of a daemon that died there — and returns the events those
+// records hold.
+func cutLog(t *testing.T, path string, live []wal.Record, r *rng.Source) ([]trace.Event, walCut) {
+	t.Helper()
+	cut := walCut{records: len(live) - 1} // event records follow the begin record
+	cut.kept = r.Intn(cut.records + 1)
+	if err := wal.Rewrite(path, live[:1+cut.kept]); err != nil {
+		t.Fatal(err)
+	}
+	return logEvents(t, live[1:1+cut.kept]), cut
 }
 
 // encodeBTR3With encodes events as BTR3, keeping their context tags.
@@ -286,190 +335,234 @@ func encodeBTR3With(t testing.TB, events []trace.Event, opts trace.BTR2Options) 
 // private aggregation, bit 6 wide PC layout, bit 7 compressed chunks.
 // path: path%numPaths is the ingress path, path/numPaths%4 picks
 // Workers 1, 2, 4 or 8. The daemon paths have no worker knob:
-// path/numPaths%3 picks the BTR1, BTR2 or BTR3 body of the HTTP and WAL
-// paths instead. They run under shared aggregation, or private with
-// one context, because a private multi-context daemon session does not
+// path/numPaths%3 picks the BTR1, BTR2 or BTR3 body of the HTTP path
+// instead. They run under shared aggregation, or private with one
+// context, because a private multi-context daemon session does not
 // finish yet.
 func FuzzEngineDifferential(f *testing.F) {
-	for i, c := range []struct {
-		n, slice    uint16
-		execTh      uint8
-		flags, path uint8
-		chunk       uint16
-	}{
-		{3000, 0, 0, 0x01, pathPerEvent, 0}, // slice size 1
-		{3000, 99, 3, 0x01, pathSoA, 200},
-		{5000, 499, 5, 0x21, pathSoA, 777},    // private
-		{5000, 499, 5, 0x23, pathPerEvent, 0}, // private, bias
-		{6000, 257, 2, 0x05, pathBTR1, 0},
-		{6000, 1000, 8, 0x45, pathBTR2, 4093},   // wide PCs
-		{6000, 300, 4, 0x89, 4*numPaths + 3, 7}, // BTR2, workers 4, tiny chunks
-		{6000, 300, 4, 0x0d, 3*numPaths + 4, 9}, // BTR3, workers 8
-		{6000, 700, 6, 0xa1, 1*numPaths + 4, 500},
-		{6000, 63, 0, 0xe3, 2*numPaths + 4, 64}, // private, bias, wide, compressed
-		{4000, 1199, 24, 0x11, pathBTR3, 0},     // one-event chunks
-		{8000, 2, 1, 0x00, pathSoA, 3},          // FIR off
-		{7000, 149, 0, 0x1c, 1*numPaths + 3, 1000},
-		{2500, 888, 12, 0x3f, pathPerEvent, 0},
-		{0, 0, 0, 0x20, pathBTR3, 0}, // a single event
-		{5000, 4, 3, 0x61, pathSoA, 65},
-		{6000, 333, 3, 0x01, pathMixed, 700},
-		{6000, 999, 5, 0x27, pathMixed, 1500}, // private, bias
-		{5000, 499, 5, 0x01, pathHTTP, 0},     // BTR1 body
-		{6000, 300, 4, 0x85, 1*numPaths + pathHTTP, 700},
-		{6000, 777, 3, 0xa3, 2*numPaths + pathHTTP, 333}, // BTR3, private, bias
-		{4000, 250, 2, 0x01, pathWire, 300},
-		{6000, 999, 6, 0x4b, pathWire, 4000}, // bias, wide
-		{6000, 400, 4, 0x01, pathWAL, 77},
-		{6000, 1000, 8, 0x45, 1*numPaths + pathWAL, 500}, // wide
-		{5000, 64, 1, 0xa7, 2*numPaths + pathWAL, 3000},  // BTR3, private, bias
-	} {
-		f.Add(uint64(i)*0x9e3779b97f4a7c15+1, c.n, c.slice, c.execTh, c.flags, c.path, c.chunk)
+	for i, c := range differentialSeeds {
+		f.Add(seedOf(i), c.n, c.slice, c.execTh, c.flags, c.path, c.chunk)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, n, slice uint16, execTh, flags, path uint8, chunk uint16) {
-		events := fuzzStream(seed, 1+int(n)%8000, flags&0x40 != 0)
-		cfg := core.DefaultConfig()
-		cfg.SliceSize = 1 + int64(slice)%1200
-		cfg.ExecThreshold = int64(execTh % 25)
-		cfg.UseFIR = flags&1 != 0
-		if flags&2 != 0 {
-			cfg.Metric = core.MetricBias
-		}
-		pred := fuzzPredictors[flags>>2&7]
-		private := flags&0x20 != 0
-		p := int(path) % numPaths
-		workers := []int{1, 2, 4, 8}[int(path)/numPaths%4]
-		opts := engine.Options{Workers: workers, Predictor: pred}
-		if private {
-			opts.Aggregation = engine.AggPrivate
-		}
-		what := fmt.Sprintf("path %d, workers %d, private %v, %+v", p, workers, private, cfg)
-		daemon := p >= pathHTTP
-		format := pathBTR1 + int(path)/numPaths%3
-		if daemon {
-			what = fmt.Sprintf("path %d, format %d, private %v, %+v", p, format, private, cfg)
-		}
+		differential(t, seed, n, slice, execTh, flags, path, chunk)
+	})
+}
 
-		if p == pathBTR1 || p == pathBTR2 || daemon && (private || p != pathWire && format != pathBTR3) {
-			// These formats carry no context tags, and the daemon paths
-			// keep private sessions to one context.
-			for i := range events {
-				events[i].Ctx = 0
-			}
+// TestDifferentialWALSeedCutsLiveLog: the WAL seeds of
+// FuzzEngineDifferential recover a live log cut between its event
+// records — at least one keeps k >= 1 of several and drops the rest —
+// not only the empty and the whole prefix.
+func TestDifferentialWALSeedCutsLiveLog(t *testing.T) {
+	var cuts []walCut
+	for i, c := range differentialSeeds {
+		if c.path%numPaths == pathWAL {
+			cuts = append(cuts, differential(t, seedOf(i), c.n, c.slice, c.execTh, c.flags, c.path, c.chunk))
 		}
-		want := refReports(t, events, cfg, pred, private)
+	}
+	t.Logf("WAL seed cuts: %+v", cuts)
+	for _, cut := range cuts {
+		if cut.kept >= 1 && cut.kept < cut.records {
+			return
+		}
+	}
+	t.Fatal("no WAL seed cuts its live log after k >= 1 of several event records")
+}
 
-		var raw []byte
-		chunkOpts := trace.BTR2Options{ChunkEvents: 1 + int(chunk)%3000, Compress: flags&0x80 != 0}
-		encode := func(format int) {
-			switch format {
-			case pathBTR1:
-				raw = encodeBTR1(t, events)
-			case pathBTR2:
-				raw = encodeBTR2With(t, events, chunkOpts)
-			case pathBTR3:
-				raw = encodeBTR3With(t, events, chunkOpts)
-			}
-		}
-		agg := ""
-		if private {
-			agg = "private"
-		}
-		r := rng.New(seed ^ uint64(chunk)<<32)
+// seedOf is the stream seed of the i-th entry of differentialSeeds.
+func seedOf(i int) uint64 { return uint64(i)*0x9e3779b97f4a7c15 + 1 }
 
-		switch p {
-		case pathPerEvent, pathSoA, pathMixed:
-			eng, err := engine.New(cfg, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var b trace.SoABatch
-			for i := 0; i < len(events); {
-				j := min(len(events), i+1+r.Intn(1+2*int(chunk)))
-				if p == pathPerEvent || p == pathMixed && r.Bool(0.5) {
-					for _, e := range events[i:j] {
-						eng.BranchCtx(e.Ctx, e.PC, e.Taken)
-					}
-				} else {
-					b.FromEvents(events[i:j])
-					eng.BranchBatchSoA(&b)
-				}
-				i = j
-			}
-			got, err := eng.FinishContexts()
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareReports(t, what, got, want)
-			return
-		case pathHTTP:
-			encode(format)
-			srv := fuzzDaemon(t, cfg, pred, "")
-			call(t, srv, http.MethodPost, "/v1/ingest?session=f&agg="+agg, raw)
-			compareJSON(t, what, fuzzDaemonReport(t, srv, "f"), want[0])
-			return
-		case pathWire:
-			srv := fuzzDaemon(t, cfg, pred, "")
-			if _, err := srv.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				srv.Shutdown(ctx)
-			}()
-			wireIngest(t, srv, wire.BeginParams{ID: "f", Aggregation: agg}, events, r, int(chunk))
-			compareJSON(t, what, fuzzDaemonReport(t, srv, "f"), want[0])
-			return
-		case pathWAL:
-			encode(format)
-			dir := t.TempDir()
-			call(t, fuzzDaemon(t, cfg, pred, dir), http.MethodPost, "/v1/ingest?session=f&agg="+agg, raw)
-			prefix := cutLog(t, filepath.Join(dir, "f.wal"), r)
-			// A restarted daemon replays the cut log as an interrupted
-			// session, through the trailing partial-slice rule.
-			got := fuzzDaemonReport(t, fuzzDaemon(t, cfg, pred, dir), "f")
-			compareJSON(t, fmt.Sprintf("%s, %d of %d events", what, len(prefix), len(events)), got, refReports(t, prefix, cfg, pred, private)[0])
-			return
-		}
+// differentialSeeds is FuzzEngineDifferential's seed corpus; each
+// comment names what the entry's flags and path decode to, where that
+// is more than FIR on, gshare, shared, one worker.
+var differentialSeeds = []struct {
+	n, slice    uint16
+	execTh      uint8
+	flags, path uint8
+	chunk       uint16
+}{
+	{3000, 0, 0, 0x01, pathPerEvent, 0}, // slice size 1
+	{3000, 99, 3, 0x01, pathSoA, 200},
+	{5000, 499, 5, 0x21, pathSoA, 777},         // private
+	{5000, 499, 5, 0x23, pathPerEvent, 0},      // private, bias
+	{6000, 257, 2, 0x05, pathBTR1, 0},          // bimodal
+	{6000, 1000, 8, 0x45, pathBTR2, 4093},      // bimodal, wide PCs
+	{6000, 300, 4, 0x89, 2*numPaths + 3, 7},    // BTR2, workers 4, tiny compressed chunks, gag
+	{6000, 300, 4, 0x0d, 3*numPaths + 4, 9},    // BTR3, workers 8, pag
+	{6000, 700, 6, 0xa1, 1*numPaths + 4, 500},  // BTR3, workers 2, private, compressed
+	{6000, 63, 0, 0xe3, 2*numPaths + 4, 64},    // BTR3, workers 4, private, bias, wide, compressed
+	{4000, 1199, 24, 0x11, pathBTR3, 0},        // one-event chunks, tournament
+	{8000, 2, 1, 0x00, pathSoA, 3},             // FIR off
+	{7000, 149, 0, 0x1c, 1*numPaths + 3, 1000}, // BTR2, workers 2, FIR off, always-taken
+	{2500, 888, 12, 0x3f, pathPerEvent, 0},     // private, bias
+	{0, 0, 0, 0x20, pathBTR3, 0},               // a single event, FIR off, private
+	{5000, 4, 3, 0x61, pathSoA, 65},            // private, wide
+	{6000, 333, 3, 0x01, pathMixed, 700},
+	{6000, 999, 5, 0x27, pathMixed, 1500},            // private, bias
+	{5000, 499, 5, 0x01, pathHTTP, 0},                // BTR1 body
+	{6000, 300, 4, 0x85, 1*numPaths + pathHTTP, 700}, // BTR2 body, bimodal, compressed
+	{6000, 777, 3, 0xa3, 2*numPaths + pathHTTP, 333}, // BTR3 body, private, bias, compressed
+	{4000, 250, 2, 0x01, pathWire, 300},
+	{6000, 999, 6, 0x4b, pathWire, 4000}, // bias, wide
+	{6000, 400, 4, 0x01, pathWAL, 77},
+	{6000, 1000, 8, 0x45, 1*numPaths + pathWAL, 500}, // bimodal, wide
+	{5000, 64, 1, 0xa7, 2*numPaths + pathWAL, 3000},  // private, bias
+}
 
-		encode(p)
-		rep, err := engine.ProfileStream(bytes.NewReader(raw), cfg, opts)
-		if len(want) > 1 {
-			if !errors.Is(err, engine.ErrMultiContext) {
-				t.Fatalf("%s: ProfileStream over %d contexts = %v, want ErrMultiContext", what, len(want), err)
-			}
-		} else {
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareReports(t, what, map[trace.Context]*core.Report{0: rep}, want)
+// differential runs one FuzzEngineDifferential case; on the WAL path it
+// also returns how the live log was cut.
+func differential(t *testing.T, seed uint64, n, slice uint16, execTh, flags, path uint8, chunk uint16) (cut walCut) {
+	events := fuzzStream(seed, 1+int(n)%8000, flags&0x40 != 0)
+	cfg := core.DefaultConfig()
+	cfg.SliceSize = 1 + int64(slice)%1200
+	cfg.ExecThreshold = int64(execTh % 25)
+	cfg.UseFIR = flags&1 != 0
+	if flags&2 != 0 {
+		cfg.Metric = core.MetricBias
+	}
+	pred := fuzzPredictors[flags>>2&7]
+	private := flags&0x20 != 0
+	p := int(path) % numPaths
+	workers := []int{1, 2, 4, 8}[int(path)/numPaths%4]
+	opts := engine.Options{Workers: workers, Predictor: pred}
+	if private {
+		opts.Aggregation = engine.AggPrivate
+	}
+	what := fmt.Sprintf("path %d, workers %d, private %v, %+v", p, workers, private, cfg)
+	daemon := p >= pathHTTP
+	format := pathBTR1 + int(path)/numPaths%3
+	if daemon {
+		what = fmt.Sprintf("path %d, private %v, %+v", p, private, cfg)
+	}
+	if p == pathHTTP {
+		what = fmt.Sprintf("path %d, format %d, private %v, %+v", p, format, private, cfg)
+	}
+
+	if p == pathBTR1 || p == pathBTR2 || daemon && (private || p == pathHTTP && format != pathBTR3) {
+		// These formats carry no context tags, and the daemon paths
+		// keep private sessions to one context.
+		for i := range events {
+			events[i].Ctx = 0
 		}
-		if !private {
-			return
+	}
+	want := refReports(t, events, cfg, pred, private)
+
+	var raw []byte
+	chunkOpts := trace.BTR2Options{ChunkEvents: 1 + int(chunk)%3000, Compress: flags&0x80 != 0}
+	encode := func(format int) {
+		switch format {
+		case pathBTR1:
+			raw = encodeBTR1(t, events)
+		case pathBTR2:
+			raw = encodeBTR2With(t, events, chunkOpts)
+		case pathBTR3:
+			raw = encodeBTR3With(t, events, chunkOpts)
 		}
-		// Under private aggregation replay the same bytes the way
-		// ProfileStream does, and read the per-context reports.
+	}
+	agg := ""
+	if private {
+		agg = "private"
+	}
+	r := rng.New(seed ^ uint64(chunk)<<32)
+
+	switch p {
+	case pathPerEvent, pathSoA, pathMixed:
 		eng, err := engine.New(cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd, err := trace.OpenReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pr, ok := rd.(trace.ParallelReplayer); ok && eng.Workers() > 1 {
-			_, err = pr.ParallelReplay(eng.Workers(), eng)
-		} else {
-			_, err = rd.Replay(eng)
-		}
-		if err != nil {
-			t.Fatal(err)
+		var b trace.SoABatch
+		for i := 0; i < len(events); {
+			j := min(len(events), i+1+r.Intn(1+2*int(chunk)))
+			if p == pathPerEvent || p == pathMixed && r.Bool(0.5) {
+				for _, e := range events[i:j] {
+					eng.BranchCtx(e.Ctx, e.PC, e.Taken)
+				}
+			} else {
+				b.FromEvents(events[i:j])
+				eng.BranchBatchSoA(&b)
+			}
+			i = j
 		}
 		got, err := eng.FinishContexts()
 		if err != nil {
 			t.Fatal(err)
 		}
 		compareReports(t, what, got, want)
-	})
+		return
+	case pathHTTP:
+		encode(format)
+		srv := fuzzDaemon(t, cfg, pred, "")
+		call(t, srv, http.MethodPost, "/v1/ingest?session=f&agg="+agg, raw)
+		compareJSON(t, what, fuzzDaemonReport(t, srv, "f"), want[0])
+		return
+	case pathWire:
+		srv := startFuzzDaemon(t, fuzzDaemon(t, cfg, pred, ""))
+		wireIngest(t, srv, wire.BeginParams{ID: "f", Aggregation: agg}, events, r, int(chunk), nil)
+		compareJSON(t, what, fuzzDaemonReport(t, srv, "f"), want[0])
+		return
+	case pathWAL:
+		// Copy the live log once it holds every event, finish the
+		// session (which leaves only begin + checkpoint), then put
+		// the copy back cut after k event records, as if the daemon
+		// had died there.
+		dir := t.TempDir()
+		logPath := filepath.Join(dir, "f.wal")
+		srv := startFuzzDaemon(t, fuzzDaemon(t, cfg, pred, dir))
+		var live []wal.Record
+		wireIngest(t, srv, wire.BeginParams{ID: "f", Aggregation: agg}, events, r, int(chunk), func() {
+			live = awaitLiveLog(t, logPath, len(events))
+		})
+		stopFuzzDaemon(srv)
+		if recs, _, err := wal.ReadAll(logPath); err != nil || len(recs) != 2 {
+			t.Fatalf("%s: finished log holds %d records (%v), want begin + checkpoint", what, len(recs), err)
+		}
+		var prefix []trace.Event
+		prefix, cut = cutLog(t, logPath, live, r)
+		// A restarted daemon replays the cut log as an interrupted
+		// session, through the trailing partial-slice rule.
+		got := fuzzDaemonReport(t, fuzzDaemon(t, cfg, pred, dir), "f")
+		compareJSON(t, fmt.Sprintf("%s, %d of %d event records, %d of %d events", what, cut.kept, cut.records, len(prefix), len(events)),
+			got, refReports(t, prefix, cfg, pred, private)[0])
+		return
+	}
+
+	encode(p)
+	rep, err := engine.ProfileStream(bytes.NewReader(raw), cfg, opts)
+	if len(want) > 1 {
+		if !errors.Is(err, engine.ErrMultiContext) {
+			t.Fatalf("%s: ProfileStream over %d contexts = %v, want ErrMultiContext", what, len(want), err)
+		}
+	} else {
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareReports(t, what, map[trace.Context]*core.Report{0: rep}, want)
+	}
+	if !private {
+		return
+	}
+	// Under private aggregation replay the same bytes the way
+	// ProfileStream does, and read the per-context reports.
+	eng, err := engine.New(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := trace.OpenReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr, ok := rd.(trace.ParallelReplayer); ok && eng.Workers() > 1 {
+		_, err = pr.ParallelReplay(eng.Workers(), eng)
+	} else {
+		_, err = rd.Replay(eng)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.FinishContexts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareReports(t, what, got, want)
+	return
 }

@@ -16,8 +16,9 @@
 // engine; the final report is that snapshot's Report — the assembly
 // engine.Finish uses — and is bit-identical to twodprof.Profile over
 // the same trace. With a data directory every session is backed by a
-// write-ahead log, so sessions survive restarts and an idle finished
-// session holds its checkpoint only on disk (DESIGN.md §3f).
+// write-ahead log of its events, rewritten to the checkpoint alone when
+// the session finishes, so sessions survive restarts and an idle
+// finished session holds its checkpoint only on disk (DESIGN.md §3f).
 package serve
 
 import (
@@ -72,35 +73,25 @@ type Config struct {
 	// Fsync is the WAL durability policy (always / interval / never).
 	// Ignored without DataDir.
 	Fsync wal.SyncPolicy
-	// CheckpointEvery is the compaction threshold in events: a finished
-	// session's log is compacted to its checkpoint snapshot once it
-	// carries at least this many logged events (<= 0 compacts every
-	// finished log). Ignored without DataDir.
-	CheckpointEvery int64
 	// IdleAfter is how long a finished, durably-checkpointed session may
 	// go unqueried before its resident checkpoint is dropped, leaving
-	// the copy in its log (reloaded on demand). <= 0 disables idle
-	// eviction. Ignored without DataDir.
-	IdleAfter time.Duration
-	// CompactInterval is the cadence of the background janitor that
-	// performs idle eviction and log compaction. Ignored without
+	// the copy in its log (reloaded on demand). A background sweep runs
+	// every quarter of it. <= 0 disables idle eviction. Ignored without
 	// DataDir.
-	CompactInterval time.Duration
+	IdleAfter time.Duration
 }
 
 // DefaultConfig returns the production defaults.
 func DefaultConfig() Config {
 	return Config{
-		Addr:            ":8377",
-		Predictor:       bpred.NameGshare4KB,
-		Profile:         core.DefaultConfig(),
-		ReadTimeout:     30 * time.Second,
-		DrainTimeout:    10 * time.Second,
-		MaxSessions:     64,
-		Fsync:           wal.SyncPolicy{Mode: wal.SyncInterval, Interval: wal.DefaultSyncInterval},
-		CheckpointEvery: 100_000,
-		IdleAfter:       5 * time.Minute,
-		CompactInterval: 15 * time.Second,
+		Addr:         ":8377",
+		Predictor:    bpred.NameGshare4KB,
+		Profile:      core.DefaultConfig(),
+		ReadTimeout:  30 * time.Second,
+		DrainTimeout: 10 * time.Second,
+		MaxSessions:  64,
+		Fsync:        wal.SyncPolicy{Mode: wal.SyncInterval, Interval: wal.DefaultSyncInterval},
+		IdleAfter:    5 * time.Minute,
 	}
 }
 
@@ -117,9 +108,6 @@ func (c Config) Validate() error {
 	if c.DataDir != "" {
 		if err := c.Fsync.Validate(); err != nil {
 			return fmt.Errorf("serve: invalid config: Fsync: %w", err)
-		}
-		if c.CompactInterval <= 0 {
-			return fmt.Errorf("serve: invalid config: CompactInterval must be positive with DataDir set")
 		}
 	}
 	if c.Profile.Metric == core.MetricAccuracy {

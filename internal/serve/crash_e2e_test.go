@@ -164,6 +164,7 @@ func TestCrashRecoveryFinished(t *testing.T) {
 	d.kill()
 
 	d2 := startCrashDaemon(t, dataDir)
+	requireCheckpointDir(t, dataDir)
 	info := findSession(t, d2.sessions(), "crashed")
 	if !info.Recovered || info.State != "done" {
 		t.Errorf("recovered session: state=%q recovered=%v, want done/true", info.State, info.Recovered)
@@ -226,6 +227,7 @@ func TestCrashRecoveryMidStream(t *testing.T) {
 	<-postDone
 
 	d2 := startCrashDaemon(t, dataDir)
+	requireCheckpointDir(t, dataDir)
 	info := findSession(t, d2.sessions(), "torn")
 	if info.State != "failed" || !info.Recovered {
 		t.Errorf("recovered session: state=%q recovered=%v, want failed/true", info.State, info.Recovered)

@@ -169,19 +169,11 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 		return nil, &ingestError{status: http.StatusBadRequest, msg: err.Error()}
 	}
 
-	// Kernel names the bundled program that produced the stream; its
-	// asmcheck verdicts become the report's static prefilter column.
-	// Without it the report is unannotated (a raw trace carries no
-	// program identity).
-	var static map[trace.PC]string
-	if p.Kernel != "" {
-		k, ok := progs.KernelByName(p.Kernel)
-		if !ok {
-			return nil, &ingestError{status: http.StatusBadRequest,
-				msg: fmt.Sprintf("unknown kernel %q (known: %s)",
-					p.Kernel, strings.Join(progs.KernelNames(), ", "))}
-		}
-		static = asmcheck.StaticClasses(k.Prog)
+	static, ok := staticColumn(p.Kernel)
+	if !ok {
+		return nil, &ingestError{status: http.StatusBadRequest,
+			msg: fmt.Sprintf("unknown kernel %q (known: %s)",
+				p.Kernel, strings.Join(progs.KernelNames(), ", "))}
 	}
 	if len(p.ID) > maxSessionID {
 		return nil, &ingestError{status: http.StatusBadRequest,
@@ -228,6 +220,21 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 	s.metrics.SessionsTotal.Add(1)
 	s.metrics.ActiveSessions.Add(1)
 	return &ingestRun{s: s, session: session, eng: eng}, nil
+}
+
+// staticColumn resolves a session's kernel name — the bundled program
+// that produced the stream — to its asmcheck verdicts, the report's
+// static prefilter column. No name means no column (a raw trace carries
+// no program identity); ok is false for a name no bundled kernel has.
+func staticColumn(kernel string) (static map[trace.PC]string, ok bool) {
+	if kernel == "" {
+		return nil, true
+	}
+	k, ok := progs.KernelByName(kernel)
+	if !ok {
+		return nil, false
+	}
+	return asmcheck.StaticClasses(k.Prog), true
 }
 
 // events applies one decoded batch: WAL first, engine second, counters

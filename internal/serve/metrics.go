@@ -29,13 +29,12 @@ type Metrics struct {
 	// Durability counters (all zero when the daemon runs without a data
 	// directory).
 	WALBytes          atomic.Int64 // bytes appended to session logs
-	WALRepairs        atomic.Int64 // logs whose torn tail was truncated at startup
+	WALRepairs        atomic.Int64 // logs rewritten at startup without their torn tail
 	SessionsRecovered atomic.Int64 // sessions rebuilt from the WAL at startup
 	SessionsIdled     atomic.Int64 // finished sessions evicted to the idle tier
-	Compactions       atomic.Int64 // logs compacted into checkpoint snapshots
 	// WALErrors counts persistence failures the daemon survives: logs
-	// skipped at startup as unrecoverable, and checkpoints and
-	// compactions that failed.
+	// skipped at startup as unrecoverable, and checkpoints that could
+	// not be taken or written.
 	WALErrors atomic.Int64
 
 	// rate state: events/sec over the window since the previous scrape.
@@ -84,6 +83,5 @@ func (m *Metrics) Render(w io.Writer) {
 	fmt.Fprintf(w, "twodprof_wal_repairs_total %d\n", m.WALRepairs.Load())
 	fmt.Fprintf(w, "twodprof_sessions_recovered_total %d\n", m.SessionsRecovered.Load())
 	fmt.Fprintf(w, "twodprof_sessions_idled_total %d\n", m.SessionsIdled.Load())
-	fmt.Fprintf(w, "twodprof_wal_compactions_total %d\n", m.Compactions.Load())
 	fmt.Fprintf(w, "twodprof_wal_errors_total %d\n", m.WALErrors.Load())
 }

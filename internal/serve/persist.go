@@ -9,10 +9,8 @@ import (
 	"strings"
 	"time"
 
-	"twodprof/internal/asmcheck"
 	"twodprof/internal/core"
 	"twodprof/internal/engine"
-	"twodprof/internal/progs"
 	"twodprof/internal/trace"
 	"twodprof/internal/wal"
 )
@@ -37,25 +35,28 @@ import (
 //	recFail    (core.Snapshot) plus event/byte totals (and the failure
 //	           reason for recFail). Always last; nothing follows it.
 //
-// Recovery invariants:
+// Invariants:
 //
-//   - A log ending in recDone/recFail is a finished session; its report
-//     derives from the checkpoint snapshot alone ((*core.Snapshot).
-//     Report is exactly the assembly path engine.Finish uses, so the
-//     recovered report is byte-identical to the uninterrupted one).
-//   - A log without a terminal record is a session that was streaming
-//     when the daemon died. Recovery replays its event records through
-//     a fresh engine built from recBegin — front-end predictor state
-//     and in-slice counters are reconstructed by the replay itself,
-//     which is why the WAL keeps raw events while a session is live: a
-//     mid-stream snapshot cannot capture either (snapshots drop
-//     in-flight slice counters by design, and predictor state is not
-//     serialisable), so checkpointing an active accuracy-metric
-//     session would break byte-identity.
-//   - Compaction therefore only rewrites *finished* logs: once the
-//     terminal snapshot is durable the event records are redundant and
-//     the log collapses to recBegin + terminal via an atomic
-//     write-temp/rename.
+//   - A live log is recBegin plus event records, no terminal. The WAL
+//     keeps raw events while a session streams because a mid-stream
+//     snapshot cannot rebuild the run (snapshots drop in-flight slice
+//     counters by design, and predictor state is not serialisable).
+//   - A finished log is exactly recBegin + terminal: at the terminal
+//     transition the live log is closed and atomically rewritten to
+//     the two records (wal.Rewrite), so the event records are gone by
+//     the time the session's summary is returned. Its report derives
+//     from the checkpoint snapshot alone ((*core.Snapshot).Report is
+//     exactly the assembly path engine.Finish uses, so the recovered
+//     report is byte-identical to the uninterrupted one).
+//   - Recovery ends every other log the same way. A log without a
+//     terminal record is a session that was streaming when the daemon
+//     died: its event records are replayed through a fresh engine
+//     built from recBegin, which reconstructs predictor state and
+//     in-slice counters exactly, and the log is rewritten to recBegin
+//     plus recFail. A finished log that still holds event records
+//     (written by an older daemon) or a torn tail is rewritten once to
+//     recBegin plus its terminal record. A log that already is
+//     recBegin + terminal is only read.
 type sessionMeta struct {
 	ID        string      `json:"id"`
 	Group     string      `json:"group,omitempty"`
@@ -93,23 +94,22 @@ const (
 const recoveredReason = "stream interrupted by daemon restart (state recovered from WAL)"
 
 // Store owns the daemon's data directory: session log naming, creation,
-// recovery, checkpoint reload and compaction.
+// recovery and checkpoint reload.
 type Store struct {
-	dir             string
-	policy          wal.SyncPolicy
-	checkpointEvery int64
-	metrics         *Metrics
+	dir     string
+	policy  wal.SyncPolicy
+	metrics *Metrics
 }
 
 // openStore validates the policy and ensures the directory exists.
-func openStore(dir string, policy wal.SyncPolicy, checkpointEvery int64, m *Metrics) (*Store, error) {
+func openStore(dir string, policy wal.SyncPolicy, m *Metrics) (*Store, error) {
 	if err := policy.Validate(); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: creating data dir: %w", err)
 	}
-	return &Store{dir: dir, policy: policy, checkpointEvery: checkpointEvery, metrics: m}, nil
+	return &Store{dir: dir, policy: policy, metrics: m}, nil
 }
 
 // escapeID maps a session id to a safe filename component: ASCII
@@ -155,7 +155,7 @@ func (st *Store) Create(meta sessionMeta) (*sessionLog, error) {
 		l.Close()
 		return nil, err
 	}
-	sl := &sessionLog{st: st, id: meta.ID, l: l}
+	sl := &sessionLog{st: st, id: meta.ID, l: l, begin: payload}
 	if err := sl.append(recBegin, payload); err != nil {
 		l.Close()
 		os.Remove(st.path(meta.ID))
@@ -169,6 +169,7 @@ type sessionLog struct {
 	st     *Store
 	id     string
 	l      *wal.Log
+	begin  []byte         // the recBegin payload, which the finished log keeps
 	encBuf []byte         // event-codec scratch, reused across batches
 	span   trace.SoABatch // record-sized piece of an oversized batch
 }
@@ -213,37 +214,37 @@ func (sl *sessionLog) appendEvents(b *trace.SoABatch) error {
 	return sl.append(typ, sl.encBuf)
 }
 
-// finish appends the terminal record and closes the log; the terminal
-// append is always fsynced regardless of policy — a finished session's
+// finish ends the log with the session's terminal record: it closes
+// the live log (flush and fsync, so a crash before the rewrite still
+// finds every event) and replaces it with recBegin + terminal. The
+// rewrite is fsynced whatever the policy — a finished session's
 // checkpoint must not sit in an OS buffer.
 func (sl *sessionLog) finish(typ byte, term terminalRecord) error {
+	if err := sl.l.Close(); err != nil {
+		return err
+	}
 	payload, err := json.Marshal(term)
 	if err != nil {
-		sl.l.Close()
 		return err
 	}
-	if err := sl.append(typ, payload); err != nil {
-		sl.l.Close()
+	if err := checkpointLog(sl.st.path(sl.id), sl.begin, typ, payload); err != nil {
 		return err
 	}
-	return sl.l.Close() // Close flushes and fsyncs
+	sl.st.metrics.WALBytes.Add(int64(len(payload)) + 9)
+	return nil
 }
 
 // abandon closes the log without a terminal record (the next daemon
 // start will recover it as an interrupted session).
 func (sl *sessionLog) abandon() { _ = sl.l.Close() }
 
-// staticForKernel resolves a logged kernel name back to its asmcheck
-// static classification (nil when unnamed or no longer known).
-func staticForKernel(name string) map[trace.PC]string {
-	if name == "" {
-		return nil
-	}
-	k, ok := progs.KernelByName(name)
-	if !ok {
-		return nil
-	}
-	return asmcheck.StaticClasses(k.Prog)
+// checkpointLog atomically replaces the log at path with its recBegin
+// payload plus one terminal record — the whole of a finished log.
+func checkpointLog(path string, begin []byte, typ byte, term []byte) error {
+	return wal.Rewrite(path, []wal.Record{
+		{Type: recBegin, Payload: begin},
+		{Type: typ, Payload: term},
+	})
 }
 
 // parseLog splits a scanned record list into meta, event records and
@@ -295,37 +296,9 @@ func (st *Store) loadCheckpoint(id string) (*core.Snapshot, map[trace.PC]string,
 	if term == nil || term.Snapshot == nil {
 		return nil, nil, fmt.Errorf("session %s has no checkpoint record", id)
 	}
-	return term.Snapshot, staticForKernel(meta.Kernel), nil
-}
-
-// compact rewrites a finished session's log to recBegin + terminal when
-// it still carries at least checkpointEvery logged events (smaller logs
-// are not worth the rewrite; checkpointEvery <= 0 compacts any log with
-// event records). Returns whether a rewrite happened.
-func (st *Store) compact(id string, checkpointEvery int64) (bool, error) {
-	path := st.path(id)
-	recs, _, err := wal.ReadAll(path)
-	if err != nil {
-		return false, err
-	}
-	_, events, term, termType, err := parseLog(recs)
-	if err != nil {
-		return false, err
-	}
-	if term == nil || len(events) == 0 {
-		return false, nil
-	}
-	if checkpointEvery > 0 && term.Events < checkpointEvery {
-		return false, nil
-	}
-	compacted := []wal.Record{
-		recs[0],
-		{Type: termType, Payload: recs[len(recs)-1].Payload},
-	}
-	if err := wal.Rewrite(path, compacted); err != nil {
-		return false, err
-	}
-	return true, nil
+	// A kernel name no longer bundled leaves the report unannotated.
+	static, _ := staticColumn(meta.Kernel)
+	return term.Snapshot, static, nil
 }
 
 // recoveredInfo pairs a rebuilt session with its repair diagnostics.
@@ -335,11 +308,12 @@ type recoveredInfo struct {
 }
 
 // Recover scans the data directory and rebuilds every logged session.
-// Torn tails are truncated in place; sessions with a terminal record
-// come back as idle (metadata only — no checkpoint resident); sessions
-// that were mid-stream are replayed through a fresh engine,
-// checkpointed with a recFail record, and come back idle too.
-// Unreadable logs are skipped with a diagnostic, never deleted.
+// Every session comes back idle (metadata only — no checkpoint
+// resident) with its log ended as recBegin + terminal: sessions that
+// were mid-stream are replayed through a fresh engine and checkpointed
+// with a recFail record. Unreadable logs are skipped with a
+// diagnostic, never deleted; the temp files of rewrites a crash cut
+// short are deleted.
 func (st *Store) Recover() ([]recoveredInfo, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -347,8 +321,14 @@ func (st *Store) Recover() ([]recoveredInfo, error) {
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".wal") {
+		switch {
+		case e.IsDir():
+		case strings.HasSuffix(e.Name(), ".wal"):
 			names = append(names, e.Name())
+		case wal.IsRewriteTemp(e.Name()):
+			if err := os.Remove(filepath.Join(st.dir, e.Name())); err != nil {
+				fmt.Fprintf(os.Stderr, "serve: removing leftover rewrite temp: %v\n", err)
+			}
 		}
 	}
 	sort.Strings(names)
@@ -366,20 +346,46 @@ func (st *Store) Recover() ([]recoveredInfo, error) {
 	return out, nil
 }
 
-// recoverOne rebuilds a single session from its log.
+// recoverOne rebuilds a single session from its log, rewriting the log
+// to recBegin + terminal unless it already is exactly that.
 func (st *Store) recoverOne(path string) (recoveredInfo, error) {
-	l, recs, repair, err := wal.Open(path, st.policy)
+	recs, repair, err := wal.ReadAll(path)
 	if err != nil {
 		return recoveredInfo{}, err
 	}
 	meta, events, term, termType, err := parseLog(recs)
 	if err != nil {
-		l.Close()
 		return recoveredInfo{}, err
 	}
 	if repair != nil {
-		fmt.Fprintf(os.Stderr, "serve: repaired %s: dropped %d-byte torn tail (%s)\n",
+		fmt.Fprintf(os.Stderr, "serve: repairing %s: dropping %d-byte torn tail (%s)\n",
 			filepath.Base(path), repair.DroppedBytes, repair.Reason)
+	}
+
+	var payload []byte
+	if term == nil {
+		// Mid-stream at the crash: replay the logged events through a
+		// fresh engine. The replay rebuilds predictor and slice state
+		// exactly, so the resulting report matches an uninterrupted run
+		// over the same durable prefix byte for byte.
+		replayed, snap, err := st.replay(meta, events)
+		if err != nil {
+			return recoveredInfo{}, err
+		}
+		term = &terminalRecord{Reason: recoveredReason, Events: replayed, Snapshot: snap}
+		termType = recFail
+		if payload, err = json.Marshal(term); err != nil {
+			return recoveredInfo{}, err
+		}
+	} else if len(events) > 0 || repair != nil {
+		// Finished, but an older daemon kept the event records (or the
+		// tail is torn): keep the terminal record's bytes as they are.
+		payload = recs[len(recs)-1].Payload
+	}
+	if payload != nil {
+		if err := checkpointLog(path, recs[0].Payload, termType, payload); err != nil {
+			return recoveredInfo{}, err
+		}
 	}
 
 	// Recovered sessions start on the idle tier: the checkpoint stays
@@ -391,52 +397,13 @@ func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 		recovered: true,
 		persisted: true,
 		lastTouch: time.Now(),
+		state:     SessionDone,
 	}
-
-	if term != nil {
-		// Finished before the restart: the checkpoint is authoritative,
-		// nothing to replay.
-		l.Close()
-		if termType == recFail {
-			s.state = SessionFailed
-			s.reason = term.Reason
-		} else {
-			s.state = SessionDone
-		}
-		s.events.Store(term.Events)
-		s.bytes.Store(term.Bytes)
-		return recoveredInfo{session: s, repaired: repair != nil}, nil
+	if termType == recFail {
+		s.state, s.reason = SessionFailed, term.Reason
 	}
-
-	// Mid-stream at the crash: replay the logged events through a fresh
-	// engine. The replay rebuilds predictor and slice state exactly, so
-	// the resulting report matches an uninterrupted run over the same
-	// durable prefix byte for byte.
-	replayed, snap, err := st.replay(meta, events)
-	if err != nil {
-		l.Close()
-		return recoveredInfo{}, err
-	}
-	termRec := terminalRecord{
-		Reason:   recoveredReason,
-		Events:   replayed,
-		Snapshot: snap,
-	}
-	payload, err := json.Marshal(termRec)
-	if err != nil {
-		l.Close()
-		return recoveredInfo{}, err
-	}
-	if err := l.Append(recFail, payload); err != nil {
-		l.Close()
-		return recoveredInfo{}, err
-	}
-	if err := l.Close(); err != nil {
-		return recoveredInfo{}, err
-	}
-	s.state = SessionFailed
-	s.reason = recoveredReason
-	s.events.Store(replayed)
+	s.events.Store(term.Events)
+	s.bytes.Store(term.Bytes)
 	return recoveredInfo{session: s, repaired: repair != nil}, nil
 }
 

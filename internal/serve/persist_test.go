@@ -55,6 +55,47 @@ func findSession(t testing.TB, infos []SessionInfo, id string) SessionInfo {
 	return SessionInfo{}
 }
 
+// requireCheckpointLog fails unless the log at path is exactly recBegin
+// plus one terminal record of type typ, with no torn tail, and returns
+// its records.
+func requireCheckpointLog(t testing.TB, path string, typ byte) []wal.Record {
+	t.Helper()
+	recs, repair, err := wal.ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repair != nil || len(recs) != 2 || recs[0].Type != recBegin || recs[1].Type != typ {
+		last := byte(0)
+		if len(recs) > 0 {
+			last = recs[len(recs)-1].Type
+		}
+		t.Fatalf("%s: %d records ending in type %d (torn tail %+v), want exactly recBegin + type %d",
+			filepath.Base(path), len(recs), last, repair, typ)
+	}
+	return recs
+}
+
+// requireCheckpointDir fails unless every log in dir is recBegin plus
+// a terminal record.
+func requireCheckpointDir(t testing.TB, dir string) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		recs, _, err := wal.ReadAll(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ := byte(recDone)
+		if len(recs) > 0 && recs[len(recs)-1].Type == recFail {
+			typ = recFail
+		}
+		requireCheckpointLog(t, path, typ)
+	}
+}
+
 // traceEvents decodes every event of a BTR trace.
 func traceEvents(t testing.TB, raw []byte) []trace.Event {
 	t.Helper()
@@ -134,8 +175,8 @@ func TestDurableRestartReport(t *testing.T) {
 // TestMidStreamRecovery: a log without a terminal record (the daemon
 // died while the client was streaming) is replayed through a fresh
 // engine at startup; the recovered report is byte-identical to an
-// offline profiler run over the same durable prefix, and the log gains
-// a terminal record so the next restart is cheap.
+// offline profiler run over the same durable prefix, and the log is
+// rewritten to recBegin + recFail, so the next restart only reads it.
 func TestMidStreamRecovery(t *testing.T) {
 	cfg := durableConfig(t)
 	raw := kernelTrace(t, "typesum", "train", false)
@@ -144,7 +185,7 @@ func TestMidStreamRecovery(t *testing.T) {
 
 	// Craft the interrupted log by hand: begin + event batches, no
 	// terminal record, then a torn frame on the tail.
-	st, err := openStore(cfg.DataDir, cfg.Fsync, cfg.CheckpointEvery, &Metrics{})
+	st, err := openStore(cfg.DataDir, cfg.Fsync, &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,22 +243,14 @@ func TestMidStreamRecovery(t *testing.T) {
 		t.Error("recovered report differs from an offline run over the durable prefix")
 	}
 
-	// Recovery checkpointed the replay: the log now ends in a terminal
-	// record, so a second recovery serves the same bytes without replay.
-	recs, repair, err := wal.ReadAll(st.path("interrupted"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repair != nil {
-		t.Errorf("log still dirty after recovery: %+v", repair)
-	}
-	if last := recs[len(recs)-1].Type; last != recFail {
-		t.Errorf("log tail record type %d, want recFail", last)
-	}
+	// Recovery checkpointed the replay: the log is now recBegin +
+	// recFail, so a second recovery serves the same bytes without replay.
+	requireCheckpointLog(t, st.path("interrupted"), recFail)
 	if err := srv.Shutdown(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	srv2 := startServer(t, cfg)
+	requireCheckpointDir(t, cfg.DataDir)
 	code, again := get(t, srv2, "/v1/report?session=interrupted")
 	if code != 200 {
 		t.Fatalf("report after second restart: %d: %s", code, again)
@@ -233,7 +266,6 @@ func TestMidStreamRecovery(t *testing.T) {
 func TestIdleEvictionAndReload(t *testing.T) {
 	cfg := durableConfig(t)
 	cfg.IdleAfter = 30 * time.Millisecond
-	cfg.CompactInterval = 10 * time.Millisecond
 	srv := startServer(t, cfg)
 
 	raw := kernelTrace(t, "fsm", "train", false)
@@ -293,7 +325,6 @@ func TestLifecycleReadersRace(t *testing.T) {
 	cfg := durableConfig(t)
 	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
 	cfg.IdleAfter = time.Millisecond
-	cfg.CompactInterval = time.Millisecond
 	srv := startServer(t, cfg)
 
 	events := traceEvents(t, kernelTrace(t, "fsm", "train", false))
@@ -390,16 +421,13 @@ func TestLifecycleReadersRace(t *testing.T) {
 	}
 }
 
-// TestCompactionShrinksLog: the janitor rewrites a finished log down to
-// begin + checkpoint, and the compacted log still reproduces the
-// original report across a restart.
+// TestCompactionShrinksLog: an older daemon's finished log, which still
+// holds every event record ahead of its terminal record, is rewritten
+// once at the next start to recBegin + terminal — byte for byte the log
+// this daemon leaves — and still reproduces the original report; the
+// start after that only reads it.
 func TestCompactionShrinksLog(t *testing.T) {
 	cfg := durableConfig(t)
-	cfg.CheckpointEvery = 1 // any finished log qualifies
-	// Long enough that the full (uncompacted) log is observable below
-	// before the first janitor pass rewrites it — ingest is fast enough
-	// now that a few-ms interval loses that race.
-	cfg.CompactInterval = 300 * time.Millisecond
 	srv := startServer(t, cfg)
 
 	raw := kernelTrace(t, "fsm", "train", false)
@@ -407,41 +435,193 @@ func TestCompactionShrinksLog(t *testing.T) {
 		t.Fatalf("ingest: %d: %s", code, body)
 	}
 	_, want := get(t, srv, "/v1/report?session=fat")
-
+	if err := srv.Shutdown(t.Context()); err != nil {
+		t.Fatal(err)
+	}
 	logPath := filepath.Join(cfg.DataDir, "fat.wal")
+	recs := requireCheckpointLog(t, logPath, recDone)
+	finished, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Rebuild the log an older daemon would have left: the session's
+	// event records between recBegin and the terminal record.
+	oldLog := []wal.Record{recs[0]}
+	events := traceEvents(t, raw)
+	var b trace.SoABatch
+	for off := 0; off < len(events); off += trace.ReadBatchEvents {
+		b.FromEvents(events[off:min(off+trace.ReadBatchEvents, len(events))])
+		oldLog = append(oldLog, wal.Record{Type: recEvents, Payload: wal.EncodeEvents(nil, &b)})
+	}
+	oldLog = append(oldLog, recs[1])
+	if err := wal.Rewrite(logPath, oldLog); err != nil {
+		t.Fatal(err)
+	}
 	full, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		recs, _, err := wal.ReadAll(logPath)
-		if err == nil && len(recs) == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("janitor never compacted the log (%d records)", len(recs))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	compacted, err := os.Stat(logPath)
+
+	srv2 := startServer(t, cfg)
+	rewritten, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compacted.Size() >= full.Size() {
-		t.Errorf("compaction did not shrink the log: %d -> %d bytes", full.Size(), compacted.Size())
+	if !bytes.Equal(rewritten, finished) {
+		t.Errorf("recovery left a %d-byte log (from %d bytes), want the %d-byte log a finished session leaves",
+			len(rewritten), full.Size(), len(finished))
+	}
+	code, got := get(t, srv2, "/v1/report?session=fat")
+	if code != 200 {
+		t.Fatalf("report from rewritten log: %d: %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("rewritten log does not reproduce the original report")
+	}
+	if err := srv2.Shutdown(t.Context()); err != nil {
+		t.Fatal(err)
 	}
 
+	// A log that already is recBegin + terminal is only read.
+	before, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv3 := startServer(t, cfg)
+	after, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+		t.Error("a restart rewrote a log that already was recBegin + checkpoint")
+	}
+	if code, again := get(t, srv3, "/v1/report?session=fat"); code != 200 || !bytes.Equal(again, want) {
+		t.Errorf("report after the second restart: %d, identical %v", code, bytes.Equal(again, want))
+	}
+}
+
+// TestFinishedLogIsCheckpoint: a session finished over either ingest
+// front, completed or failed, leaves a log of exactly recBegin + its
+// terminal record by the time its summary is returned — no event
+// record waits for a later pass.
+func TestFinishedLogIsCheckpoint(t *testing.T) {
+	cfg := durableConfig(t)
+	srv := startWireServer(t, cfg)
+	raw := kernelTrace(t, "fsm", "train", false)
+	events := traceEvents(t, raw)
+	logOf := func(id string) string { return filepath.Join(cfg.DataDir, id+".wal") }
+
+	t.Run("http/complete", func(t *testing.T) {
+		if code, body := postTrace(t, srv, "/v1/ingest?session=h-done&kernel=fsm", raw); code != 200 {
+			t.Fatalf("ingest: %d: %s", code, body)
+		}
+		requireCheckpointLog(t, logOf("h-done"), recDone)
+	})
+	t.Run("http/fail", func(t *testing.T) {
+		// A BTR2 body cut inside a later chunk fails after its first
+		// chunks were logged.
+		var body bytes.Buffer
+		w, err := trace.NewBTR2Writer(&body, trace.BTR2Options{ChunkEvents: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.BranchBatch(events)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if code, resp := postTrace(t, srv, "/v1/ingest?session=h-fail", body.Bytes()[:body.Len()/2]); code != 400 {
+			t.Fatalf("ingest of a cut body: %d: %s", code, resp)
+		}
+		requireCheckpointLog(t, logOf("h-fail"), recFail)
+	})
+	t.Run("wire/complete", func(t *testing.T) {
+		sess, err := dialWire(t, srv).Begin(wire.BeginParams{ID: "w-done"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Send(events); err != nil {
+			t.Fatal(err)
+		}
+		if sum, err := sess.End(); err != nil || sum.State != "done" {
+			t.Fatalf("end: %+v, %v", sum, err)
+		}
+		requireCheckpointLog(t, logOf("w-done"), recDone)
+	})
+	t.Run("wire/fail", func(t *testing.T) {
+		sess, err := dialWire(t, srv).Begin(wire.BeginParams{ID: "w-fail"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Send(events); err != nil {
+			t.Fatal(err)
+		}
+		// An abort has no reply: the session's state is the signal. The
+		// terminal transition holds the session lock until the log is
+		// rewritten, so once State reads failed the log is final.
+		sess.Abort()
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.registry.Get("w-fail").State() != SessionFailed {
+			if time.Now().After(deadline) {
+				t.Fatal("aborted wire session never failed")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		requireCheckpointLog(t, logOf("w-fail"), recFail)
+	})
+}
+
+// TestRecoverRemovesRewriteTemps: a rewrite a crash cut short leaves
+// its temp file beside the log; the next start deletes it — and no
+// other file — and the log recovers unchanged.
+func TestRecoverRemovesRewriteTemps(t *testing.T) {
+	cfg := durableConfig(t)
+	srv := startServer(t, cfg)
+	raw := kernelTrace(t, "fsm", "train", false)
+	if code, body := postTrace(t, srv, "/v1/ingest?session=kept&kernel=fsm", raw); code != 200 {
+		t.Fatalf("ingest: %d: %s", code, body)
+	}
+	_, want := get(t, srv, "/v1/report?session=kept")
 	if err := srv.Shutdown(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	srv2 := startServer(t, cfg)
-	code, got := get(t, srv2, "/v1/report?session=fat")
-	if code != 200 {
-		t.Fatalf("report from compacted log: %d: %s", code, got)
+	logPath := filepath.Join(cfg.DataDir, "kept.wal")
+	finished, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Error("compacted log does not reproduce the original report")
+	// The temp a crashed rewrite leaves holds a half-written log.
+	tmp, err := os.CreateTemp(cfg.DataDir, "kept.wal.rewrite-*.tmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tmp.Write(finished[:len(finished)/2]); err != nil {
+		t.Fatal(err)
+	}
+	tmp.Close()
+	if !wal.IsRewriteTemp(filepath.Base(tmp.Name())) {
+		t.Fatalf("%s is not named as a rewrite temp", tmp.Name())
+	}
+	other := filepath.Join(cfg.DataDir, "notes.txt")
+	if err := os.WriteFile(other, []byte("not ours"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := startServer(t, cfg)
+	if _, err := os.Stat(tmp.Name()); !os.IsNotExist(err) {
+		t.Errorf("leftover rewrite temp still on disk (stat: %v)", err)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Errorf("a file that is no rewrite temp was touched: %v", err)
+	}
+	if after, err := os.ReadFile(logPath); err != nil || !bytes.Equal(after, finished) {
+		t.Errorf("the log changed at recovery (%v)", err)
+	}
+	if code, got := get(t, srv2, "/v1/report?session=kept"); code != 200 || !bytes.Equal(got, want) {
+		t.Errorf("report after recovery: %d, identical %v", code, bytes.Equal(got, want))
+	}
+	if n := walErrors(t, srv2); n != 0 {
+		t.Errorf("twodprof_wal_errors_total = %d, want 0", n)
 	}
 }
 
@@ -481,10 +661,10 @@ func TestCapEvictedSessionServedFromDisk(t *testing.T) {
 }
 
 // TestDurableIngestOversizedChunk: a BTR2 body whose one chunk holds
-// more events than a WAL record may carry is logged as several event
-// records, and the session recovers from them — with the terminal
-// record dropped, as if the daemon died right after logging the
-// chunk — to the report of an offline run over the same events.
+// more events than a WAL record may carry profiles like an offline run
+// over the same events, and the decoded batch is logged as several
+// event records, from which a session interrupted right after logging
+// the chunk recovers to the same report.
 func TestDurableIngestOversizedChunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-event session")
@@ -512,12 +692,23 @@ func TestDurableIngestOversizedChunk(t *testing.T) {
 		t.Fatalf("ingest: %d: %s", code, resp)
 	}
 	_, live := get(t, srv, "/v1/report?session=big")
+
+	// The live log of a session fed the same batch, abandoned as if the
+	// daemon died right after logging it.
+	plog, err := srv.store.Create(sessionMeta{ID: "cut", Profile: cfg.Profile, Predictor: cfg.Predictor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b trace.SoABatch
+	b.FromEvents(events)
+	if err := plog.appendEvents(&b); err != nil {
+		t.Fatal(err)
+	}
+	plog.abandon()
 	if err := srv.Shutdown(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-
-	path := filepath.Join(cfg.DataDir, "big.wal")
-	recs, _, err := wal.ReadAll(path)
+	recs, _, err := wal.ReadAll(filepath.Join(cfg.DataDir, "cut.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,17 +719,14 @@ func TestDurableIngestOversizedChunk(t *testing.T) {
 		}
 	}
 	if eventRecs != 2 {
-		t.Fatalf("chunk of %d events logged as %d event records, want 2", len(events), eventRecs)
-	}
-	if err := wal.Rewrite(path, recs[:len(recs)-1]); err != nil {
-		t.Fatal(err)
+		t.Fatalf("batch of %d events logged as %d event records, want 2", len(events), eventRecs)
 	}
 
 	srv2 := startServer(t, cfg)
-	if info := findSession(t, sessionList(t, srv2), "big"); info.Events != int64(len(events)) {
+	if info := findSession(t, sessionList(t, srv2), "cut"); info.Events != int64(len(events)) {
 		t.Errorf("recovered %d events, want %d", info.Events, len(events))
 	}
-	code, got := get(t, srv2, "/v1/report?session=big")
+	code, got := get(t, srv2, "/v1/report?session=cut")
 	if code != 200 {
 		t.Fatalf("report after recovery: %d: %s", code, got)
 	}

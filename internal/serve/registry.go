@@ -76,8 +76,7 @@ type Session struct {
 	plog      *sessionLog
 	store     *Store
 	recovered bool // rebuilt from the WAL after a daemon restart
-	persisted bool // terminal checkpoint record is in the log
-	compacted bool // compaction attempted (logs are immutable after the terminal record)
+	persisted bool // the log is recBegin + the terminal checkpoint
 
 	events atomic.Int64 // decoded events so far
 	bytes  atomic.Int64 // raw bytes read from the client
@@ -171,11 +170,11 @@ func (s *Session) failLocked(reason error) {
 
 // terminateLocked is the terminal step complete and fail share (mu
 // held, engine drained): it keeps the engine's snapshot as the
-// session's checkpoint, releases the engine, and appends the
-// checkpoint (plus the byte/event totals) to the WAL as the terminal
-// record, closing the log. A persistence error does not fail the
-// session — the checkpoint is intact in memory — but the session is
-// then never idled, since disk could not be trusted to reproduce it.
+// session's checkpoint, releases the engine, and ends the WAL as
+// recBegin plus the checkpoint (with the byte/event totals) as the
+// terminal record. A persistence error does not fail the session — the
+// checkpoint is intact in memory — but the session is then never
+// idled, since disk could not be trusted to reproduce it.
 func (s *Session) terminateLocked(state SessionState, reason string) {
 	snap, err := s.eng.Snapshot()
 	s.eng, s.snap = nil, snap
@@ -272,9 +271,6 @@ func (s *Session) checkpointLocked() (*core.Snapshot, error) {
 // durable in the log and the session has not been queried for
 // idleAfter. Returns whether the session just went idle.
 func (s *Session) maybeIdle(now time.Time, idleAfter time.Duration) bool {
-	if idleAfter <= 0 {
-		return false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.persisted || s.snap == nil || now.Sub(s.lastTouch) < idleAfter {
@@ -282,29 +278,6 @@ func (s *Session) maybeIdle(now time.Time, idleAfter time.Duration) bool {
 	}
 	s.snap, s.static = nil, nil
 	return true
-}
-
-// maybeCompact compacts the session's log into its checkpoint once the
-// session is finished and durably checkpointed. Each log is examined at
-// most once — it is immutable after the terminal record. Returns
-// whether a rewrite actually happened.
-func (s *Session) maybeCompact(checkpointEvery int64) bool {
-	s.mu.Lock()
-	if s.state == SessionActive || !s.persisted || s.compacted || s.store == nil {
-		s.mu.Unlock()
-		return false
-	}
-	s.compacted = true
-	st, id := s.store, s.ID
-	s.mu.Unlock()
-	// Disk work happens outside mu so report queries never wait on it.
-	did, err := st.compact(id, checkpointEvery)
-	if err != nil {
-		st.metrics.WALErrors.Add(1)
-		fmt.Fprintf(os.Stderr, "serve: compacting session %s: %v\n", id, err)
-		return false
-	}
-	return did
 }
 
 // Registry tracks sessions by id, newest last. Finished sessions are

@@ -526,7 +526,6 @@ func TestConfigValidate(t *testing.T) {
 		{"durable defaults", durable},
 		{"zero timeouts", func(c *Config) { c.ReadTimeout, c.DrainTimeout = 0, 0 }},
 		{"bias without predictor", func(c *Config) { c.Profile.Metric, c.Predictor = core.MetricBias, "" }},
-		{"no compaction without DataDir", func(c *Config) { c.CompactInterval = 0 }},
 	}
 	for _, tc := range valid {
 		t.Run("accepts "+tc.name, func(t *testing.T) {
@@ -546,7 +545,6 @@ func TestConfigValidate(t *testing.T) {
 		{"DrainTimeout", "-1s", func(c *Config) { c.DrainTimeout = -time.Second }},
 		{"MaxSessions", "0", func(c *Config) { c.MaxSessions = 0 }},
 		{"Fsync", "interval/0", func(c *Config) { durable(c); c.Fsync.Interval = 0 }},
-		{"CompactInterval", "0", func(c *Config) { durable(c); c.CompactInterval = 0 }},
 		{"Predictor", "typo", func(c *Config) { c.Predictor = "gshare-4kb" }},
 		{"Profile", "SliceSize=0", func(c *Config) { c.Profile.SliceSize = 0 }},
 	}

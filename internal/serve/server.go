@@ -47,9 +47,9 @@ type Server struct {
 
 // NewServer validates cfg and assembles the service (not yet
 // listening). With cfg.DataDir set it also recovers every session
-// logged in the data directory into the registry — torn WAL tails are
-// repaired, interrupted sessions replayed and checkpointed — before
-// returning, so the daemon never serves while state is missing.
+// logged in the data directory into the registry — interrupted
+// sessions replayed, and every log ended as recBegin + checkpoint —
+// before returning, so the daemon never serves while state is missing.
 func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -60,7 +60,7 @@ func NewServer(cfg Config) (*Server, error) {
 		registry: NewRegistry(cfg.MaxSessions),
 	}
 	if cfg.DataDir != "" {
-		store, err := openStore(cfg.DataDir, cfg.Fsync, cfg.CheckpointEvery, s.metrics)
+		store, err := openStore(cfg.DataDir, cfg.Fsync, s.metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -94,12 +94,13 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// janitor is the background lifecycle sweep: idle-evict finished
-// sessions past cfg.IdleAfter and compact finished logs past
-// cfg.CheckpointEvery, every cfg.CompactInterval.
+// janitor is the background idle sweep: every quarter of
+// cfg.IdleAfter (at least a millisecond) it drops the resident
+// checkpoint of finished sessions unqueried for cfg.IdleAfter, so a
+// session idles at most a quarter of IdleAfter late.
 func (s *Server) janitor() {
 	defer close(s.janitorDone)
-	t := time.NewTicker(s.cfg.CompactInterval)
+	t := time.NewTicker(max(s.cfg.IdleAfter/4, time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -108,9 +109,6 @@ func (s *Server) janitor() {
 		case <-t.C:
 			now := time.Now()
 			for _, sess := range s.registry.List() {
-				if sess.maybeCompact(s.cfg.CheckpointEvery) {
-					s.metrics.Compactions.Add(1)
-				}
 				if sess.maybeIdle(now, s.cfg.IdleAfter) {
 					s.metrics.SessionsIdled.Add(1)
 				}
@@ -155,7 +153,7 @@ func (s *Server) Start() (<-chan error, error) {
 			s.wireErr <- s.wire.Serve(wln)
 		}()
 	}
-	if s.store != nil {
+	if s.store != nil && s.cfg.IdleAfter > 0 {
 		s.janitorStop = make(chan struct{})
 		s.janitorDone = make(chan struct{})
 		go s.janitor()

@@ -13,18 +13,20 @@
 //
 // The failure model is a crashed writer, not a hostile disk: a record
 // is either fully present and checksum-valid or it is part of the torn
-// tail. Open repairs a log by scanning records until the first frame
-// that is short, oversized or checksum-corrupt, truncating the file at
-// the last valid record boundary, and resuming appends there. Nothing
+// tail. ReadAll scans records until the first frame that is short,
+// oversized or checksum-corrupt and returns the valid prefix; nothing
 // after a bad frame is trusted — a corrupt length field makes every
-// later offset meaningless.
+// later offset meaningless. A log is never repaired in place: a reader
+// that wants the torn tail gone rewrites the valid prefix (or what it
+// derives from it) with Rewrite, which replaces the file atomically.
 //
 // Durability is a per-log SyncPolicy: SyncAlways fsyncs after every
 // append (each acknowledged record survives a machine crash),
 // SyncInterval fsyncs from a background goroutine at a fixed cadence
 // (bounded data-loss window, near-SyncNever throughput), SyncNever
 // leaves flushing to the OS (process crashes lose nothing, machine
-// crashes may). Torn-tail repair makes all three safe to recover from.
+// crashes may). Reading only the valid prefix makes all three safe to
+// recover from.
 package wal
 
 import (
@@ -130,10 +132,11 @@ type Record struct {
 	Payload []byte
 }
 
-// RepairInfo describes a tail Open dropped (or ReadAll would drop).
+// RepairInfo describes the invalid tail ReadAll found after a log's
+// valid prefix.
 type RepairInfo struct {
 	// Offset is the file offset of the last valid record boundary; the
-	// bytes from Offset to the original end were (or would be) dropped.
+	// bytes from Offset to the end are not part of the log.
 	Offset int64
 	// DroppedBytes is how many trailing bytes were invalid.
 	DroppedBytes int64
@@ -142,14 +145,13 @@ type RepairInfo struct {
 	Reason string
 }
 
-// Log is an append-only record log. Append, Sync and Close are safe for
+// Log is an append-only record log. Append and Close are safe for
 // concurrent use; the background interval flusher shares the same lock.
 type Log struct {
 	mu     sync.Mutex
 	f      *os.File
 	w      *bufio.Writer
 	hdr    [frameHeader + 1]byte // Append's frame-header scratch, under mu
-	size   int64
 	policy SyncPolicy
 	dirty  bool
 	closed bool
@@ -167,67 +169,19 @@ func Create(path string, policy SyncPolicy) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", path, err)
 	}
-	l := newLog(f, policy, 0)
+	l := newLog(f, policy)
 	if _, err := l.w.WriteString(magic); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: writing header: %w", err)
 	}
-	l.size = int64(len(magic))
 	l.dirty = true
 	return l, nil
 }
 
-// Open opens an existing log for recovery: it scans every record,
-// repairs a torn or corrupt tail by truncating the file at the last
-// valid record boundary, and returns the log positioned for further
-// appends. repair is nil when the log was clean.
-func Open(path string, policy SyncPolicy) (*Log, []Record, *RepairInfo, error) {
-	if err := policy.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("wal: opening %s: %w", path, err)
-	}
-	recs, repair, err := scan(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("wal: scanning %s: %w", path, err)
-	}
-	if repair != nil && repair.Reason == "bad header" {
-		// Nothing in the file can be trusted, including offset zero;
-		// refuse instead of quietly truncating a whole log away.
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("wal: %s: bad header", path)
-	}
-	end := int64(len(magic))
-	if repair != nil {
-		end = repair.Offset
-	} else {
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, nil, nil, err
-		}
-		end = st.Size()
-	}
-	if repair != nil {
-		if err := f.Truncate(repair.Offset); err != nil {
-			f.Close()
-			return nil, nil, nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
-		}
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, nil, err
-	}
-	l := newLog(f, policy, end)
-	return l, recs, repair, nil
-}
-
-// ReadAll scans a log read-only and returns its valid records plus the
-// repair Open would perform (nil when the log is clean). The file is
-// not modified.
+// ReadAll scans a log read-only and returns its valid records plus a
+// description of the invalid tail after them (nil when the log is
+// clean; Reason "bad header", with no records, when the file is not a
+// log at all). The file is not modified.
 func ReadAll(path string) ([]Record, *RepairInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -243,11 +197,10 @@ func ReadAll(path string) ([]Record, *RepairInfo, error) {
 
 // newLog assembles the writer state and starts the interval flusher
 // when the policy asks for one.
-func newLog(f *os.File, policy SyncPolicy, size int64) *Log {
+func newLog(f *os.File, policy SyncPolicy) *Log {
 	l := &Log{
 		f:      f,
 		w:      bufio.NewWriterSize(f, 1<<16),
-		size:   size,
 		policy: policy,
 	}
 	if policy.Mode == SyncInterval {
@@ -292,7 +245,6 @@ func (l *Log) Append(typ byte, payload []byte) error {
 	if err := writeRecord(l.w, &l.hdr, typ, payload); err != nil {
 		return err
 	}
-	l.size += int64(len(l.hdr) + len(payload))
 	l.dirty = true
 	if l.policy.Mode == SyncAlways {
 		return l.syncLocked()
@@ -302,7 +254,7 @@ func (l *Log) Append(typ byte, payload []byte) error {
 
 // writeRecord frames one record into w — len[4] crc[4] type[1], then
 // the payload — building the header in hdr. Append and Rewrite both
-// frame through it, so a compacted log holds the bytes Append wrote.
+// frame through it, so a rewritten log holds the bytes Append wrote.
 func writeRecord(w *bufio.Writer, hdr *[frameHeader + 1]byte, typ byte, payload []byte) error {
 	if len(payload)+1 > MaxRecord {
 		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
@@ -318,16 +270,6 @@ func writeRecord(w *bufio.Writer, hdr *[frameHeader + 1]byte, typ byte, payload 
 	return err
 }
 
-// Sync flushes buffered frames and fsyncs the file.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: sync of closed log")
-	}
-	return l.syncLocked()
-}
-
 func (l *Log) syncLocked() error {
 	if err := l.w.Flush(); err != nil {
 		return err
@@ -337,14 +279,6 @@ func (l *Log) syncLocked() error {
 	}
 	l.dirty = false
 	return nil
-}
-
-// Size returns the log's current length in bytes, including frames not
-// yet flushed to the OS.
-func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
 }
 
 // Close flushes, fsyncs and closes the log. Idempotent.
@@ -370,19 +304,30 @@ func (l *Log) Close() error {
 	return err
 }
 
+// rewriteTemp is the name pattern of Rewrite's temp file, created
+// beside the log it replaces.
+const rewriteTemp = ".rewrite-*.tmp"
+
 // Rewrite atomically replaces the log at path with one containing
 // exactly recs: write to a temp file in the same directory, fsync,
-// rename over, fsync the directory. This is the compaction primitive —
-// a crash at any point leaves either the old or the new log, never a
-// mix.
+// rename over, fsync the directory. A crash at any point leaves either
+// the old or the new log, never a mix — at worst it also leaves the
+// temp file, which IsRewriteTemp recognises.
 func Rewrite(path string, recs []Record) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".compact-*")
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+rewriteTemp)
 	if err != nil {
 		return fmt.Errorf("wal: rewrite temp: %w", err)
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
+	// CreateTemp makes the file 0600; keep the mode of the log it replaces.
+	if st, err := os.Stat(path); err == nil {
+		if err := tmp.Chmod(st.Mode().Perm()); err != nil {
+			tmp.Close()
+			return err
+		}
+	}
 	w := bufio.NewWriterSize(tmp, 1<<16)
 	if _, err := w.WriteString(magic); err != nil {
 		tmp.Close()
@@ -414,6 +359,15 @@ func Rewrite(path string, recs []Record) error {
 		d.Close()
 	}
 	return nil
+}
+
+// IsRewriteTemp reports whether a directory entry's name is a temp
+// file of Rewrite, left behind by a crash between its create and its
+// rename. Such a file never holds the only copy of anything: the log
+// it was to replace is still in place.
+func IsRewriteTemp(name string) bool {
+	ok, _ := filepath.Match("*"+rewriteTemp, name)
+	return ok
 }
 
 // scan reads records from the start of f. It returns the valid prefix

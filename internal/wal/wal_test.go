@@ -92,23 +92,25 @@ func TestCreateRefusesExisting(t *testing.T) {
 }
 
 // TestTornTailRepair: a file cut mid-record loses exactly the torn
-// record; Open truncates the file and appends resume at the repaired
-// boundary.
+// record: ReadAll reports the torn tail and returns the records before
+// it, and rewriting that prefix drops the tail — the rewritten log
+// rescans clean and equal.
 func TestTornTailRepair(t *testing.T) {
 	path := tmpLog(t)
 	want := sampleRecords()
 	writeLog(t, path, want, SyncPolicy{Mode: SyncNever})
 
 	// Cut three bytes off the final record's payload.
-	st, err := os.Stat(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, st.Size()-3); err != nil {
+	raw = raw[:len(raw)-3]
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	l, got, repair, err := Open(path, SyncPolicy{Mode: SyncAlways})
+	got, repair, err := ReadAll(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,24 +120,27 @@ func TestTornTailRepair(t *testing.T) {
 	if repair.Reason != "torn record" {
 		t.Errorf("repair reason %q, want torn record", repair.Reason)
 	}
+	if repair.Offset+repair.DroppedBytes != int64(len(raw)) {
+		t.Errorf("repair %+v does not end at the file's %d bytes", repair, len(raw))
+	}
 	recordsEqual(t, got, want[:len(want)-1])
 
-	// Appends must resume cleanly at the repaired boundary.
-	if err := l.Append(9, []byte("after repair")); err != nil {
+	// The rewrite frames records as Append did, so the rewritten log is
+	// the valid prefix byte for byte.
+	if err := Rewrite(path, got); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, repair, err = ReadAll(path)
+	again, after, err := ReadAll(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repair != nil {
-		t.Fatalf("repaired+appended log still reports repair: %+v", repair)
+	if after != nil {
+		t.Fatalf("rewritten log still reports repair: %+v", after)
 	}
-	wantAfter := append(append([]Record{}, want[:len(want)-1]...), Record{Type: 9, Payload: []byte("after repair")})
-	recordsEqual(t, got, wantAfter)
+	recordsEqual(t, again, want[:len(want)-1])
+	if rewritten, err := os.ReadFile(path); err != nil || !bytes.Equal(rewritten, raw[:repair.Offset]) {
+		t.Errorf("rewritten log is not the %d-byte valid prefix (%d bytes, %v)", repair.Offset, len(rewritten), err)
+	}
 }
 
 // TestCorruptRecordRejected: a checksum-corrupt record ends the trusted
@@ -199,13 +204,14 @@ func TestOversizeLengthRejected(t *testing.T) {
 	}
 }
 
+// TestBadHeaderRefused: a file that is not a log yields no records and
+// a "bad header" tail, and reading it leaves it exactly as it was — the
+// caller skips it, nothing deletes or truncates it.
 func TestBadHeaderRefused(t *testing.T) {
 	path := tmpLog(t)
-	if err := os.WriteFile(path, []byte("not a wal file"), 0o644); err != nil {
+	raw := []byte("not a wal file")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if _, _, _, err := Open(path, SyncPolicy{Mode: SyncNever}); err == nil {
-		t.Fatal("Open of a non-WAL file succeeded")
 	}
 	recs, repair, err := ReadAll(path)
 	if err != nil {
@@ -213,6 +219,9 @@ func TestBadHeaderRefused(t *testing.T) {
 	}
 	if len(recs) != 0 || repair == nil || repair.Reason != "bad header" {
 		t.Fatalf("ReadAll = %d recs, repair %+v", len(recs), repair)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("reading a bad-header file changed it: %q, %v", after, err)
 	}
 }
 
@@ -236,7 +245,10 @@ func TestRewriteCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after.Size() >= before.Size() {
-		t.Errorf("compaction did not shrink the log: %d -> %d bytes", before.Size(), after.Size())
+		t.Errorf("rewrite did not shrink the log: %d -> %d bytes", before.Size(), after.Size())
+	}
+	if after.Mode() != before.Mode() {
+		t.Errorf("rewrite changed the log's mode: %v -> %v", before.Mode(), after.Mode())
 	}
 	got, repair, err := ReadAll(path)
 	if err != nil {
@@ -254,6 +266,24 @@ func TestRewriteCompacts(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Errorf("directory holds %d entries after rewrite, want 1", len(entries))
+	}
+}
+
+// TestIsRewriteTemp: the name Rewrite gives its temp file is recognised,
+// and no log name is.
+func TestIsRewriteTemp(t *testing.T) {
+	tmp, err := os.CreateTemp(t.TempDir(), "s-1.wal"+rewriteTemp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp.Close()
+	if name := filepath.Base(tmp.Name()); !IsRewriteTemp(name) {
+		t.Errorf("IsRewriteTemp(%q) = false", name)
+	}
+	for _, name := range []string{"s-1.wal", "s.rewrite-1.wal", "s-1.wal.tmp", "notes.txt", "s-1.wal.compact-123"} {
+		if IsRewriteTemp(name) {
+			t.Errorf("IsRewriteTemp(%q) = true", name)
+		}
 	}
 }
 

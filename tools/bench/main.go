@@ -1,16 +1,16 @@
 // Command bench guards the per-event cost of the profiling pass. Every
 // path a branch stream can take to a report (the plain profiler, engine
-// replay, daemon HTTP and wire ingest, and the decode, predict and
-// profile kernels beneath them) is a row of one table, timed once per
-// pass. A second table holds the guards: each is the throughput ratio
-// of one row to a baseline row measured in the same process, held to a
-// floor. Same-process ratios stay meaningful on a loaded runner where
-// absolute rates do not; the floors catch gross regressions, such as a
-// kernel falling back to its scalar path, not micro-variance. Every
-// report a row yields must equal the plain profiler's byte for byte
-// (for transport rows, the first HTTP BTR1 report; for
-// private-aggregation BTR3 rows, each context's solo report). A missed
-// floor or a mismatch exits non-zero.
+// replay, daemon HTTP and wire ingest, in memory and durable, and the
+// decode, predict and profile kernels beneath them) is a row of one
+// table, timed once per pass. A second table holds the guards: each is
+// the throughput ratio of one row to a baseline row measured in the
+// same process, held to a floor. Same-process ratios stay meaningful on
+// a loaded runner where absolute rates do not; the floors catch gross
+// regressions, such as a kernel falling back to its scalar path, not
+// micro-variance. Every report a row yields must equal the plain
+// profiler's byte for byte (for transport rows, the first HTTP BTR1
+// report; for private-aggregation BTR3 rows, each context's solo
+// report). A missed floor or a mismatch exits non-zero.
 //
 // Usage:
 //
@@ -70,11 +70,13 @@ func main() {
 
 // tables records the workloads and builds the row and guard tables.
 // The guarded rows run the fsm/train kernel, except the layout pair,
-// which profiles one synthetic stream in two PC layouts. The
-// record-only sweeps run bsearch/train, a dense hot loop, and the wide
-// synthetic population, at the decode worker counts a multi-core host
-// would use, and the record-only BTR3 rows run ext-mt's multi-context
-// streams. The transport rows share the returned daemon.
+// which profiles one synthetic stream in two PC layouts; fsm/train's
+// durable daemon row, which adds the WAL to the daemon row, is
+// record-only. The record-only sweeps run bsearch/train, a dense hot
+// loop, and the wide synthetic population, at the decode worker counts
+// a multi-core host would use, and the record-only BTR3 rows run
+// ext-mt's multi-context streams. The transport rows share the
+// returned daemon.
 func tables() (rows []*row, guards []*guard, tr *transport) {
 	fsm := kernel("fsm", "train", true)
 	bsearch := kernel("bsearch", "train", false)
@@ -105,7 +107,8 @@ func tables() (rows []*row, guards []*guard, tr *transport) {
 				hold(r, perEvent, floorE2E)
 			}
 		}
-		hold(add(fsm.daemonRow(m)), plain1, floorDaemon)
+		hold(add(fsm.daemonRow(m, false)), plain1, floorDaemon)
+		add(fsm.daemonRow(m, true))
 	}
 
 	scalar, soa := decodeRows(fsm)
@@ -130,7 +133,7 @@ func tables() (rows []*row, guards []*guard, tr *transport) {
 			for _, n := range []int{1, 2, 4, 8} {
 				add(w.replayRow("btr2", m, n))
 			}
-			add(w.daemonRow(m))
+			add(w.daemonRow(m, false))
 		}
 	}
 	rows = append(rows, contextRows(workers)...)

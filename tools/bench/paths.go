@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"time"
 
 	"twodprof/internal/bpred"
@@ -89,12 +90,26 @@ func (w *workload) replayRow(format string, m core.Metric, workers int) *row {
 }
 
 // daemonRow boots a loopback daemon, posts the BTR1 encoding, fetches
-// and decodes the report, and shuts the daemon down.
-func (w *workload) daemonRow(m core.Metric) *row {
-	return w.metricRow("daemon-ingest", m, func(cfg core.Config) (*core.Report, error) {
+// and decodes the report, and shuts the daemon down. A durable daemon
+// logs the session under a fresh data directory (default -fsync
+// policy), removed at the end of the pass.
+func (w *workload) daemonRow(m core.Metric, durable bool) *row {
+	name := "daemon-ingest"
+	if durable {
+		name += " durable"
+	}
+	return w.metricRow(name, m, func(cfg core.Config) (*core.Report, error) {
 		scfg := serve.DefaultConfig()
 		scfg.Addr = "127.0.0.1:0"
 		scfg.Predictor, scfg.Profile = predictor, cfg
+		if durable {
+			dir, err := os.MkdirTemp("", "bench-wal-")
+			if err != nil {
+				return nil, err
+			}
+			defer os.RemoveAll(dir)
+			scfg.DataDir = dir
+		}
 		srv, err := start(scfg)
 		if err != nil {
 			return nil, err
