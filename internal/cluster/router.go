@@ -603,7 +603,7 @@ func (rs *relaySink) finish() {
 // takes. The codec is cheap and symmetric, and reusing the normal
 // client path keeps flow control end to end: node backpressure stalls
 // the router's relay, which stalls the origin client.)
-func (rs *relaySink) Events(b *trace.SoABatch, rawBytes int) error {
+func (rs *relaySink) Events(b *trace.SoABatch, _ []byte) error {
 	rs.evs = b.AppendEvents(rs.evs[:0])
 	if err := rs.sess.Send(rs.evs); err != nil {
 		rs.finish()

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,15 +37,16 @@ const (
 	pathMixed           // random runs of per-event calls and SoA batches
 	pathHTTP            // daemon HTTP ingest of BTR1/BTR2/BTR3 bytes
 	pathWire            // daemon wire ingest through wire.Session.Send
-	pathWAL             // daemon recovery of a durable wire session's live log cut after k event records
+	pathWAL             // daemon recovery of a durable session's live log cut after k input records
 	numPaths
 )
 
-// Event record types of the daemon's session log schema (DESIGN.md
-// §3f): plain batches and batches carrying execution contexts.
+// Input record types of the daemon's session log schema (DESIGN.md
+// §3f): the bytes of an HTTP body as read, and wire chunk bodies as
+// received.
 const (
-	walEvents    = 2
-	walEventsCtx = 5
+	walBody  = 6
+	walChunk = 7
 )
 
 // fuzzStream draws n events over a few synth-style sites: each site
@@ -248,21 +251,23 @@ func wireIngest(t *testing.T, srv *serve.Server, params wire.BeginParams, events
 	}
 }
 
-// logEvents decodes the events of a session log's event records.
-func logEvents(t *testing.T, recs []wal.Record) []trace.Event {
+// logEvents decodes the events a session log's input records hold, as
+// recovery does: wire chunk records one by one, HTTP body records as
+// one stream up to its first decode error.
+func logEvents(t *testing.T, input []wal.Record) []trace.Event {
 	t.Helper()
+	if len(input) > 0 && input[0].Type == walBody {
+		return decodeBody(logBody(t, input))
+	}
 	var (
 		events []trace.Event
 		b      trace.SoABatch
 	)
-	for _, rec := range recs {
-		decode := wal.DecodeEvents
-		if rec.Type == walEventsCtx {
-			decode = wal.DecodeEventsCtx
-		} else if rec.Type != walEvents {
-			t.Fatalf("record type %d where an event record belongs", rec.Type)
+	for _, rec := range input {
+		if rec.Type != walChunk {
+			t.Fatalf("record type %d in a wire chunk log", rec.Type)
 		}
-		if err := decode(&b, rec.Payload); err != nil {
+		if err := wire.DecodeChunk(&b, rec.Payload); err != nil {
 			t.Fatal(err)
 		}
 		events = b.AppendEvents(events)
@@ -270,10 +275,44 @@ func logEvents(t *testing.T, recs []wal.Record) []trace.Event {
 	return events
 }
 
-// awaitLiveLog polls a streaming session's log until its event records
-// hold n events and returns its records: the copy of the live log a
-// crash at that moment would leave.
-func awaitLiveLog(t *testing.T, path string, n int) []wal.Record {
+// logBody concatenates the payloads of a session log's HTTP body
+// records.
+func logBody(t *testing.T, input []wal.Record) []byte {
+	t.Helper()
+	var body []byte
+	for _, rec := range input {
+		if rec.Type != walBody {
+			t.Fatalf("record type %d in an HTTP body log", rec.Type)
+		}
+		body = append(body, rec.Payload...)
+	}
+	return body
+}
+
+// decodeBody returns the events a prefix of a BTR body decodes to:
+// every batch the reader yields up to its first error.
+func decodeBody(body []byte) []trace.Event {
+	tr, err := trace.OpenReader(bytes.NewReader(body))
+	if err != nil {
+		return nil
+	}
+	var (
+		events []trace.Event
+		b      trace.SoABatch
+	)
+	for {
+		err := tr.ReadBatch(&b)
+		events = b.AppendEvents(events)
+		if err != nil {
+			return events
+		}
+	}
+}
+
+// awaitLiveLog polls a streaming session's log until full reports its
+// input records complete and returns its records: the copy of the live
+// log a crash at that moment would leave.
+func awaitLiveLog(t *testing.T, path string, full func(input []wal.Record) bool) []wal.Record {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -283,27 +322,69 @@ func awaitLiveLog(t *testing.T, path string, n int) []wal.Record {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) > 0 && len(logEvents(t, recs[1:])) == n {
+		if len(recs) > 0 && full(recs[1:]) {
 			return recs
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: the live log never held all %d events", path, n)
+			t.Fatalf("%s: the live log never held the whole stream", path)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
+// httpIngestLive posts raw to a durable daemon's ingest handler
+// through a pipe, in pieces of a size drawn from r, and requires after
+// each piece that the session's live log holds exactly the bytes sent
+// so far. It returns the copy of the live log taken once that is all
+// of raw but its last byte, which is held back until then: a BTR2 or
+// BTR3 session finishes, and rewrites its log, on reading its footer.
+func httpIngestLive(t *testing.T, srv *serve.Server, target, path string, raw []byte, r *rng.Source) []wal.Record {
+	t.Helper()
+	pr, pw := io.Pipe()
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, pr))
+		pr.CloseWithError(errors.New("ingest returned"))
+	}()
+	last := len(raw) - 1
+	piece := 1 + last/16 + r.Intn(1+last/4)
+	var live []wal.Record
+	for sent := 0; sent < last; {
+		n := min(piece, last-sent)
+		if _, err := pw.Write(raw[sent : sent+n]); err != nil {
+			t.Fatal(err)
+		}
+		sent += n
+		live = awaitLiveLog(t, path, func(input []wal.Record) bool { return len(logBody(t, input)) >= sent })
+		if got := logBody(t, live[1:]); !bytes.Equal(got, raw[:sent]) {
+			t.Fatalf("the live log's %d body bytes are not the %d bytes sent", len(got), sent)
+		}
+	}
+	if _, err := pw.Write(raw[last:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	<-done
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body)
+	}
+	return live
+}
+
 // walCut is where the WAL path cut a live log: it kept the first kept
-// of the log's records event records.
-type walCut struct{ kept, records int }
+// of the log's records input records. front is the ingest front that
+// wrote the log: pathWire, or the HTTP body's format.
+type walCut struct{ front, kept, records int }
 
 // cutLog replaces the log at path with a copy of its live records cut
-// to the begin record plus the first k event records, k drawn from r
+// to the begin record plus the first k input records, k drawn from r
 // — the log of a daemon that died there — and returns the events those
 // records hold.
 func cutLog(t *testing.T, path string, live []wal.Record, r *rng.Source) ([]trace.Event, walCut) {
 	t.Helper()
-	cut := walCut{records: len(live) - 1} // event records follow the begin record
+	cut := walCut{records: len(live) - 1} // input records follow the begin record
 	cut.kept = r.Intn(cut.records + 1)
 	if err := wal.Rewrite(path, live[:1+cut.kept]); err != nil {
 		t.Fatal(err)
@@ -336,9 +417,10 @@ func encodeBTR3With(t testing.TB, events []trace.Event, opts trace.BTR2Options) 
 // path: path%numPaths is the ingress path, path/numPaths%4 picks
 // Workers 1, 2, 4 or 8. The daemon paths have no worker knob:
 // path/numPaths%3 picks the BTR1, BTR2 or BTR3 body of the HTTP path
-// instead. They run under shared aggregation, or private with one
-// context, because a private multi-context daemon session does not
-// finish yet.
+// instead, and path/numPaths%4 the WAL path's front: wire, or an HTTP
+// body in BTR1, BTR2 or BTR3. They run under shared aggregation, or
+// private with one context, because a private multi-context daemon
+// session does not finish yet.
 func FuzzEngineDifferential(f *testing.F) {
 	for i, c := range differentialSeeds {
 		f.Add(seedOf(i), c.n, c.slice, c.execTh, c.flags, c.path, c.chunk)
@@ -349,9 +431,9 @@ func FuzzEngineDifferential(f *testing.F) {
 }
 
 // TestDifferentialWALSeedCutsLiveLog: the WAL seeds of
-// FuzzEngineDifferential recover a live log cut between its event
-// records — at least one keeps k >= 1 of several and drops the rest —
-// not only the empty and the whole prefix.
+// FuzzEngineDifferential recover a live log cut between its input
+// records — on each front, at least one keeps k >= 1 of several and
+// drops the rest — not only the empty and the whole prefix.
 func TestDifferentialWALSeedCutsLiveLog(t *testing.T) {
 	var cuts []walCut
 	for i, c := range differentialSeeds {
@@ -360,12 +442,20 @@ func TestDifferentialWALSeedCutsLiveLog(t *testing.T) {
 		}
 	}
 	t.Logf("WAL seed cuts: %+v", cuts)
-	for _, cut := range cuts {
-		if cut.kept >= 1 && cut.kept < cut.records {
-			return
+	for _, front := range []int{pathWire, pathHTTP} {
+		cutBetween := false
+		for _, cut := range cuts {
+			onFront := cut.front == pathWire
+			if front == pathHTTP {
+				onFront = !onFront
+			}
+			cutBetween = cutBetween || onFront && cut.kept >= 1 && cut.kept < cut.records
+		}
+		if !cutBetween {
+			t.Errorf("no WAL seed on the %s front cuts its live log after k >= 1 of several input records",
+				map[int]string{pathWire: "wire", pathHTTP: "HTTP"}[front])
 		}
 	}
-	t.Fatal("no WAL seed cuts its live log after k >= 1 of several event records")
 }
 
 // seedOf is the stream seed of the i-th entry of differentialSeeds.
@@ -402,10 +492,14 @@ var differentialSeeds = []struct {
 	{6000, 300, 4, 0x85, 1*numPaths + pathHTTP, 700}, // BTR2 body, bimodal, compressed
 	{6000, 777, 3, 0xa3, 2*numPaths + pathHTTP, 333}, // BTR3 body, private, bias, compressed
 	{4000, 250, 2, 0x01, pathWire, 300},
-	{6000, 999, 6, 0x4b, pathWire, 4000}, // bias, wide
-	{6000, 400, 4, 0x01, pathWAL, 77},
-	{6000, 1000, 8, 0x45, 1*numPaths + pathWAL, 500}, // bimodal, wide
-	{5000, 64, 1, 0xa7, 2*numPaths + pathWAL, 3000},  // private, bias
+	{6000, 999, 6, 0x4b, pathWire, 4000},             // bias, wide
+	{6000, 400, 4, 0x01, pathWAL, 77},                // wire
+	{6000, 1000, 8, 0x45, 4*numPaths + pathWAL, 500}, // wire, bimodal, wide
+	{5000, 64, 1, 0xa7, 8*numPaths + pathWAL, 3000},  // wire, private, bias
+	{6000, 400, 4, 0x01, 1*numPaths + pathWAL, 97},   // BTR1 body
+	{5000, 199, 2, 0x25, 1*numPaths + pathWAL, 1500}, // BTR1 body, bimodal, private
+	{6000, 300, 4, 0x85, 2*numPaths + pathWAL, 700},  // BTR2 body, bimodal, compressed
+	{6000, 777, 3, 0x83, 3*numPaths + pathWAL, 333},  // BTR3 body, bias, compressed
 }
 
 // differential runs one FuzzEngineDifferential case; on the WAL path it
@@ -429,15 +523,20 @@ func differential(t *testing.T, seed uint64, n, slice uint16, execTh, flags, pat
 	}
 	what := fmt.Sprintf("path %d, workers %d, private %v, %+v", p, workers, private, cfg)
 	daemon := p >= pathHTTP
-	format := pathBTR1 + int(path)/numPaths%3
-	if daemon {
-		what = fmt.Sprintf("path %d, private %v, %+v", p, private, cfg)
+	// format is the encoding the stream reaches its path in: the HTTP
+	// and WAL paths draw theirs, and pathWire stands for wire chunks.
+	format := p
+	switch p {
+	case pathHTTP:
+		format = pathBTR1 + int(path)/numPaths%3
+	case pathWAL:
+		format = []int{pathWire, pathBTR1, pathBTR2, pathBTR3}[int(path)/numPaths%4]
 	}
-	if p == pathHTTP {
+	if daemon {
 		what = fmt.Sprintf("path %d, format %d, private %v, %+v", p, format, private, cfg)
 	}
 
-	if p == pathBTR1 || p == pathBTR2 || daemon && (private || p == pathHTTP && format != pathBTR3) {
+	if format == pathBTR1 || format == pathBTR2 || daemon && private {
 		// These formats carry no context tags, and the daemon paths
 		// keep private sessions to one context.
 		for i := range events {
@@ -501,27 +600,38 @@ func differential(t *testing.T, seed uint64, n, slice uint16, execTh, flags, pat
 		compareJSON(t, what, fuzzDaemonReport(t, srv, "f"), want[0])
 		return
 	case pathWAL:
-		// Copy the live log once it holds every event, finish the
+		// Copy the live log once it holds the stream, finish the
 		// session (which leaves only begin + checkpoint), then put
-		// the copy back cut after k event records, as if the daemon
+		// the copy back cut after k input records, as if the daemon
 		// had died there.
 		dir := t.TempDir()
 		logPath := filepath.Join(dir, "f.wal")
-		srv := startFuzzDaemon(t, fuzzDaemon(t, cfg, pred, dir))
 		var live []wal.Record
-		wireIngest(t, srv, wire.BeginParams{ID: "f", Aggregation: agg}, events, r, int(chunk), func() {
-			live = awaitLiveLog(t, logPath, len(events))
-		})
-		stopFuzzDaemon(srv)
+		if format == pathWire {
+			srv := startFuzzDaemon(t, fuzzDaemon(t, cfg, pred, dir))
+			wireIngest(t, srv, wire.BeginParams{ID: "f", Aggregation: agg}, events, r, int(chunk), func() {
+				live = awaitLiveLog(t, logPath, func(input []wal.Record) bool {
+					return len(logEvents(t, input)) == len(events)
+				})
+			})
+			stopFuzzDaemon(srv)
+		} else {
+			encode(format)
+			live = httpIngestLive(t, fuzzDaemon(t, cfg, pred, dir), "/v1/ingest?session=f&agg="+agg, logPath, raw, r)
+		}
 		if recs, _, err := wal.ReadAll(logPath); err != nil || len(recs) != 2 {
 			t.Fatalf("%s: finished log holds %d records (%v), want begin + checkpoint", what, len(recs), err)
 		}
 		var prefix []trace.Event
 		prefix, cut = cutLog(t, logPath, live, r)
+		cut.front = format
+		if len(prefix) > len(events) || !slices.Equal(prefix, events[:len(prefix)]) {
+			t.Fatalf("%s: the %d events of %d input records are not a prefix of the stream", what, len(prefix), cut.kept)
+		}
 		// A restarted daemon replays the cut log as an interrupted
 		// session, through the trailing partial-slice rule.
 		got := fuzzDaemonReport(t, fuzzDaemon(t, cfg, pred, dir), "f")
-		compareJSON(t, fmt.Sprintf("%s, %d of %d event records, %d of %d events", what, cut.kept, cut.records, len(prefix), len(events)),
+		compareJSON(t, fmt.Sprintf("%s, %d of %d input records, %d of %d events", what, cut.kept, cut.records, len(prefix), len(events)),
 			got, refReports(t, prefix, cfg, pred, private)[0])
 		return
 	}

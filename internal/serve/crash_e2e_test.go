@@ -179,9 +179,11 @@ func TestCrashRecoveryFinished(t *testing.T) {
 }
 
 // TestCrashRecoveryMidStream: SIGKILL the daemon while a client is
-// streaming. The restarted daemon replays the durable event prefix; its
-// report must be byte-identical to an offline profiler over exactly the
-// events the recovery reports having salvaged.
+// streaming. The killed daemon's log holds a prefix of the body the
+// client sent; the restarted daemon replays it, reports the bytes that
+// prefix holds, and its report must be byte-identical to an offline
+// profiler over exactly the events the recovery reports having
+// salvaged.
 func TestCrashRecoveryMidStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec e2e test")
@@ -209,7 +211,7 @@ func TestCrashRecoveryMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait until the daemon has decoded (and therefore WAL-logged) a
-	// healthy chunk of the stream.
+	// healthy part of the stream.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		infos := d.sessions()
@@ -226,6 +228,23 @@ func TestCrashRecoveryMidStream(t *testing.T) {
 	pw.Close()
 	<-postDone
 
+	// What the dead daemon left: its log's body records are a prefix of
+	// the bytes sent.
+	recs, _, err := wal.ReadAll(filepath.Join(dataDir, "torn.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []byte
+	for _, rec := range recs[1:] {
+		if rec.Type != recBody {
+			t.Fatalf("live log holds a record of type %d, want body records only", rec.Type)
+		}
+		kept = append(kept, rec.Payload...)
+	}
+	if !bytes.Equal(kept, raw[:len(kept)]) {
+		t.Fatalf("the live log's %d bytes are not a prefix of the body sent", len(kept))
+	}
+
 	d2 := startCrashDaemon(t, dataDir)
 	requireCheckpointDir(t, dataDir)
 	info := findSession(t, d2.sessions(), "torn")
@@ -235,6 +254,9 @@ func TestCrashRecoveryMidStream(t *testing.T) {
 	salvaged := info.Events
 	if salvaged <= 0 || salvaged > int64(len(events)) {
 		t.Fatalf("recovered event count %d out of range (trace has %d)", salvaged, len(events))
+	}
+	if info.Bytes != int64(len(kept)) {
+		t.Errorf("recovered session reports %d bytes, want the %d its log kept", info.Bytes, len(kept))
 	}
 
 	code, got := d2.get("/v1/report?session=torn")

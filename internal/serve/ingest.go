@@ -35,26 +35,42 @@ const maxSessionID = 64
 // sheds their session at the MaxActive cap.
 const shedRetryAfter = time.Second
 
-// bodyReader meters a request body and re-arms the per-read deadline so
-// a stalled client cannot pin a session forever.
+// bodyReader meters a request body, re-arms the per-read deadline so
+// a stalled client cannot pin a session forever, and on a durable
+// daemon logs every read as a recBody record before returning it: it
+// sits below the decoder's buffer, so every byte the decoder sees is
+// in the log first.
 type bodyReader struct {
 	r       io.Reader
 	rc      *http.ResponseController
 	timeout time.Duration
 	session *Session
 	metrics *Metrics
+	log     *sessionLog // nil without a data directory
+	err     error       // the log append that failed; every later read returns it
 }
 
 func (b *bodyReader) Read(p []byte) (int, error) {
+	if b.err != nil {
+		return 0, b.err
+	}
 	if b.timeout > 0 {
 		// Best-effort: not every ResponseWriter supports deadlines
 		// (httptest's recorder does not); ingest still works, unbounded.
 		_ = b.rc.SetReadDeadline(time.Now().Add(b.timeout))
 	}
-	n, err := b.r.Read(p)
+	// A decoder reading a large chunk payload bypasses its buffer; the
+	// cap keeps every logged read within one buffer's size.
+	n, err := b.r.Read(p[:min(len(p), ingestBodyBuffer)])
 	if n > 0 {
 		b.session.bytes.Add(int64(n))
 		b.metrics.Bytes.Add(int64(n))
+		if b.log != nil {
+			if lerr := b.log.append(recBody, p[:n]); lerr != nil {
+				b.err = fmt.Errorf("writing session log: %w", lerr)
+				return 0, b.err
+			}
+		}
 	}
 	return n, err
 }
@@ -109,8 +125,9 @@ func (e *ingestError) write(w http.ResponseWriter) {
 
 // ingestRun is one admitted session's streaming state, owned by a
 // single goroutine (the HTTP handler or the wire stream goroutine):
-// the decoded-event path into the WAL and the engine, the counter
-// folding, and the single-shot terminal transitions.
+// the decoded-event path into the engine, the counter folding, and the
+// single-shot terminal transitions. Each front logs the bytes it
+// received itself, before decoding them.
 type ingestRun struct {
 	s       *Server
 	session *Session
@@ -199,8 +216,8 @@ func (s *Server) beginSession(p wire.BeginParams) (*ingestRun, *ingestError) {
 	session.static = static
 	if s.store != nil {
 		// Durable mode: open the session's write-ahead log before any
-		// event flows; decoded batches are teed into it ahead of the
-		// in-memory engine.
+		// byte flows; each front tees what it receives into it ahead
+		// of the decoder.
 		plog, perr := s.store.Create(sessionMeta{
 			ID:          session.ID,
 			Group:       p.Group,
@@ -237,17 +254,13 @@ func staticColumn(kernel string) (static map[trace.PC]string, ok bool) {
 	return asmcheck.StaticClasses(k.Prog), true
 }
 
-// events applies one decoded batch: WAL first, engine second, counters
-// folded every ingestFlushEvery events.
-func (ir *ingestRun) events(b *trace.SoABatch) error {
-	if err := ir.session.logEvents(b); err != nil {
-		return fmt.Errorf("writing session log: %w", err)
-	}
+// events applies one decoded batch to the engine, folding the counters
+// every ingestFlushEvery events.
+func (ir *ingestRun) events(b *trace.SoABatch) {
 	ir.eng.BranchBatchSoA(b)
 	if ir.local += int64(b.Len()); ir.local >= ingestFlushEvery {
 		ir.flushCounters()
 	}
-	return nil
 }
 
 // flushCounters folds the local event count and the engine's newly
@@ -343,6 +356,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		timeout: s.cfg.ReadTimeout,
 		session: run.session,
 		metrics: s.metrics,
+		log:     run.session.plog,
 	}
 	// The wide buffer amortises the per-Read deadline re-arm and byte
 	// accounting over ~32 bufio refills (OpenReader reuses an existing
@@ -356,10 +370,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var batch trace.SoABatch
 	for {
 		rerr := tr.ReadBatch(&batch)
-		if werr := run.events(&batch); werr != nil {
-			writeJSON(w, http.StatusBadRequest, run.fail(werr))
-			return
-		}
+		run.events(&batch)
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {
 				break

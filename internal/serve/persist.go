@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,6 +15,7 @@ import (
 	"twodprof/internal/engine"
 	"twodprof/internal/trace"
 	"twodprof/internal/wal"
+	"twodprof/internal/wire"
 )
 
 // Durable sessions (DESIGN.md §3f). Every session owns one write-ahead
@@ -24,39 +27,44 @@ import (
 //
 //	recBegin   JSON sessionMeta — resolved profiling config, predictor,
 //	           aggregation mode and (optional) kernel name. Always first.
-//	recEvents  wal.EncodeEvents batch, appended ahead of the in-memory
-//	           engine in exact stream order (a decoded batch larger than
-//	           wal.MaxEventsPerRecord spans several records). Batches
-//	           carrying execution contexts use recEventsCtx
-//	           (wal.EncodeEventsCtx) instead; logs from before contexts
-//	           existed contain only recEvents and replay as context 0
-//	           unchanged.
+//	recBody    bytes of an HTTP ingest body (BTR1/BTR2/BTR3, optionally
+//	           gzip) as one read returned them, appended before the
+//	           decoder sees them: the payloads in order are a prefix of
+//	           the body.
+//	recChunk   one wire chunk body as received (wire.DecodeChunk's
+//	           input), appended before its events are applied.
 //	recDone /  JSON terminalRecord — the merged engine snapshot
 //	recFail    (core.Snapshot) plus event/byte totals (and the failure
 //	           reason for recFail). Always last; nothing follows it.
 //
+// Older daemons logged decoded batches instead of the bytes received:
+// recEvents (wal.DecodeEvents) and, for batches carrying execution
+// contexts, recEventsCtx (wal.DecodeEventsCtx). Those record types are
+// read, never written.
+//
 // Invariants:
 //
-//   - A live log is recBegin plus event records, no terminal. The WAL
-//     keeps raw events while a session streams because a mid-stream
-//     snapshot cannot rebuild the run (snapshots drop in-flight slice
-//     counters by design, and predictor state is not serialisable).
+//   - A live log is recBegin plus the input its session's ingest front
+//     received, in that front's framing, and no terminal. The WAL keeps
+//     the input while a session streams because a mid-stream snapshot
+//     cannot rebuild the run (snapshots drop in-flight slice counters
+//     by design, and predictor state is not serialisable).
 //   - A finished log is exactly recBegin + terminal: at the terminal
 //     transition the live log is closed and atomically rewritten to
-//     the two records (wal.Rewrite), so the event records are gone by
+//     the two records (wal.Rewrite), so the input records are gone by
 //     the time the session's summary is returned. Its report derives
 //     from the checkpoint snapshot alone ((*core.Snapshot).Report is
 //     exactly the assembly path engine.Finish uses, so the recovered
 //     report is byte-identical to the uninterrupted one).
 //   - Recovery ends every other log the same way. A log without a
 //     terminal record is a session that was streaming when the daemon
-//     died: its event records are replayed through a fresh engine
-//     built from recBegin, which reconstructs predictor state and
-//     in-slice counters exactly, and the log is rewritten to recBegin
-//     plus recFail. A finished log that still holds event records
-//     (written by an older daemon) or a torn tail is rewritten once to
-//     recBegin plus its terminal record. A log that already is
-//     recBegin + terminal is only read.
+//     died: its input is decoded by the decoder its record type names
+//     and replayed through a fresh engine built from recBegin, which
+//     reconstructs predictor state and in-slice counters exactly, and
+//     the log is rewritten to recBegin plus recFail. A finished log
+//     that still holds input records (written by an older daemon) or a
+//     torn tail is rewritten once to recBegin plus its terminal record.
+//     A log that already is recBegin + terminal is only read.
 type sessionMeta struct {
 	ID        string      `json:"id"`
 	Group     string      `json:"group,omitempty"`
@@ -78,15 +86,13 @@ type terminalRecord struct {
 
 // WAL record types of the session schema.
 const (
-	recBegin  byte = 1
-	recEvents byte = 2
-	recDone   byte = 3
-	recFail   byte = 4
-	// recEventsCtx is an event batch carrying execution contexts
-	// (wal.EncodeEventsCtx). Written only when a batch actually has a
-	// non-zero context, so single-context sessions — and every log
-	// written before contexts existed — keep the plain recEvents bytes.
-	recEventsCtx byte = 5
+	recBegin     byte = 1
+	recEvents    byte = 2 // older daemons: a decoded batch
+	recDone      byte = 3
+	recFail      byte = 4
+	recEventsCtx byte = 5 // older daemons: a decoded batch carrying contexts
+	recBody      byte = 6 // bytes of an HTTP ingest body, as read
+	recChunk     byte = 7 // one wire chunk body, as received
 )
 
 // recoveredReason is the failure reason stamped on sessions that were
@@ -166,12 +172,10 @@ func (st *Store) Create(meta sessionMeta) (*sessionLog, error) {
 
 // sessionLog is one active session's WAL handle.
 type sessionLog struct {
-	st     *Store
-	id     string
-	l      *wal.Log
-	begin  []byte         // the recBegin payload, which the finished log keeps
-	encBuf []byte         // event-codec scratch, reused across batches
-	span   trace.SoABatch // record-sized piece of an oversized batch
+	st    *Store
+	id    string
+	l     *wal.Log
+	begin []byte // the recBegin payload, which the finished log keeps
 }
 
 func (sl *sessionLog) append(typ byte, payload []byte) error {
@@ -182,41 +186,9 @@ func (sl *sessionLog) append(typ byte, payload []byte) error {
 	return nil
 }
 
-// appendEvents logs one decoded batch, picking the context-carrying
-// record type only when some event needs it. A batch larger than
-// wal.MaxEventsPerRecord (a big BTR2 chunk) is logged as several
-// records, in order.
-func (sl *sessionLog) appendEvents(b *trace.SoABatch) error {
-	if n := b.Len(); n > wal.MaxEventsPerRecord {
-		for i := 0; i < n; i += wal.MaxEventsPerRecord {
-			b.Span(&sl.span, i, min(i+wal.MaxEventsPerRecord, n))
-			if err := sl.appendEvents(&sl.span); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if b.Len() == 0 {
-		return nil
-	}
-	typ := recEvents
-	for _, ctx := range b.Ctxs {
-		if ctx != 0 {
-			typ = recEventsCtx
-			break
-		}
-	}
-	if typ == recEventsCtx {
-		sl.encBuf = wal.EncodeEventsCtx(sl.encBuf[:0], b)
-	} else {
-		sl.encBuf = wal.EncodeEvents(sl.encBuf[:0], b)
-	}
-	return sl.append(typ, sl.encBuf)
-}
-
 // finish ends the log with the session's terminal record: it closes
 // the live log (flush and fsync, so a crash before the rewrite still
-// finds every event) and replaces it with recBegin + terminal. The
+// finds all the input) and replaces it with recBegin + terminal. The
 // rewrite is fsynced whatever the policy — a finished session's
 // checkpoint must not sit in an OS buffer.
 func (sl *sessionLog) finish(typ byte, term terminalRecord) error {
@@ -247,9 +219,9 @@ func checkpointLog(path string, begin []byte, typ byte, term []byte) error {
 	})
 }
 
-// parseLog splits a scanned record list into meta, event records and
+// parseLog splits a scanned record list into meta, input records and
 // the terminal record (nil when the session was mid-stream).
-func parseLog(recs []wal.Record) (meta sessionMeta, events []wal.Record, term *terminalRecord, termType byte, err error) {
+func parseLog(recs []wal.Record) (meta sessionMeta, input []wal.Record, term *terminalRecord, termType byte, err error) {
 	if len(recs) == 0 || recs[0].Type != recBegin {
 		return meta, nil, nil, 0, fmt.Errorf("log does not start with a begin record")
 	}
@@ -258,11 +230,11 @@ func parseLog(recs []wal.Record) (meta sessionMeta, events []wal.Record, term *t
 	}
 	for _, rec := range recs[1:] {
 		switch rec.Type {
-		case recEvents, recEventsCtx:
+		case recBody, recChunk, recEvents, recEventsCtx:
 			if term != nil {
-				return meta, nil, nil, 0, fmt.Errorf("event record after terminal record")
+				return meta, nil, nil, 0, fmt.Errorf("input record after terminal record")
 			}
-			events = append(events, rec)
+			input = append(input, rec)
 		case recDone, recFail:
 			if term != nil {
 				return meta, nil, nil, 0, fmt.Errorf("duplicate terminal record")
@@ -276,7 +248,7 @@ func parseLog(recs []wal.Record) (meta sessionMeta, events []wal.Record, term *t
 			return meta, nil, nil, 0, fmt.Errorf("unknown record type %d", rec.Type)
 		}
 	}
-	return meta, events, term, termType, nil
+	return meta, input, term, termType, nil
 }
 
 // loadCheckpoint reads a finished session's checkpoint back from its
@@ -353,7 +325,7 @@ func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 	if err != nil {
 		return recoveredInfo{}, err
 	}
-	meta, events, term, termType, err := parseLog(recs)
+	meta, input, term, termType, err := parseLog(recs)
 	if err != nil {
 		return recoveredInfo{}, err
 	}
@@ -364,20 +336,20 @@ func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 
 	var payload []byte
 	if term == nil {
-		// Mid-stream at the crash: replay the logged events through a
+		// Mid-stream at the crash: replay the logged input through a
 		// fresh engine. The replay rebuilds predictor and slice state
 		// exactly, so the resulting report matches an uninterrupted run
 		// over the same durable prefix byte for byte.
-		replayed, snap, err := st.replay(meta, events)
+		replayed, received, snap, err := st.replay(meta, input)
 		if err != nil {
 			return recoveredInfo{}, err
 		}
-		term = &terminalRecord{Reason: recoveredReason, Events: replayed, Snapshot: snap}
+		term = &terminalRecord{Reason: recoveredReason, Events: replayed, Bytes: received, Snapshot: snap}
 		termType = recFail
 		if payload, err = json.Marshal(term); err != nil {
 			return recoveredInfo{}, err
 		}
-	} else if len(events) > 0 || repair != nil {
+	} else if len(input) > 0 || repair != nil {
 		// Finished, but an older daemon kept the event records (or the
 		// tail is torn): keep the terminal record's bytes as they are.
 		payload = recs[len(recs)-1].Payload
@@ -407,16 +379,18 @@ func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 	return recoveredInfo{session: s, repaired: repair != nil}, nil
 }
 
-// replay feeds logged event records through a fresh engine and returns
-// the replayed event count plus the finished engine's snapshot.
-// The static column is not part of a snapshot, so the engine is built
-// without it.
-func (st *Store) replay(meta sessionMeta, events []wal.Record) (int64, *core.Snapshot, error) {
+// replay feeds a live log's input records through a fresh engine, each
+// decoded by the decoder its record type names, and returns the
+// replayed event count, the bytes the session received up to the
+// durable prefix (the payload lengths of its body or chunk records; an
+// older daemon's event records hold none), and the finished engine's
+// snapshot. The static column is not part of a snapshot, so the engine
+// is built without it.
+func (st *Store) replay(meta sessionMeta, input []wal.Record) (events, received int64, snap *core.Snapshot, err error) {
 	var agg engine.AggMode
 	if meta.Aggregation != "" {
-		var err error
 		if agg, err = engine.ParseAggMode(meta.Aggregation); err != nil {
-			return 0, nil, fmt.Errorf("session log metadata: %w", err)
+			return 0, 0, nil, fmt.Errorf("session log metadata: %w", err)
 		}
 	}
 	eng, err := engine.New(meta.Profile, engine.Options{
@@ -424,34 +398,56 @@ func (st *Store) replay(meta sessionMeta, events []wal.Record) (int64, *core.Sna
 		Aggregation: agg,
 	})
 	if err != nil {
-		return 0, nil, fmt.Errorf("rebuilding engine: %w", err)
+		return 0, 0, nil, fmt.Errorf("rebuilding engine: %w", err)
 	}
 	var (
-		replayed int64
-		batch    trace.SoABatch
+		b    trace.SoABatch
+		body []io.Reader
 	)
-	for _, rec := range events {
-		if rec.Type == recEventsCtx {
-			err = wal.DecodeEventsCtx(&batch, rec.Payload)
-		} else {
-			err = wal.DecodeEvents(&batch, rec.Payload)
+	apply := func() {
+		eng.BranchBatchSoA(&b)
+		events += int64(b.Len())
+	}
+	for _, rec := range input {
+		switch rec.Type {
+		case recBody:
+			body = append(body, bytes.NewReader(rec.Payload))
+			received += int64(len(rec.Payload))
+			continue
+		case recChunk:
+			err = wire.DecodeChunk(&b, rec.Payload)
+			received += int64(len(rec.Payload))
+		case recEvents:
+			err = wal.DecodeEvents(&b, rec.Payload)
+		case recEventsCtx:
+			err = wal.DecodeEventsCtx(&b, rec.Payload)
 		}
 		if err != nil {
 			eng.Abort()
-			return 0, nil, fmt.Errorf("decoding event record: %w", err)
+			return 0, 0, nil, fmt.Errorf("decoding input record: %w", err)
 		}
-		eng.BranchBatchSoA(&batch)
-		replayed += int64(batch.Len())
+		apply()
+	}
+	// The body records hold the body up to where the daemon died,
+	// usually inside a varint, chunk frame or gzip block: the decode
+	// error that ends this loop marks that cut, as the live decoder
+	// would have met it, and the events decoded before it are the
+	// durable prefix. A cut inside the stream header, or a log of
+	// another front, leaves none.
+	if tr, err := trace.OpenReader(io.MultiReader(body...)); err == nil {
+		for err == nil {
+			err = tr.ReadBatch(&b)
+			apply()
+		}
 	}
 	// Finish, not Abort: the durable prefix is treated as a complete
 	// run, applying the same trailing-partial-slice rule an
 	// uninterrupted ingest would.
 	if _, err := eng.Finish(); err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
-	snap, err := eng.Snapshot()
-	if err != nil {
-		return 0, nil, err
+	if snap, err = eng.Snapshot(); err != nil {
+		return 0, 0, nil, err
 	}
-	return replayed, snap, nil
+	return events, received, snap, nil
 }

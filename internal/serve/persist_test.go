@@ -2,13 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -125,6 +129,160 @@ func referenceReport(t testing.TB, cfg Config, events []trace.Event) []byte {
 	return marshalReport(t, prof.Finish())
 }
 
+// decodePrefix returns the events a prefix of a BTR body decodes to:
+// every batch the reader yields up to its first error, as recovery
+// replays an HTTP body log.
+func decodePrefix(t testing.TB, body []byte) []trace.Event {
+	t.Helper()
+	tr, err := trace.OpenReader(bytes.NewReader(body))
+	if err != nil {
+		return nil
+	}
+	var (
+		events []trace.Event
+		b      trace.SoABatch
+	)
+	for {
+		err := tr.ReadBatch(&b)
+		events = b.AppendEvents(events)
+		if err != nil {
+			return events
+		}
+	}
+}
+
+// requirePrefix fails unless prefix is a prefix of events.
+func requirePrefix(t testing.TB, prefix, events []trace.Event) {
+	t.Helper()
+	if len(prefix) > len(events) || !slices.Equal(prefix, events[:len(prefix)]) {
+		t.Fatalf("the %d decoded events are not a prefix of the %d-event stream", len(prefix), len(events))
+	}
+}
+
+// awaitLiveInput polls a streaming session's log until its input
+// records hold as many bytes as want, requires that they are want
+// itself, as records of type typ no larger than limit, and returns
+// the log's records: the copy of the live log a crash at that moment
+// would leave.
+func awaitLiveInput(t testing.TB, path string, typ byte, want []byte, limit int) []wal.Record {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		// A record being appended may show as a torn tail; the valid
+		// prefix before it is what a crash would keep.
+		recs, _, err := wal.ReadAll(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		for i, rec := range recs {
+			switch {
+			case i == 0 && rec.Type != recBegin:
+				t.Fatalf("%s starts with record type %d", filepath.Base(path), rec.Type)
+			case i == 0:
+			case rec.Type != typ || len(rec.Payload) > limit:
+				t.Fatalf("%s: record %d has type %d and %d bytes, want type %d of at most %d bytes",
+					filepath.Base(path), i, rec.Type, len(rec.Payload), typ, limit)
+			default:
+				got = append(got, rec.Payload...)
+			}
+		}
+		if len(got) >= len(want) {
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: the live log's %d input bytes are not the %d bytes sent", filepath.Base(path), len(got), len(want))
+			}
+			return recs
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: the live log never held the %d bytes sent (has %d)", filepath.Base(path), len(want), len(got))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// postLive ingests body as session id through a pipe, piece bytes at
+// a time with the last byte held back, and requires after each piece
+// that the live log holds exactly the body bytes sent so far, as
+// recBody records no larger than the body buffer. It returns the copy
+// of the live log taken before the last byte went out (a BTR2 or BTR3
+// session would finish, and rewrite its log, on reading its footer),
+// and the status of the ingest, which then completes.
+func postLive(t testing.TB, srv *Server, id string, body []byte, piece int) ([]wal.Record, int) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest?session="+id, pr))
+		pr.CloseWithError(errors.New("ingest returned"))
+	}()
+	var live []wal.Record
+	last := len(body) - 1
+	for sent := 0; sent < last; {
+		n := min(piece, last-sent)
+		if _, err := pw.Write(body[sent : sent+n]); err != nil {
+			t.Fatal(err)
+		}
+		sent += n
+		live = awaitLiveInput(t, srv.store.path(id), recBody, body[:sent], ingestBodyBuffer)
+	}
+	if _, err := pw.Write(body[last:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	<-done
+	return live, rec.Code
+}
+
+// Older daemons logged decoded events in the WAL's own codec. These
+// are TestEventsCodecGolden's payloads (internal/wal): its 13 golden
+// events as one plain record and as one context-carrying record.
+const (
+	goldenPlainHex = "0d6d1b8080800284808002ffffffffffffffffff018080808080808080800100079080800280feff0180808002fe95bff7dbd5370584808002808080808020"
+	goldenCtxHex   = goldenPlainHex + "07000203030101000280808080080202020001"
+)
+
+// olderDaemonEventRecords returns an older daemon's recEvents and
+// recEventsCtx records of the golden events, and those events in log
+// order, contexts dropped (a shared session profiles them as one
+// stream).
+func olderDaemonEventRecords(t testing.TB) ([]wal.Record, []trace.Event) {
+	t.Helper()
+	plain, err := hex.DecodeString(goldenPlainHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCtx, err := hex.DecodeString(goldenCtxHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcs := []trace.PC{0x400000, 0x400004, 1<<64 - 1, 1 << 63, 0, 7, 0x400010, 0x3fff00, 0x400000, 0xdeadbeefcafe, 5, 0x400004, 1 << 40}
+	var events []trace.Event
+	for range 2 {
+		for i, pc := range pcs {
+			events = append(events, trace.Event{PC: pc, Taken: i%3 != 1})
+		}
+	}
+	return []wal.Record{{Type: recEvents, Payload: plain}, {Type: recEventsCtx, Payload: withCtx}}, events
+}
+
+// tearTail appends a torn frame to the log at path: a length field
+// promising more bytes than follow.
+func tearTail(t testing.TB, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x40, 0x00, 0x00, 0x00, 0xDE, 0xAD}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDurableRestartReport: a finished session survives a clean daemon
 // restart — the recovered /v1/report is byte-identical, and the session
 // reappears idle-tier with the recovered marker.
@@ -174,52 +332,35 @@ func TestDurableRestartReport(t *testing.T) {
 
 // TestMidStreamRecovery: a log without a terminal record (the daemon
 // died while the client was streaming) is replayed through a fresh
-// engine at startup; the recovered report is byte-identical to an
-// offline profiler run over the same durable prefix, and the log is
-// rewritten to recBegin + recFail, so the next restart only reads it.
+// engine at startup. Its recBody records hold the first half of a BTR1
+// body, cut inside an event; the recovered report is byte-identical to
+// an offline profiler run over the events those bytes decode to, the
+// session reports the bytes its log kept, and the log is rewritten to
+// recBegin + recFail, so the next restart only reads it.
 func TestMidStreamRecovery(t *testing.T) {
 	cfg := durableConfig(t)
 	raw := kernelTrace(t, "typesum", "train", false)
-	events := traceEvents(t, raw)
-	prefix := events[:len(events)/2]
+	kept := raw[:len(raw)/2]
+	prefix := decodePrefix(t, kept)
+	requirePrefix(t, prefix, traceEvents(t, raw))
 
-	// Craft the interrupted log by hand: begin + event batches, no
+	// Craft the interrupted log by hand: begin + body reads, no
 	// terminal record, then a torn frame on the tail.
 	st, err := openStore(cfg.DataDir, cfg.Fsync, &Metrics{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The begin record is an older daemon's: it still carries the
-	// session's shards parameter, which recovery must ignore.
-	meta, err := json.Marshal(sessionMeta{ID: "interrupted", Profile: cfg.Profile, Predictor: cfg.Predictor})
+	plog, err := st.Create(sessionMeta{ID: "interrupted", Profile: cfg.Profile, Predictor: cfg.Predictor})
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta = append(meta[:len(meta)-1], `,"shards":4}`...)
-	l, err := wal.Create(st.path("interrupted"), st.policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plog := &sessionLog{st: st, id: "interrupted", l: l}
-	if err := plog.append(recBegin, meta); err != nil {
-		t.Fatal(err)
-	}
-	var b trace.SoABatch
-	for off := 0; off < len(prefix); off += 512 {
-		b.FromEvents(prefix[off:min(off+512, len(prefix))])
-		if err := plog.appendEvents(&b); err != nil {
+	for off := 0; off < len(kept); off += 997 {
+		if err := plog.append(recBody, kept[off:min(off+997, len(kept))]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	plog.abandon()
-	f, err := os.OpenFile(st.path("interrupted"), os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x40, 0x00, 0x00, 0x00, 0xDE, 0xAD}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	tearTail(t, st.path("interrupted"))
 
 	srv := startServer(t, cfg)
 	info := findSession(t, sessionList(t, srv), "interrupted")
@@ -231,6 +372,9 @@ func TestMidStreamRecovery(t *testing.T) {
 	}
 	if info.Events != int64(len(prefix)) {
 		t.Errorf("recovered %d events, want %d", info.Events, len(prefix))
+	}
+	if info.Bytes != int64(len(kept)) {
+		t.Errorf("recovered session reports %d bytes, want the %d its log kept", info.Bytes, len(kept))
 	}
 
 	code, got := get(t, srv, "/v1/report?session=interrupted")
@@ -257,6 +401,157 @@ func TestMidStreamRecovery(t *testing.T) {
 	}
 	if !bytes.Equal(again, got) {
 		t.Error("second recovery produced different report bytes")
+	}
+	if info := findSession(t, sessionList(t, srv2), "interrupted"); info.Bytes != int64(len(kept)) {
+		t.Errorf("after the second restart the session reports %d bytes, want %d", info.Bytes, len(kept))
+	}
+}
+
+// TestRecoverOlderDaemonLog: the live log of an older daemon — a
+// recBegin that still carries the deleted shards parameter, event
+// records in the WAL's old codec (plain and context-carrying), a torn
+// tail — recovers to the reference report over the events it holds,
+// with no encoder of that codec in the daemon, and is rewritten to
+// recBegin + recFail. Such logs held no received bytes, so the session
+// reports 0.
+func TestRecoverOlderDaemonLog(t *testing.T) {
+	cfg := durableConfig(t)
+	meta, err := json.Marshal(sessionMeta{ID: "older", Profile: cfg.Profile, Predictor: cfg.Predictor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta = append(meta[:len(meta)-1], `,"shards":4}`...)
+	recs, events := olderDaemonEventRecords(t)
+	path := filepath.Join(cfg.DataDir, "older.wal")
+	if err := wal.Rewrite(path, append([]wal.Record{{Type: recBegin, Payload: meta}}, recs...)); err != nil {
+		t.Fatal(err)
+	}
+	tearTail(t, path)
+
+	srv := startServer(t, cfg)
+	info := findSession(t, sessionList(t, srv), "older")
+	if info.State != "failed" || !info.Recovered {
+		t.Errorf("recovered session: state=%q recovered=%v, want failed/true", info.State, info.Recovered)
+	}
+	if info.Events != int64(len(events)) || info.Bytes != 0 {
+		t.Errorf("recovered %d events and %d bytes, want %d and 0", info.Events, info.Bytes, len(events))
+	}
+	code, got := get(t, srv, "/v1/report?session=older")
+	if code != 200 {
+		t.Fatalf("report: %d: %s", code, got)
+	}
+	if want := referenceReport(t, cfg, events); !bytes.Equal(got, want) {
+		t.Error("recovered report differs from an offline run over the logged events")
+	}
+	requireCheckpointLog(t, path, recFail)
+}
+
+// TestHTTPLogRecoversEveryCut: an HTTP session's live log, in every
+// body format and read size, cut after any number of its recBody
+// records, recovers to the reference report over the events the kept
+// bytes decode to, and reports the kept bytes as the session's bytes.
+func TestHTTPLogRecoversEveryCut(t *testing.T) {
+	cfg := durableConfig(t)
+	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
+	cfg.MaxSessions = 128 // every cut stays listed
+	events := traceEvents(t, kernelTrace(t, "fsm", "train", false))
+	ctxEvents := slices.Clone(events)
+	for i := range ctxEvents {
+		ctxEvents[i].Ctx = trace.Context(i / 3000 % 3)
+	}
+	var btr2, btr2Deflate, btr3 bytes.Buffer
+	for _, enc := range []struct {
+		buf      *bytes.Buffer
+		compress bool
+	}{{&btr2, false}, {&btr2Deflate, true}} {
+		w, err := trace.NewBTR2Writer(enc.buf, trace.BTR2Options{ChunkEvents: 5000, Compress: enc.compress})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.BranchBatch(events)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w3, err := trace.NewBTR3Writer(&btr3, trace.BTR2Options{ChunkEvents: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w3.BranchBatch(ctxEvents)
+	if err := w3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bodies := []struct {
+		name string
+		raw  []byte
+	}{
+		{"btr1", kernelTrace(t, "fsm", "train", false)},
+		{"btr1-gzip", kernelTrace(t, "fsm", "train", true)},
+		{"btr2", btr2.Bytes()},
+		{"btr2-deflate", btr2Deflate.Bytes()},
+		{"btr3", btr3.Bytes()},
+	}
+
+	st, err := openStore(cfg.DataDir, cfg.Fsync, &Metrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cut struct {
+		id   string
+		kept []byte
+	}
+	var cuts []cut
+	for _, body := range bodies {
+		for _, size := range []int{997, 8 << 10, ingestBodyBuffer} {
+			var reads [][]byte
+			for off := 0; off < len(body.raw); off += size {
+				reads = append(reads, body.raw[off:min(off+size, len(body.raw))])
+			}
+			n := len(reads)
+			ks := []int{0, 1, n / 3, n / 2, n - 1, n}
+			slices.Sort(ks)
+			for _, k := range slices.Compact(ks) {
+				c := cut{id: fmt.Sprintf("%s-%d-%d", body.name, size, k)}
+				plog, err := st.Create(sessionMeta{ID: c.id, Profile: cfg.Profile, Predictor: cfg.Predictor})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, read := range reads[:k] {
+					c.kept = append(c.kept, read...)
+					if err := plog.append(recBody, read); err != nil {
+						t.Fatal(err)
+					}
+				}
+				plog.abandon()
+				cuts = append(cuts, c)
+			}
+		}
+	}
+
+	t.Logf("%d cut logs", len(cuts))
+	srv := startServer(t, cfg)
+	infos := sessionList(t, srv)
+	for _, c := range cuts {
+		prefix := decodePrefix(t, c.kept)
+		stream := events
+		if strings.HasPrefix(c.id, "btr3") {
+			stream = ctxEvents
+		}
+		requirePrefix(t, prefix, stream)
+		info := findSession(t, infos, c.id)
+		if info.State != "failed" || info.Events != int64(len(prefix)) || info.Bytes != int64(len(c.kept)) {
+			t.Errorf("%s: recovered %s with %d events and %d bytes, want failed with %d and %d",
+				c.id, info.State, info.Events, info.Bytes, len(prefix), len(c.kept))
+		}
+		code, got := get(t, srv, "/v1/report?session="+c.id)
+		if code != 200 {
+			t.Fatalf("%s: report: %d: %s", c.id, code, got)
+		}
+		if want := referenceReport(t, cfg, prefix); !bytes.Equal(got, want) {
+			t.Errorf("%s: recovered report differs from an offline run over the %d events of the %d kept bytes",
+				c.id, len(prefix), len(c.kept))
+		}
+		requireCheckpointLog(t, st.path(c.id), recFail)
 	}
 }
 
@@ -328,8 +623,10 @@ func TestLifecycleReadersRace(t *testing.T) {
 	srv := startServer(t, cfg)
 
 	events := traceEvents(t, kernelTrace(t, "fsm", "train", false))
+	events = events[:min(len(events), 3*trace.ReadBatchEvents)]
+	chunk := chunkBody(t, 0, events)
 	var batch trace.SoABatch
-	batch.FromEvents(events[:min(len(events), 3*trace.ReadBatchEvents)])
+	batch.FromEvents(events)
 	const sessions = 6
 	runs := make([]*ingestRun, sessions)
 	for i := range runs {
@@ -392,7 +689,7 @@ func TestLifecycleReadersRace(t *testing.T) {
 
 	for i, run := range runs {
 		for k := 0; k < 3; k++ {
-			if err := run.events(&batch); err != nil {
+			if err := (&wireSink{run: run}).Events(&batch, chunk); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -445,15 +742,12 @@ func TestCompactionShrinksLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rebuild the log an older daemon would have left: the session's
-	// event records between recBegin and the terminal record.
-	oldLog := []wal.Record{recs[0]}
-	events := traceEvents(t, raw)
-	var b trace.SoABatch
-	for off := 0; off < len(events); off += trace.ReadBatchEvents {
-		b.FromEvents(events[off:min(off+trace.ReadBatchEvents, len(events))])
-		oldLog = append(oldLog, wal.Record{Type: recEvents, Payload: wal.EncodeEvents(nil, &b)})
-	}
+	// Rebuild the log an older daemon would have left: event records
+	// between recBegin and the terminal record. Recovery never decodes
+	// the event records of a finished log, so the golden ones stand in
+	// for the session's.
+	events, _ := olderDaemonEventRecords(t)
+	oldLog := append([]wal.Record{recs[0]}, events...)
 	oldLog = append(oldLog, recs[1])
 	if err := wal.Rewrite(logPath, oldLog); err != nil {
 		t.Fatal(err)
@@ -661,17 +955,16 @@ func TestCapEvictedSessionServedFromDisk(t *testing.T) {
 }
 
 // TestDurableIngestOversizedChunk: a BTR2 body whose one chunk holds
-// more events than a WAL record may carry profiles like an offline run
-// over the same events, and the decoded batch is logged as several
-// event records, from which a session interrupted right after logging
-// the chunk recovers to the same report.
+// more than a million events profiles like an offline run over the
+// same events; its live log holds the body as recBody records no
+// larger than the body buffer, and a copy of that log, restored as if
+// the daemon had died there, recovers to the same report.
 func TestDurableIngestOversizedChunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-event session")
 	}
 	cfg := durableConfig(t)
-	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
-	events := make([]trace.Event, wal.MaxEventsPerRecord+1000)
+	events := make([]trace.Event, 1<<20+1000)
 	state := uint64(0x9e3779b97f4a7c15)
 	for i := range events {
 		state = state*6364136223846793005 + 1442695040888963407
@@ -688,45 +981,26 @@ func TestDurableIngestOversizedChunk(t *testing.T) {
 	}
 
 	srv := startServer(t, cfg)
-	if code, resp := postTrace(t, srv, "/v1/ingest?session=big", body.Bytes()); code != 200 {
-		t.Fatalf("ingest: %d: %s", code, resp)
+	live, code := postLive(t, srv, "big", body.Bytes(), 300<<10)
+	if code != 200 {
+		t.Fatalf("ingest: %d", code)
 	}
-	_, live := get(t, srv, "/v1/report?session=big")
-
-	// The live log of a session fed the same batch, abandoned as if the
-	// daemon died right after logging it.
-	plog, err := srv.store.Create(sessionMeta{ID: "cut", Profile: cfg.Profile, Predictor: cfg.Predictor})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b trace.SoABatch
-	b.FromEvents(events)
-	if err := plog.appendEvents(&b); err != nil {
-		t.Fatal(err)
-	}
-	plog.abandon()
+	_, report := get(t, srv, "/v1/report?session=big")
 	if err := srv.Shutdown(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := wal.ReadAll(filepath.Join(cfg.DataDir, "cut.wal"))
-	if err != nil {
+	if len(live) < 3 {
+		t.Fatalf("a %d-byte body logged as %d records", body.Len(), len(live))
+	}
+	if err := wal.Rewrite(srv.store.path("big"), live); err != nil {
 		t.Fatal(err)
-	}
-	var eventRecs int
-	for _, rec := range recs {
-		if rec.Type == recEvents {
-			eventRecs++
-		}
-	}
-	if eventRecs != 2 {
-		t.Fatalf("batch of %d events logged as %d event records, want 2", len(events), eventRecs)
 	}
 
 	srv2 := startServer(t, cfg)
-	if info := findSession(t, sessionList(t, srv2), "cut"); info.Events != int64(len(events)) {
+	if info := findSession(t, sessionList(t, srv2), "big"); info.Events != int64(len(events)) {
 		t.Errorf("recovered %d events, want %d", info.Events, len(events))
 	}
-	code, got := get(t, srv2, "/v1/report?session=cut")
+	code, got := get(t, srv2, "/v1/report?session=big")
 	if code != 200 {
 		t.Fatalf("report after recovery: %d: %s", code, got)
 	}
@@ -734,15 +1008,15 @@ func TestDurableIngestOversizedChunk(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Error("recovered report differs from an offline run over the same events")
 	}
-	if !bytes.Equal(live, want) {
+	if !bytes.Equal(report, want) {
 		t.Error("live report differs from an offline run over the same events")
 	}
 }
 
 // TestDurableIngestZeroAlloc extends the engine's zero-alloc contract
-// through the durable tee: once warmed up, applying a decoded batch to
-// a durable session at -fsync never — WAL encode, append,
-// engine — allocates nothing.
+// through both durable tees at -fsync never: once warmed up, a wire
+// chunk (log append of its body, engine) and an HTTP body read (log
+// append) allocate nothing.
 func TestDurableIngestZeroAlloc(t *testing.T) {
 	cfg := durableConfig(t)
 	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
@@ -750,28 +1024,122 @@ func TestDurableIngestZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, ierr := srv.beginSession(wire.BeginParams{ID: "alloc"})
-	if ierr != nil {
-		t.Fatal(ierr)
-	}
 	events := make([]trace.Event, trace.ReadBatchEvents)
 	for i := range events {
 		events[i] = trace.Event{PC: trace.PC(0x400000 + 4*(i*7%61)), Taken: i%3 != 0}
 	}
+
+	run, ierr := srv.beginSession(wire.BeginParams{ID: "alloc-wire"})
+	if ierr != nil {
+		t.Fatal(ierr)
+	}
+	sink := &wireSink{run: run}
+	chunk := chunkBody(t, 0, events)
 	var b trace.SoABatch
-	b.FromEvents(events)
+	if err := wire.DecodeChunk(&b, chunk); err != nil {
+		t.Fatal(err)
+	}
 	apply := func() {
-		if err := run.events(&b); err != nil {
+		if err := sink.Events(&b, chunk); err != nil {
 			t.Fatal(err)
 		}
 	}
 	apply() // warm-up: session setup is where allocation is allowed
 	if allocs := testing.AllocsPerRun(20, apply); allocs != 0 {
-		t.Fatalf("steady-state durable ingest: %v allocs/batch, want 0", allocs)
+		t.Fatalf("steady-state durable wire ingest: %v allocs/chunk, want 0", allocs)
+	}
+	if _, err := sink.End(); err != nil {
+		t.Fatal(err)
+	}
+
+	run, ierr = srv.beginSession(wire.BeginParams{ID: "alloc-http"})
+	if ierr != nil {
+		t.Fatal(ierr)
+	}
+	walBefore := srv.metrics.WALBytes.Load()
+	body := &bodyReader{
+		r:       repeatReader(kernelTrace(t, "fsm", "train", false)[:32<<10]),
+		session: run.session,
+		metrics: srv.metrics,
+		log:     run.session.plog,
+	}
+	buf := make([]byte, ingestBodyBuffer)
+	reads := 0
+	read := func() {
+		if n, err := body.Read(buf); n != 32<<10 || err != nil {
+			t.Fatalf("body read = %d, %v", n, err)
+		}
+		reads++
+	}
+	read()
+	if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+		t.Fatalf("steady-state durable body read: %v allocs/read, want 0", allocs)
+	}
+	if got, want := srv.metrics.WALBytes.Load()-walBefore, int64(reads*(32<<10+9)); got != want {
+		t.Fatalf("%d body reads logged %d bytes, want %d", reads, got, want)
 	}
 	if _, err := run.complete(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// repeatReader serves its bytes on every read, forever.
+type repeatReader []byte
+
+func (r repeatReader) Read(p []byte) (int, error) { return copy(p, r), nil }
+
+// chunkBody is the wire chunk body a client sends for events of one
+// context: uvarint count, context and base PC, then the BTR2 deltas.
+func chunkBody(t testing.TB, ctx trace.Context, events []trace.Event) []byte {
+	t.Helper()
+	b := binary.AppendUvarint(nil, uint64(len(events)))
+	b = binary.AppendUvarint(b, uint64(ctx))
+	b = binary.AppendUvarint(b, uint64(events[0].PC))
+	b, err := trace.AppendEventDeltas(b, events[0].PC, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestLiveLogIsTheInput: while a durable session streams, its log is
+// recBegin followed by exactly what the client sent — the HTTP body
+// bytes read so far, in order, or the wire chunk bodies, in order.
+func TestLiveLogIsTheInput(t *testing.T) {
+	cfg := durableConfig(t)
+	srv := startWireServer(t, cfg)
+	raw := kernelTrace(t, "fsm", "train", true)
+	events := traceEvents(t, raw)
+
+	t.Run("http", func(t *testing.T) {
+		if _, code := postLive(t, srv, "live-http", raw, 4093); code != 200 {
+			t.Fatalf("ingest: %d", code)
+		}
+		requireCheckpointLog(t, srv.store.path("live-http"), recDone)
+	})
+
+	t.Run("wire", func(t *testing.T) {
+		sess, err := dialWire(t, srv).Begin(wire.BeginParams{ID: "live-wire"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sent []byte
+		for off := 0; off < len(events); off += 3000 {
+			piece := events[off:min(off+3000, len(events))]
+			if err := sess.Send(piece); err != nil {
+				t.Fatal(err)
+			}
+			sent = append(sent, chunkBody(t, 0, piece)...)
+			recs := awaitLiveInput(t, srv.store.path("live-wire"), recChunk, sent, 1<<20)
+			if len(recs) != 1+(off/3000+1) {
+				t.Fatalf("%d chunks sent, live log holds %d chunk records", off/3000+1, len(recs)-1)
+			}
+		}
+		if sum, err := sess.End(); err != nil || sum.State != "done" {
+			t.Fatalf("end: %+v, %v", sum, err)
+		}
+		requireCheckpointLog(t, srv.store.path("live-wire"), recDone)
+	})
 }
 
 // walErrors reads twodprof_wal_errors_total from /metrics.

@@ -71,15 +71,16 @@ type Session struct {
 	lastTouch time.Time // last report query or lifecycle transition
 
 	// Persistence. plog is only touched by the owning ingest goroutine
-	// (appends) and under mu at the terminal transition; store is fixed
-	// at setup.
+	// (appends, through its front's tee, with no lock) and under mu at
+	// the terminal transition, which that goroutine makes; store is
+	// fixed at setup.
 	plog      *sessionLog
 	store     *Store
 	recovered bool // rebuilt from the WAL after a daemon restart
 	persisted bool // the log is recBegin + the terminal checkpoint
 
 	events atomic.Int64 // decoded events so far
-	bytes  atomic.Int64 // raw bytes read from the client
+	bytes  atomic.Int64 // raw bytes received from the client
 }
 
 // State returns the current lifecycle state.
@@ -111,18 +112,6 @@ func (s *Session) tierLocked() string {
 
 // Events returns the number of events decoded so far.
 func (s *Session) Events() int64 { return s.events.Load() }
-
-// logEvents appends a decoded batch to the session's WAL ahead of the
-// in-memory engine (write-ahead order: a batch the engine has applied
-// is always at least buffered in the log). Only the owning ingest
-// goroutine calls this, so plog needs no lock here; the terminal
-// transition that clears it runs on the same goroutine.
-func (s *Session) logEvents(b *trace.SoABatch) error {
-	if s.plog == nil {
-		return nil
-	}
-	return s.plog.appendEvents(b)
-}
 
 // complete drains the engine, checkpoints it and transitions to
 // SessionDone, returning the final report. Transitions are

@@ -288,8 +288,12 @@ type SessionInfo struct {
 	Tier      string `json:"tier,omitempty"` // active / hot / idle (durable daemons only)
 	Recovered bool   `json:"recovered,omitempty"`
 	Events    int64  `json:"events"`
-	Bytes     int64  `json:"bytes"`
-	Error     string `json:"error,omitempty"`
+	// Bytes is what the session received: HTTP body bytes or wire chunk
+	// bodies. A session recovered from an interrupted log counts the
+	// bytes its log kept; one an older daemon logged as decoded events
+	// reads 0.
+	Bytes int64  `json:"bytes"`
+	Error string `json:"error,omitempty"`
 }
 
 // handleSessions lists retained sessions, oldest first.

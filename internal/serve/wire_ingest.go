@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 
 	"twodprof/internal/trace"
@@ -53,15 +54,20 @@ func wireError(e *ingestError) *wire.Error {
 // goroutine.
 type wireSink struct{ run *ingestRun }
 
-// Events applies one decoded chunk; rawBytes is the on-wire chunk body
-// size, standing in for the HTTP body bytes the other front meters.
-func (ws *wireSink) Events(b *trace.SoABatch, rawBytes int) error {
-	ws.run.session.bytes.Add(int64(rawBytes))
-	ws.run.s.metrics.Bytes.Add(int64(rawBytes))
-	if err := ws.run.events(b); err != nil {
-		ws.run.fail(err)
-		return err
+// Events logs one chunk body as received, as a recChunk record on a
+// durable daemon, and then applies its decoded events. The body's size
+// stands in for the HTTP body bytes the other front meters.
+func (ws *wireSink) Events(b *trace.SoABatch, body []byte) error {
+	ws.run.session.bytes.Add(int64(len(body)))
+	ws.run.s.metrics.Bytes.Add(int64(len(body)))
+	if plog := ws.run.session.plog; plog != nil {
+		if err := plog.append(recChunk, body); err != nil {
+			err = fmt.Errorf("writing session log: %w", err)
+			ws.run.fail(err)
+			return err
+		}
 	}
+	ws.run.events(b)
 	return nil
 }
 

@@ -563,14 +563,11 @@ type BTR2Reader struct {
 	br  *bufio.Reader
 	ver byte // 2 = BTR2, 3 = BTR3 (zero value behaves as 2)
 
-	cur SoABatch // the chunk Next is reading
-	pos int      // Next's position in cur
-
 	nextIndex int64 // expected StartIndex of the next chunk
 	chunks    int64 // data chunks consumed so far
 	done      bool  // footer seen
 
-	// Steady-state scratch: the sequential paths (Next/ReadBatch/Replay)
+	// Steady-state scratch: the sequential paths (ReadBatch/Replay)
 	// reuse one chunk frame (payload backing array included) and one SoA
 	// batch across the whole stream, so decoding allocates only while the
 	// buffers grow to the chunk size and is allocation-free thereafter.
@@ -804,29 +801,9 @@ func eofToCorrupt(err error) error {
 	return err
 }
 
-// Next returns the next event, or io.EOF at end of stream.
-func (r *BTR2Reader) Next() (Event, error) {
-	for r.pos >= r.cur.Len() {
-		if err := r.ReadBatch(&r.cur); err != nil {
-			return Event{}, err
-		}
-		r.pos = 0
-	}
-	i := r.pos
-	r.pos++
-	return Event{PC: r.cur.PCs[i], Ctx: r.cur.Ctx(i), Taken: r.cur.TakenBit(i)}, nil
-}
-
 // ReadBatch decodes the next chunk into b through the 8-wide kernel.
-// Events a preceding Next call decoded but did not return come first,
-// as a batch of their own. A chunk that fails to decode leaves b
-// empty.
+// A chunk that fails to decode leaves b empty.
 func (r *BTR2Reader) ReadBatch(b *SoABatch) error {
-	if r.pos < r.cur.Len() {
-		r.cur.Span(b, r.pos, r.cur.Len())
-		r.pos = r.cur.Len()
-		return nil
-	}
 	err := r.ReadChunkInto(&r.scratch)
 	if err == nil {
 		err = r.scratch.DecodeSoA(b)

@@ -43,20 +43,13 @@ type decodeResult struct {
 // workers and feeds the events to sink in program order. It is
 // equivalent to Replay — same events, same order, same count, each
 // chunk an SoA batch decoded through the 8-wide kernel — and falls
-// back to it when workers <= 1. Events a preceding Next call decoded
-// but did not return are delivered first.
+// back to it when workers <= 1.
 func (r *BTR2Reader) ParallelReplay(workers int, sink Sink) (int64, error) {
 	if workers <= 1 {
 		return r.Replay(sink)
 	}
 
 	var n int64
-	if r.pos < r.cur.Len() {
-		r.cur.Span(&r.soa, r.pos, r.cur.Len())
-		r.pos = r.cur.Len()
-		deliverSoA(sink, &r.soa)
-		n += int64(r.soa.Len())
-	}
 
 	var (
 		jobs      = make(chan decodeJob, workers)

@@ -93,45 +93,9 @@ func TestBTR2Empty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("Next on empty trace = %v, want io.EOF", err)
-	}
-}
-
-func TestBTR2NextAndReadBatch(t *testing.T) {
-	events := genEvents(2500, 2)
-	raw := encodeBTR2(t, events, BTR2Options{ChunkEvents: 600})
-	r, err := NewBTR2Reader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interleave Next and ReadBatch across chunk boundaries.
-	var got []Event
-	for i := 0; i < 7; i++ {
-		e, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, e)
-	}
 	var b SoABatch
-	for {
-		err := r.ReadBatch(&b)
-		got = b.AppendEvents(got)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != len(events) {
-		t.Fatalf("read %d events, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Fatalf("event %d: got %v want %v", i, got[i], events[i])
-		}
+	if err := r.ReadBatch(&b); err != io.EOF || b.Len() != 0 {
+		t.Fatalf("ReadBatch on empty trace = %d events, %v, want none and io.EOF", b.Len(), err)
 	}
 }
 
@@ -180,33 +144,6 @@ func TestBTR2ParallelReplayMatchesSequential(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestBTR2ParallelReplayAfterNext checks events already pulled through
-// the sequential API are not replayed twice.
-func TestBTR2ParallelReplayAfterNext(t *testing.T) {
-	events := genEvents(5000, 5)
-	raw := encodeBTR2(t, events, BTR2Options{ChunkEvents: 300})
-	r, err := NewBTR2Reader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := r.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var rec Recorder
-	n, err := r.ParallelReplay(4, &rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(events)-10) {
-		t.Fatalf("replayed %d events after 10 Next calls, want %d", n, len(events)-10)
-	}
-	if rec.Events[0] != events[10] {
-		t.Fatalf("first replayed event %v, want %v", rec.Events[0], events[10])
 	}
 }
 

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 )
 
@@ -101,42 +100,6 @@ func TestBTR3SingleContextRoundTrip(t *testing.T) {
 	}
 	if len(soa.Ctxs) != 0 {
 		t.Fatal("context-0 chunk materialised a context lane")
-	}
-}
-
-func TestBTR3NextAndReadBatch(t *testing.T) {
-	events := genCtxEvents(2500, 4, 23)
-	raw := encodeBTR3(t, events, BTR2Options{ChunkEvents: 600})
-	r, err := NewBTR3Reader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Event
-	for i := 0; i < 7; i++ {
-		e, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, e)
-	}
-	var b SoABatch
-	for {
-		err := r.ReadBatch(&b)
-		got = b.AppendEvents(got)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != len(events) {
-		t.Fatalf("read %d events, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Fatalf("event %d: got %v want %v", i, got[i], events[i])
-		}
 	}
 }
 

@@ -49,9 +49,9 @@ func TestOpenReaderPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := r.Next()
-	if err != nil || e.PC != 9 || !e.Taken {
-		t.Fatalf("plain stream via OpenReader: %v %v", e, err)
+	var b SoABatch
+	if err := r.ReadBatch(&b); err != nil || b.Len() != 1 || b.PCs[0] != 9 || !b.TakenBit(0) {
+		t.Fatalf("plain stream via OpenReader: %v %v", b.AppendEvents(nil), err)
 	}
 }
 

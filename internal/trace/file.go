@@ -134,8 +134,6 @@ func (w *Writer) Close() error {
 // implement it; OpenReader returns whichever matches the stream's
 // magic.
 type EventReader interface {
-	// Next returns the next event, or io.EOF at end of stream.
-	Next() (Event, error)
 	// ReadBatch replaces b's contents with the next run of events: up
 	// to ReadBatchEvents of a BTR1 stream, one chunk of a BTR2/BTR3
 	// stream. At end of stream it returns io.EOF with b empty; on any
@@ -167,7 +165,7 @@ type Reader struct {
 	lastPC PC
 	off    int64    // event-stream bytes consumed so far (header excluded)
 	events int64    // events decoded so far
-	batch  SoABatch // Next/Replay decode buffer
+	batch  SoABatch // Replay decode buffer
 }
 
 // NewReader validates the header and returns a Reader. Empty input
@@ -198,29 +196,17 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{br: br}, nil
 }
 
-// Next returns the next event, or io.EOF at end of stream. It is a
-// one-event read, so the reader's position accounting (for truncation
-// diagnostics) stays exact however the stream is drained.
-func (r *Reader) Next() (Event, error) {
-	if err := r.read(&r.batch, 1); r.batch.Len() == 0 {
-		return Event{}, err
-	}
-	return Event{PC: r.batch.PCs[0], Taken: r.batch.TakenBit(0)}, nil
-}
-
 // maxEventLen is the longest possible encoded event (one uvarint).
 const maxEventLen = binary.MaxVarintLen64
 
 // ReadBatch decodes up to ReadBatchEvents events into b. A short
 // batch with a nil error just means the underlying reader delivered a
-// short buffer (common on network bodies).
-func (r *Reader) ReadBatch(b *SoABatch) error { return r.read(b, ReadBatchEvents) }
-
-// read decodes up to limit events into b. Decoding runs over the
+// short buffer (common on network bodies). Decoding runs over the
 // buffered bytes directly instead of paying the per-byte ReadByte
 // interface path, through the same 8-wide unpacker kernel as the BTR2
 // chunk decoder, once per buffered window.
-func (r *Reader) read(b *SoABatch, limit int) error {
+func (r *Reader) ReadBatch(b *SoABatch) error {
+	const limit = ReadBatchEvents
 	b.Grow(limit)
 	u := unpacker{pcs: b.PCs, bits: b.Taken, last: int64(r.lastPC)}
 	sz := 1

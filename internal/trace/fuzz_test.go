@@ -79,8 +79,9 @@ func FuzzReader(f *testing.F) {
 			checkBTR1(t, data, br)
 			return
 		}
+		var b SoABatch
 		for i := 0; i < 10000; i++ {
-			if _, err := r.Next(); err != nil {
+			if err := r.ReadBatch(&b); err != nil {
 				if err != io.EOF && err.Error() == "" {
 					t.Fatal("empty error message")
 				}

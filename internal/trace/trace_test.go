@@ -309,11 +309,11 @@ func TestReaderNextEOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := r.Next()
-	if err != nil || e.PC != 5 || !e.Taken {
-		t.Fatalf("Next = %v, %v", e, err)
+	var b SoABatch
+	if err := r.ReadBatch(&b); err != nil || b.Len() != 1 || b.PCs[0] != 5 || !b.TakenBit(0) {
+		t.Fatalf("ReadBatch = %v, %v", b.AppendEvents(nil), err)
 	}
-	if _, err := r.Next(); err != io.EOF {
+	if err := r.ReadBatch(&b); err != io.EOF {
 		t.Fatalf("want io.EOF, got %v", err)
 	}
 }

@@ -7,83 +7,29 @@ import (
 	"twodprof/internal/trace"
 )
 
-// Branch-event payload codec for event records. The layout is
+// The event-record decoders of older daemons. A current daemon logs
+// the bytes its ingest front received (DESIGN.md §3f) and writes no
+// event records of this codec; these decoders remain so that the live
+// logs older daemons left still recover. The layout is
 //
 //	uvarint(count) takenBitmap[ceil(count/8)] uvarint(pc)*count
 //
-// — the taken bits are packed up front so the PC varints stay
-// byte-aligned, and PCs are stored as full absolute uvarints so every
-// 64-bit PC round-trips losslessly (no shift-packing of the taken bit,
-// which would drop the top PC bit).
+// — the taken bits packed up front so the PC varints stay
+// byte-aligned, and every PC a full absolute uvarint, so 64-bit PCs
+// round-trip losslessly.
 //
-// The context-carrying variant (EncodeEventsCtx/DecodeEventsCtx)
-// appends a run-length context table after the PCs:
+// The context-carrying variant (DecodeEventsCtx) follows the PCs with
+// a run-length context table:
 //
 //	uvarint(nRuns) nRuns × (uvarint(ctx) uvarint(runLen))
 //
-// with the run lengths summing to count. It is a distinct codec — the
-// record type, not a sniff, says which one a payload is — so batches
-// without contexts keep the exact historical bytes and old logs stay
-// byte-identical.
+// with the run lengths summing to count. The record type, not a sniff,
+// says which variant a payload is.
 
-// MaxEventsPerRecord bounds the event count of one payload, so a
-// corrupt count varint cannot demand an absurd allocation. Writers
-// split larger batches across several records.
-const MaxEventsPerRecord = 1 << 20
-
-// EncodeEvents appends the codec form of b's events to dst and returns
-// the extended slice. The taken bitmap is b's little-endian outcome
-// words cut to ceil(count/8) bytes — bit i of byte i/8 is bit i of the
-// words — with the bits above count cleared. It allocates nothing
-// beyond dst's growth.
-func EncodeEvents(dst []byte, b *trace.SoABatch) []byte {
-	n := b.Len()
-	dst = binary.AppendUvarint(dst, uint64(n))
-	for w := 0; w < n/64; w++ {
-		dst = binary.LittleEndian.AppendUint64(dst, b.Taken[w])
-	}
-	if r := n % 64; r != 0 {
-		last := b.Taken[n/64] & (1<<uint(r) - 1)
-		for k := 0; k < (r+7)/8; k++ {
-			dst = append(dst, byte(last>>(8*k)))
-		}
-	}
-	for _, pc := range b.PCs {
-		dst = binary.AppendUvarint(dst, uint64(pc))
-	}
-	return dst
-}
-
-// EncodeEventsCtx appends the context-carrying codec form of b's
-// events to dst: the plain layout plus the run-length context table
-// (a batch without a context lane is one context-0 run). Callers use
-// it only when some event carries a non-zero context; an all-zero
-// batch belongs in the plain codec.
-func EncodeEventsCtx(dst []byte, b *trace.SoABatch) []byte {
-	dst = EncodeEvents(dst, b)
-	n := b.Len()
-	var nRuns uint64
-	for i := 0; i < n; i = runEnd(b, i) {
-		nRuns++
-	}
-	dst = binary.AppendUvarint(dst, nRuns)
-	for i := 0; i < n; {
-		j := runEnd(b, i)
-		dst = binary.AppendUvarint(dst, uint64(b.Ctx(i)))
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		i = j
-	}
-	return dst
-}
-
-// runEnd returns the end of the same-context run starting at event i.
-func runEnd(b *trace.SoABatch, i int) int {
-	j := i + 1
-	for j < b.Len() && b.Ctx(j) == b.Ctx(i) {
-		j++
-	}
-	return j
-}
+// maxEventsPerRecord bounds the event count of one payload, so a
+// corrupt count varint cannot demand an absurd allocation; the older
+// daemons split larger batches across several records.
+const maxEventsPerRecord = 1 << 20
 
 // decodeEvents parses the plain event layout into b, returning the
 // unparsed tail for the context-table variant to continue from.
@@ -92,8 +38,8 @@ func decodeEvents(b *trace.SoABatch, payload []byte) ([]byte, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("wal: event record: bad count varint")
 	}
-	if count > MaxEventsPerRecord {
-		return nil, fmt.Errorf("wal: event record claims %d events (max %d)", count, MaxEventsPerRecord)
+	if count > maxEventsPerRecord {
+		return nil, fmt.Errorf("wal: event record claims %d events (max %d)", count, maxEventsPerRecord)
 	}
 	payload = payload[n:]
 	// Every event costs at least one PC byte on top of its bitmap bit,

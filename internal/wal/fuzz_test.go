@@ -103,29 +103,29 @@ func FuzzWALRecord(f *testing.F) {
 	})
 }
 
-// FuzzWALEvents throws arbitrary payloads at the event codecs: no
-// panics, and anything that decodes must survive an encode/decode
-// round-trip unchanged. (Byte-level canonicality is not an invariant —
+// FuzzWALEvents throws arbitrary payloads at the event decoders: no
+// panics, and anything that decodes must survive a round-trip through
+// the test oracle's encoder and back unchanged. (Byte-level canonicality is not an invariant —
 // varints admit non-minimal encodings and stray bitmap bits above the
 // count are ignored — but the decoded event sequence is.)
 func FuzzWALEvents(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeEvents(nil, batchOf()))
-	f.Add(EncodeEvents(nil, batchOf(trace.Event{PC: 10, Taken: true})))
-	f.Add(EncodeEvents(nil, batchOf(
+	f.Add(encodeEvents(nil, batchOf()))
+	f.Add(encodeEvents(nil, batchOf(trace.Event{PC: 10, Taken: true})))
+	f.Add(encodeEvents(nil, batchOf(
 		trace.Event{PC: 1, Taken: true}, trace.Event{PC: 1 << 40, Taken: false}, trace.Event{PC: 3, Taken: true},
 	)))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var b, again trace.SoABatch
 		if err := DecodeEvents(&b, payload); err == nil {
-			if err := DecodeEvents(&again, EncodeEvents(nil, &b)); err != nil {
+			if err := DecodeEvents(&again, encodeEvents(nil, &b)); err != nil {
 				t.Fatalf("re-encoded payload does not decode: %v", err)
 			}
 			requireBatch(t, "plain round-trip", &again, &b)
 		}
 		if err := DecodeEventsCtx(&b, payload); err == nil {
-			if err := DecodeEventsCtx(&again, EncodeEventsCtx(nil, &b)); err != nil {
+			if err := DecodeEventsCtx(&again, encodeEventsCtx(nil, &b)); err != nil {
 				t.Fatalf("re-encoded ctx payload does not decode: %v", err)
 			}
 			requireBatch(t, "ctx round-trip", &again, &b)

@@ -369,6 +369,57 @@ func requireBatch(t *testing.T, label string, got, want *trace.SoABatch) {
 	}
 }
 
+// encodeEvents is the plain event encoder older daemons logged with,
+// kept as the test oracle of the decoders: it appends the codec form
+// of b's events to dst. The taken bitmap is b's little-endian outcome
+// words cut to ceil(count/8) bytes, with the bits above count cleared.
+func encodeEvents(dst []byte, b *trace.SoABatch) []byte {
+	n := b.Len()
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for w := 0; w < n/64; w++ {
+		dst = binary.LittleEndian.AppendUint64(dst, b.Taken[w])
+	}
+	if r := n % 64; r != 0 {
+		last := b.Taken[n/64] & (1<<uint(r) - 1)
+		for k := 0; k < (r+7)/8; k++ {
+			dst = append(dst, byte(last>>(8*k)))
+		}
+	}
+	for _, pc := range b.PCs {
+		dst = binary.AppendUvarint(dst, uint64(pc))
+	}
+	return dst
+}
+
+// encodeEventsCtx is the context-carrying encoder older daemons logged
+// with: the plain layout plus the run-length context table (a batch
+// without a context lane is one context-0 run).
+func encodeEventsCtx(dst []byte, b *trace.SoABatch) []byte {
+	dst = encodeEvents(dst, b)
+	n := b.Len()
+	var nRuns uint64
+	for i := 0; i < n; i = runEnd(b, i) {
+		nRuns++
+	}
+	dst = binary.AppendUvarint(dst, nRuns)
+	for i := 0; i < n; {
+		j := runEnd(b, i)
+		dst = binary.AppendUvarint(dst, uint64(b.Ctx(i)))
+		dst = binary.AppendUvarint(dst, uint64(j-i))
+		i = j
+	}
+	return dst
+}
+
+// runEnd returns the end of the same-context run starting at event i.
+func runEnd(b *trace.SoABatch, i int) int {
+	j := i + 1
+	for j < b.Len() && b.Ctx(j) == b.Ctx(i) {
+		j++
+	}
+	return j
+}
+
 // goldenEvents is a fixed 13-event batch (not a multiple of 8, so the
 // bitmap's last byte is partial) with full 64-bit PCs and four
 // contexts.
@@ -382,9 +433,10 @@ func goldenEvents() []trace.Event {
 	return ev
 }
 
-// TestEventsCodecGolden pins both event codecs to bytes captured from
-// the AoS encoder that wrote every log before the SoA codec: those logs
-// must keep decoding, and new logs must stay byte-identical to them.
+// TestEventsCodecGolden pins both event decoders, and the test
+// oracle's encoders, to bytes captured from the AoS encoder that wrote
+// the event records of older daemons' logs: those logs must keep
+// decoding.
 func TestEventsCodecGolden(t *testing.T) {
 	const (
 		plainHex = "0d6d1b8080800284808002ffffffffffffffffff018080808080808080800100079080800280feff0180808002fe95bff7dbd5370584808002808080808020"
@@ -397,11 +449,11 @@ func TestEventsCodecGolden(t *testing.T) {
 	}
 	plain := batchOf(ev...)
 
-	if got := hex.EncodeToString(EncodeEvents(nil, plain)); got != plainHex {
-		t.Errorf("EncodeEvents = %s, want %s", got, plainHex)
+	if got := hex.EncodeToString(encodeEvents(nil, plain)); got != plainHex {
+		t.Errorf("encodeEvents = %s, want %s", got, plainHex)
 	}
-	if got := hex.EncodeToString(EncodeEventsCtx(nil, withCtx)); got != ctxHex {
-		t.Errorf("EncodeEventsCtx = %s, want %s", got, ctxHex)
+	if got := hex.EncodeToString(encodeEventsCtx(nil, withCtx)); got != ctxHex {
+		t.Errorf("encodeEventsCtx = %s, want %s", got, ctxHex)
 	}
 	raw, _ := hex.DecodeString(plainHex)
 	var b trace.SoABatch
@@ -433,7 +485,7 @@ func TestEventsCodecRoundtrip(t *testing.T) {
 	var got trace.SoABatch
 	for i, events := range cases {
 		want := batchOf(events...)
-		if err := DecodeEvents(&got, EncodeEvents(nil, want)); err != nil {
+		if err := DecodeEvents(&got, encodeEvents(nil, want)); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		requireBatch(t, fmt.Sprintf("case %d", i), &got, want)
@@ -446,8 +498,8 @@ func TestEventsCodecRoundtrip(t *testing.T) {
 	dirty.FromEvents(big[:70])
 	dirty.Taken[1] |= 0xffff << 6
 	clean := batchOf(big[:70]...)
-	if !bytes.Equal(EncodeEvents(nil, &dirty), EncodeEvents(nil, clean)) {
-		t.Error("EncodeEvents leaked outcome bits above the count")
+	if !bytes.Equal(encodeEvents(nil, &dirty), encodeEvents(nil, clean)) {
+		t.Error("encodeEvents leaked outcome bits above the count")
 	}
 	if err := DecodeEvents(&got, []byte{0x03, 0xff, 0x01, 0x02, 0x03}); err != nil {
 		t.Fatal(err)
@@ -497,7 +549,7 @@ func TestEventsCtxCodecRoundtrip(t *testing.T) {
 	var got trace.SoABatch
 	for i, events := range cases {
 		want := batchOf(events...)
-		if err := DecodeEventsCtx(&got, EncodeEventsCtx(nil, want)); err != nil {
+		if err := DecodeEventsCtx(&got, encodeEventsCtx(nil, want)); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		requireBatch(t, fmt.Sprintf("case %d", i), &got, want)
@@ -505,20 +557,20 @@ func TestEventsCtxCodecRoundtrip(t *testing.T) {
 }
 
 func TestDecodeEventsCtxRejectsGarbage(t *testing.T) {
-	good := EncodeEventsCtx(nil, batchOf(
+	good := encodeEventsCtx(nil, batchOf(
 		trace.Event{PC: 1, Ctx: 2, Taken: true}, trace.Event{PC: 2, Ctx: 2}, trace.Event{PC: 3, Ctx: 1},
 	))
 	cases := [][]byte{
 		good[:len(good)-1],                             // truncated run table
 		append(good[:len(good):len(good)], 0x00),       // trailing byte
-		EncodeEvents(nil, batchOf(trace.Event{PC: 1})), // plain payload: no run table
+		encodeEvents(nil, batchOf(trace.Event{PC: 1})), // plain payload: no run table
 	}
 	// Run table claiming more runs than events.
-	bad := EncodeEvents(nil, batchOf(trace.Event{PC: 1}))
+	bad := encodeEvents(nil, batchOf(trace.Event{PC: 1}))
 	bad = append(bad, 0x05)
 	cases = append(cases, bad)
 	// Runs under-covering the events (1 run of length 1 for 2 events).
-	under := EncodeEvents(nil, batchOf(trace.Event{PC: 1}, trace.Event{PC: 2}))
+	under := encodeEvents(nil, batchOf(trace.Event{PC: 1}, trace.Event{PC: 2}))
 	under = append(under, 0x01, 0x00, 0x01)
 	cases = append(cases, under)
 	var b trace.SoABatch

@@ -104,11 +104,12 @@ func appendChunk(dst []byte, ctx trace.Context, events []trace.Event) ([]byte, e
 	return trace.AppendEventDeltas(dst, basePC, events)
 }
 
-// decodeChunk decodes a msgChunk body into b, replacing its contents,
+// DecodeChunk decodes a msgChunk body into b, replacing its contents,
 // with the context lane filled when the chunk's context is not 0.
 // Decoding rides trace.Chunk.DecodeSoA, the same 8-wide kernel BTR2
-// replay uses.
-func decodeChunk(b *trace.SoABatch, body []byte) error {
+// replay uses. The daemon logs chunk bodies as received, so its crash
+// recovery decodes them here too.
+func DecodeChunk(b *trace.SoABatch, body []byte) error {
 	count, n := binary.Uvarint(body)
 	if n <= 0 {
 		return fmt.Errorf("%w: bad chunk count", ErrBadFrame)
@@ -302,11 +303,11 @@ func marshalJSON(v any) []byte {
 // decoded chunk (in stream order; blocking here is the backpressure
 // path that stops the client), then exactly one of End or Abort.
 type SessionSink interface {
-	// Events applies one decoded chunk. The batch is only valid for the
+	// Events applies one chunk: b holds its decoded events, and body
+	// the chunk body as received, which DecodeChunk decodes to b (a
+	// durable daemon logs body as is). The batch is only valid for the
 	// duration of the call (the server reuses it for the next chunk).
-	// rawBytes is the chunk's on-wire body size, for ingest byte
-	// accounting.
-	Events(b *trace.SoABatch, rawBytes int) error
+	Events(b *trace.SoABatch, body []byte) error
 	// End completes the session and returns its final summary.
 	End() (Summary, error)
 	// Abort tears the session down after a mid-stream failure.

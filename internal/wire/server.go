@@ -323,14 +323,14 @@ func (sc *serverConn) runStream(st *serverStream) {
 		case m := <-st.inbox:
 			switch m.typ {
 			case msgChunk:
-				if derr := decodeChunk(&batch, m.body); derr != nil {
+				if derr := DecodeChunk(&batch, m.body); derr != nil {
 					sink.Abort(derr)
 					_ = sc.writeFrame(msgError, st.id, appendError(nil, toWireError(derr)))
 					sc.teardown() // framing is poisoned; no resynchronisation
 					return
 				}
 				sc.srv.opts.Stats.Bytes.Add(int64(len(m.body)))
-				if aerr := sink.Events(&batch, len(m.body)); aerr != nil {
+				if aerr := sink.Events(&batch, m.body); aerr != nil {
 					_ = sc.writeFrame(msgError, st.id, appendError(nil, toWireError(aerr)))
 					return
 				}

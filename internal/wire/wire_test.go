@@ -25,14 +25,14 @@ type testSink struct {
 	block chan struct{}
 }
 
-func (ts *testSink) Events(b *trace.SoABatch, rawBytes int) error {
+func (ts *testSink) Events(b *trace.SoABatch, body []byte) error {
 	if ts.block != nil {
 		<-ts.block
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.events = b.AppendEvents(ts.events)
-	ts.bytes += int64(rawBytes)
+	ts.bytes += int64(len(body))
 	return nil
 }
 
@@ -164,7 +164,7 @@ func chunkBody(ctx trace.Context, events []trace.Event) []byte {
 // events for comparison.
 func decodeChunkEvents(body []byte) ([]trace.Event, error) {
 	var b trace.SoABatch
-	if err := decodeChunk(&b, body); err != nil {
+	if err := DecodeChunk(&b, body); err != nil {
 		return nil, err
 	}
 	return b.AppendEvents(nil), nil
@@ -479,9 +479,9 @@ func TestSendRejectsUnencodableDelta(t *testing.T) {
 // session fails mid-stream.
 type failingSink struct{}
 
-func (failingSink) Events(*trace.SoABatch, int) error { return errors.New("sink failed") }
-func (failingSink) End() (Summary, error)             { return Summary{}, nil }
-func (failingSink) Abort(error)                       {}
+func (failingSink) Events(*trace.SoABatch, []byte) error { return errors.New("sink failed") }
+func (failingSink) End() (Summary, error)                { return Summary{}, nil }
+func (failingSink) Abort(error)                          {}
 
 // failingHandler hands session "bad" a failingSink and every other
 // session a recording one.

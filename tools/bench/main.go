@@ -71,12 +71,12 @@ func main() {
 // tables records the workloads and builds the row and guard tables.
 // The guarded rows run the fsm/train kernel, except the layout pair,
 // which profiles one synthetic stream in two PC layouts; fsm/train's
-// durable daemon row, which adds the WAL to the daemon row, is
-// record-only. The record-only sweeps run bsearch/train, a dense hot
-// loop, and the wide synthetic population, at the decode worker counts
-// a multi-core host would use, and the record-only BTR3 rows run
-// ext-mt's multi-context streams. The transport rows share the
-// returned daemon.
+// durable rows, which add the WAL to the daemon row and to the wire
+// transport row, are record-only. The record-only sweeps run
+// bsearch/train, a dense hot loop, and the wide synthetic population,
+// at the decode worker counts a multi-core host would use, and the
+// record-only BTR3 rows run ext-mt's multi-context streams. The
+// transport rows share the returned daemons.
 func tables() (rows []*row, guards []*guard, tr *transport) {
 	fsm := kernel("fsm", "train", true)
 	bsearch := kernel("bsearch", "train", false)
@@ -124,8 +124,9 @@ func tables() (rows []*row, guards []*guard, tr *transport) {
 	tr = newTransport(fsm)
 	add(tr.httpRow("http-btr1", false))
 	gzipRow := add(tr.httpRow("http-btr1-gzip", true))
-	hold(add(tr.wireRow("wire", false)), gzipRow, floorWire)
-	hold(add(tr.wireRow("wire-shared-conn", true)), gzipRow, floorWire)
+	hold(add(tr.wireRow("wire", tr.srv, nil)), gzipRow, floorWire)
+	hold(add(tr.wireRow("wire-shared-conn", tr.srv, tr.shared)), gzipRow, floorWire)
+	add(tr.wireRow("wire durable", tr.durable, nil))
 
 	for _, w := range []*workload{bsearch, wide} {
 		for _, m := range metrics {

@@ -258,14 +258,18 @@ func predictRows(w *workload) (perEvent, soa *row) {
 }
 
 // transport is one daemon, with HTTP and wire listeners, that every
-// transport row streams the workload into, so those rows differ only
-// in how the stream reaches it. Each pass is one new session.
+// in-memory transport row streams the workload into, so those rows
+// differ only in how the stream reaches it, and a second, durable one
+// (a data directory of its own, default -fsync policy) for the durable
+// row. Each pass is one new session.
 type transport struct {
-	w      *workload
-	srv    *serve.Server
-	shared *wire.Client
-	seq    int
-	ref    []byte
+	w       *workload
+	srv     *serve.Server
+	durable *serve.Server
+	dir     string // durable's data directory, removed at close
+	shared  *wire.Client
+	seq     int
+	ref     []byte
 }
 
 func newTransport(w *workload) *transport {
@@ -275,23 +279,29 @@ func newTransport(w *workload) *transport {
 	must(err)
 	shared, err := wire.Dial(srv.WireAddr(), 5*time.Second)
 	must(err)
-	return &transport{w: w, srv: srv, shared: shared}
+	cfg.DataDir, err = os.MkdirTemp("", "bench-wal-")
+	must(err)
+	durable, err := start(cfg)
+	must(err)
+	return &transport{w: w, srv: srv, durable: durable, dir: cfg.DataDir, shared: shared}
 }
 
 func (t *transport) close() {
 	t.shared.Close()
 	stop(t.srv)
+	stop(t.durable)
+	os.RemoveAll(t.dir)
 }
 
 // row is a transport row: each pass streams the workload as one new
-// session through send, and every report must equal the first HTTP
-// BTR1 report.
-func (t *transport) row(name string, send func(id string) error) *row {
+// session into srv through send, and every report must equal the first
+// HTTP BTR1 report.
+func (t *transport) row(name string, srv *serve.Server, send func(id string) error) *row {
 	r := t.w.row(name, func() (fetch, error) {
 		t.seq++
 		id := fmt.Sprintf("bench-%d", t.seq)
 		return func() ([]byte, error) {
-			return body(http.Get("http://" + t.srv.Addr() + "/v1/report?session=" + id))
+			return body(http.Get("http://" + srv.Addr() + "/v1/report?session=" + id))
 		}, send(id)
 	})
 	r.ref = &t.ref
@@ -302,7 +312,7 @@ func (t *transport) row(name string, send func(id string) error) *row {
 // posts it. Encoding is part of the pass: every transport pays its own
 // encoder, as the wire client does inside Send.
 func (t *transport) httpRow(name string, gz bool) *row {
-	return t.row(name, func(id string) error {
+	return t.row(name, t.srv, func(id string) error {
 		var buf bytes.Buffer
 		var dst io.Writer = &buf
 		var zw *gzip.Writer
@@ -328,15 +338,15 @@ func (t *transport) httpRow(name string, gz bool) *row {
 	})
 }
 
-// wireRow streams the events as one binary-protocol session: over a
-// fresh connection per session, or multiplexed over one persistent
-// connection (the cluster relay's shape) when shared is set.
-func (t *transport) wireRow(name string, shared bool) *row {
-	return t.row(name, func(id string) error {
-		c := t.shared
-		if !shared {
+// wireRow streams the events as one binary-protocol session into srv:
+// over a fresh connection per session, or multiplexed over conn, one
+// persistent connection (the cluster relay's shape), when it is set.
+func (t *transport) wireRow(name string, srv *serve.Server, conn *wire.Client) *row {
+	return t.row(name, srv, func(id string) error {
+		c := conn
+		if c == nil {
 			var err error
-			if c, err = wire.Dial(t.srv.WireAddr(), 5*time.Second); err != nil {
+			if c, err = wire.Dial(srv.WireAddr(), 5*time.Second); err != nil {
 				return err
 			}
 			defer c.Close()
