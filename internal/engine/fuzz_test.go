@@ -601,9 +601,9 @@ func differential(t *testing.T, seed uint64, n, slice uint16, execTh, flags, pat
 		return
 	case pathWAL:
 		// Copy the live log once it holds the stream, finish the
-		// session (which leaves only begin + checkpoint), then put
-		// the copy back cut after k input records, as if the daemon
-		// had died there.
+		// session (which leaves only begin + checkpoint + terminal),
+		// then put the copy back cut after k input records, as if the
+		// daemon had died there.
 		dir := t.TempDir()
 		logPath := filepath.Join(dir, "f.wal")
 		var live []wal.Record
@@ -619,8 +619,8 @@ func differential(t *testing.T, seed uint64, n, slice uint16, execTh, flags, pat
 			encode(format)
 			live = httpIngestLive(t, fuzzDaemon(t, cfg, pred, dir), "/v1/ingest?session=f&agg="+agg, logPath, raw, r)
 		}
-		if recs, _, err := wal.ReadAll(logPath); err != nil || len(recs) != 2 {
-			t.Fatalf("%s: finished log holds %d records (%v), want begin + checkpoint", what, len(recs), err)
+		if recs, _, err := wal.ReadAll(logPath); err != nil || len(recs) != 3 {
+			t.Fatalf("%s: finished log holds %d records (%v), want begin + checkpoint + terminal", what, len(recs), err)
 		}
 		var prefix []trace.Event
 		prefix, cut = cutLog(t, logPath, live, r)

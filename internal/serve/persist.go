@@ -33,14 +33,25 @@ import (
 //	           the body.
 //	recChunk   one wire chunk body as received (wire.DecodeChunk's
 //	           input), appended before its events are applied.
-//	recDone /  JSON terminalRecord — the merged engine snapshot
-//	recFail    (core.Snapshot) plus event/byte totals (and the failure
-//	           reason for recFail). Always last; nothing follows it.
+//	recSnapshot
+//	           the checkpoint: the merged engine snapshot as
+//	           core.Snapshot JSON. Always followed by the terminal record.
+//	recDone /  JSON terminalRecord — event/byte totals (and the failure
+//	recFail    reason for recFail). Always last; nothing follows it.
 //
-// Older daemons logged decoded batches instead of the bytes received:
-// recEvents (wal.DecodeEvents) and, for batches carrying execution
-// contexts, recEventsCtx (wal.DecodeEventsCtx). Those record types are
-// read, never written.
+// The checkpoint precedes the terminal record because wal.ReadAll
+// trusts only the longest valid prefix: a terminal record implies an
+// intact checkpoint, and a log whose checkpoint frame is corrupt reads
+// as interrupted, like one whose terminal frame is. Keeping the
+// snapshot out of the terminal record lets recovery read a finished
+// log's outcome without decoding its snapshot.
+//
+// Older daemons wrote two other forms, which are read, never written:
+// a finished log of recBegin plus a terminal record that embeds the
+// snapshot (its "snapshot" field), and live logs of decoded batches
+// instead of the bytes received: recEvents (wal.DecodeEvents) and, for
+// batches carrying execution contexts, recEventsCtx
+// (wal.DecodeEventsCtx).
 //
 // Invariants:
 //
@@ -49,22 +60,24 @@ import (
 //     the input while a session streams because a mid-stream snapshot
 //     cannot rebuild the run (snapshots drop in-flight slice counters
 //     by design, and predictor state is not serialisable).
-//   - A finished log is exactly recBegin + terminal: at the terminal
-//     transition the live log is closed and atomically rewritten to
-//     the two records (wal.Rewrite), so the input records are gone by
-//     the time the session's summary is returned. Its report derives
-//     from the checkpoint snapshot alone ((*core.Snapshot).Report is
-//     exactly the assembly path engine.Finish uses, so the recovered
-//     report is byte-identical to the uninterrupted one).
+//   - A finished log is exactly recBegin + recSnapshot + terminal: at
+//     the terminal transition the live log is closed and atomically
+//     rewritten to the three records (wal.Rewrite), so the input
+//     records are gone by the time the session's summary is returned.
+//     Its report derives from the checkpoint snapshot alone
+//     ((*core.Snapshot).Report is exactly the assembly path
+//     engine.Finish uses, so the recovered report is byte-identical to
+//     the uninterrupted one).
 //   - Recovery ends every other log the same way. A log without a
 //     terminal record is a session that was streaming when the daemon
 //     died: its input is decoded by the decoder its record type names
 //     and replayed through a fresh engine built from recBegin, which
 //     reconstructs predictor state and in-slice counters exactly, and
-//     the log is rewritten to recBegin plus recFail. A finished log
-//     that still holds input records (written by an older daemon) or a
-//     torn tail is rewritten once to recBegin plus its terminal record.
-//     A log that already is recBegin + terminal is only read.
+//     the log is rewritten to recBegin + recSnapshot + recFail. A
+//     finished log that still holds input records (written by an older
+//     daemon) or a torn tail is rewritten once without them, its other
+//     records' bytes kept. Any other finished log is only read, and
+//     its snapshot is not decoded until the session's first read.
 type sessionMeta struct {
 	ID        string      `json:"id"`
 	Group     string      `json:"group,omitempty"`
@@ -78,10 +91,16 @@ type sessionMeta struct {
 
 // terminalRecord fixes a finished session's outcome in its log.
 type terminalRecord struct {
-	Reason   string         `json:"reason,omitempty"` // set for recFail
-	Events   int64          `json:"events"`
-	Bytes    int64          `json:"bytes"`
-	Snapshot *core.Snapshot `json:"snapshot"`
+	Reason string `json:"reason,omitempty"` // set for recFail
+	Events int64  `json:"events"`
+	Bytes  int64  `json:"bytes"`
+	// Snapshot is the checkpoint as older daemons embedded it. This
+	// daemon writes the checkpoint as a recSnapshot record instead, so
+	// the field is only read, from older daemons' logs.
+	Snapshot *core.Snapshot `json:"snapshot,omitempty"`
+	// checkpoint is the payload of the recSnapshot record before this
+	// terminal record, undecoded; parseLog sets it.
+	checkpoint []byte
 }
 
 // WAL record types of the session schema.
@@ -93,6 +112,7 @@ const (
 	recEventsCtx byte = 5 // older daemons: a decoded batch carrying contexts
 	recBody      byte = 6 // bytes of an HTTP ingest body, as read
 	recChunk     byte = 7 // one wire chunk body, as received
+	recSnapshot  byte = 8 // the checkpoint, core.Snapshot JSON
 )
 
 // recoveredReason is the failure reason stamped on sessions that were
@@ -186,23 +206,21 @@ func (sl *sessionLog) append(typ byte, payload []byte) error {
 	return nil
 }
 
-// finish ends the log with the session's terminal record: it closes
-// the live log (flush and fsync, so a crash before the rewrite still
-// finds all the input) and replaces it with recBegin + terminal. The
-// rewrite is fsynced whatever the policy — a finished session's
-// checkpoint must not sit in an OS buffer.
-func (sl *sessionLog) finish(typ byte, term terminalRecord) error {
+// finish ends the log with the session's checkpoint and terminal
+// record: it closes the live log (flush and fsync, so a crash before
+// the rewrite still finds all the input) and replaces it with
+// recBegin + recSnapshot + terminal. The rewrite is fsynced whatever
+// the policy — a finished session's checkpoint must not sit in an OS
+// buffer.
+func (sl *sessionLog) finish(snap *core.Snapshot, typ byte, term terminalRecord) error {
 	if err := sl.l.Close(); err != nil {
 		return err
 	}
-	payload, err := json.Marshal(term)
+	n, err := checkpointLog(sl.st.path(sl.id), sl.begin, snap, typ, term)
 	if err != nil {
 		return err
 	}
-	if err := checkpointLog(sl.st.path(sl.id), sl.begin, typ, payload); err != nil {
-		return err
-	}
-	sl.st.metrics.WALBytes.Add(int64(len(payload)) + 9)
+	sl.st.metrics.WALBytes.Add(n)
 	return nil
 }
 
@@ -210,17 +228,35 @@ func (sl *sessionLog) finish(typ byte, term terminalRecord) error {
 // start will recover it as an interrupted session).
 func (sl *sessionLog) abandon() { _ = sl.l.Close() }
 
-// checkpointLog atomically replaces the log at path with its recBegin
-// payload plus one terminal record — the whole of a finished log.
-func checkpointLog(path string, begin []byte, typ byte, term []byte) error {
-	return wal.Rewrite(path, []wal.Record{
+// checkpointLog atomically replaces the log at path with the whole of
+// a finished log: its recBegin payload, the checkpoint snapshot and the
+// terminal record. It returns the bytes the last two records take.
+func checkpointLog(path string, begin []byte, snap *core.Snapshot, typ byte, term terminalRecord) (int64, error) {
+	// The codec methods are called directly: encoding/json would scan
+	// a Marshaler's output once more to compact it.
+	snapJSON, err := snap.MarshalJSON()
+	if err != nil {
+		return 0, err
+	}
+	termJSON, err := json.Marshal(term)
+	if err != nil {
+		return 0, err
+	}
+	if err := wal.Rewrite(path, []wal.Record{
 		{Type: recBegin, Payload: begin},
-		{Type: typ, Payload: term},
-	})
+		{Type: recSnapshot, Payload: snapJSON},
+		{Type: typ, Payload: termJSON},
+	}); err != nil {
+		return 0, err
+	}
+	return int64(len(snapJSON) + 9 + len(termJSON) + 9), nil
 }
 
 // parseLog splits a scanned record list into meta, input records and
-// the terminal record (nil when the session was mid-stream).
+// the terminal record (nil when the session was mid-stream), which
+// carries the checkpoint record's payload undecoded. A checkpoint with
+// no terminal record after it in the valid prefix (the terminal frame
+// is torn or corrupt) is dropped: the log reads as interrupted.
 func parseLog(recs []wal.Record) (meta sessionMeta, input []wal.Record, term *terminalRecord, termType byte, err error) {
 	if len(recs) == 0 || recs[0].Type != recBegin {
 		return meta, nil, nil, 0, fmt.Errorf("log does not start with a begin record")
@@ -228,21 +264,25 @@ func parseLog(recs []wal.Record) (meta sessionMeta, input []wal.Record, term *te
 	if err := json.Unmarshal(recs[0].Payload, &meta); err != nil {
 		return meta, nil, nil, 0, fmt.Errorf("decoding session meta: %w", err)
 	}
+	var snap []byte
 	for _, rec := range recs[1:] {
+		switch {
+		case term != nil:
+			return meta, nil, nil, 0, fmt.Errorf("record type %d after the terminal record", rec.Type)
+		case snap != nil && rec.Type != recDone && rec.Type != recFail:
+			return meta, nil, nil, 0, fmt.Errorf("record type %d after the snapshot record", rec.Type)
+		}
 		switch rec.Type {
 		case recBody, recChunk, recEvents, recEventsCtx:
-			if term != nil {
-				return meta, nil, nil, 0, fmt.Errorf("input record after terminal record")
-			}
 			input = append(input, rec)
+		case recSnapshot:
+			snap = rec.Payload
 		case recDone, recFail:
-			if term != nil {
-				return meta, nil, nil, 0, fmt.Errorf("duplicate terminal record")
-			}
 			var t terminalRecord
 			if err := json.Unmarshal(rec.Payload, &t); err != nil {
 				return meta, nil, nil, 0, fmt.Errorf("decoding terminal record: %w", err)
 			}
+			t.checkpoint = snap
 			term, termType = &t, rec.Type
 		default:
 			return meta, nil, nil, 0, fmt.Errorf("unknown record type %d", rec.Type)
@@ -252,7 +292,7 @@ func parseLog(recs []wal.Record) (meta sessionMeta, input []wal.Record, term *te
 }
 
 // loadCheckpoint reads a finished session's checkpoint back from its
-// log: the terminal snapshot plus the static prefilter column of the
+// log: the checkpoint snapshot plus the static prefilter column of the
 // logged kernel. It is the read path of idle sessions and of sessions
 // the registry's retention cap dropped; the report assembled from it
 // reproduces the original engine report byte for byte.
@@ -265,12 +305,21 @@ func (st *Store) loadCheckpoint(id string) (*core.Snapshot, map[trace.PC]string,
 	if err != nil {
 		return nil, nil, err
 	}
-	if term == nil || term.Snapshot == nil {
+	if term == nil || term.checkpoint == nil && term.Snapshot == nil {
 		return nil, nil, fmt.Errorf("session %s has no checkpoint record", id)
+	}
+	snap := term.Snapshot
+	if term.checkpoint != nil {
+		// Called directly, the decoder skips encoding/json's validating
+		// pass over its input.
+		snap = new(core.Snapshot)
+		if err := snap.UnmarshalJSON(term.checkpoint); err != nil {
+			return nil, nil, err
+		}
 	}
 	// A kernel name no longer bundled leaves the report unannotated.
 	static, _ := staticColumn(meta.Kernel)
-	return term.Snapshot, static, nil
+	return snap, static, nil
 }
 
 // recoveredInfo pairs a rebuilt session with its repair diagnostics.
@@ -281,10 +330,10 @@ type recoveredInfo struct {
 
 // Recover scans the data directory and rebuilds every logged session.
 // Every session comes back idle (metadata only — no checkpoint
-// resident) with its log ended as recBegin + terminal: sessions that
-// were mid-stream are replayed through a fresh engine and checkpointed
-// with a recFail record. Unreadable logs are skipped with a
-// diagnostic, never deleted; the temp files of rewrites a crash cut
+// resident or decoded) with its log ended as a finished log: sessions
+// that were mid-stream are replayed through a fresh engine and
+// checkpointed with a recFail record. Unreadable logs are skipped with
+// a diagnostic, never deleted; the temp files of rewrites a crash cut
 // short are deleted.
 func (st *Store) Recover() ([]recoveredInfo, error) {
 	entries, err := os.ReadDir(st.dir)
@@ -319,7 +368,10 @@ func (st *Store) Recover() ([]recoveredInfo, error) {
 }
 
 // recoverOne rebuilds a single session from its log, rewriting the log
-// to recBegin + terminal unless it already is exactly that.
+// unless it already is a finished log and nothing more. It decodes
+// recBegin and the terminal record, never the checkpoint record (an
+// older daemon's terminal record embeds its snapshot, which decoding
+// the record decodes too).
 func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 	recs, repair, err := wal.ReadAll(path)
 	if err != nil {
@@ -334,8 +386,8 @@ func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 			filepath.Base(path), repair.DroppedBytes, repair.Reason)
 	}
 
-	var payload []byte
-	if term == nil {
+	switch {
+	case term == nil:
 		// Mid-stream at the crash: replay the logged input through a
 		// fresh engine. The replay rebuilds predictor and slice state
 		// exactly, so the resulting report matches an uninterrupted run
@@ -344,18 +396,17 @@ func (st *Store) recoverOne(path string) (recoveredInfo, error) {
 		if err != nil {
 			return recoveredInfo{}, err
 		}
-		term = &terminalRecord{Reason: recoveredReason, Events: replayed, Bytes: received, Snapshot: snap}
+		term = &terminalRecord{Reason: recoveredReason, Events: replayed, Bytes: received}
 		termType = recFail
-		if payload, err = json.Marshal(term); err != nil {
+		if _, err := checkpointLog(path, recs[0].Payload, snap, termType, *term); err != nil {
 			return recoveredInfo{}, err
 		}
-	} else if len(input) > 0 || repair != nil {
+	case len(input) > 0 || repair != nil:
 		// Finished, but an older daemon kept the event records (or the
-		// tail is torn): keep the terminal record's bytes as they are.
-		payload = recs[len(recs)-1].Payload
-	}
-	if payload != nil {
-		if err := checkpointLog(path, recs[0].Payload, termType, payload); err != nil {
+		// tail is torn): keep the other records' bytes as they are.
+		// parseLog admits input records only before the checkpoint and
+		// the terminal record, so they are recs[1:1+len(input)].
+		if err := wal.Rewrite(path, append(recs[:1], recs[1+len(input):]...)); err != nil {
 			return recoveredInfo{}, err
 		}
 	}

@@ -60,27 +60,27 @@ func findSession(t testing.TB, infos []SessionInfo, id string) SessionInfo {
 }
 
 // requireCheckpointLog fails unless the log at path is exactly recBegin
-// plus one terminal record of type typ, with no torn tail, and returns
-// its records.
+// plus recSnapshot plus one terminal record of type typ, with no torn
+// tail, and returns its records.
 func requireCheckpointLog(t testing.TB, path string, typ byte) []wal.Record {
 	t.Helper()
 	recs, repair, err := wal.ReadAll(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repair != nil || len(recs) != 2 || recs[0].Type != recBegin || recs[1].Type != typ {
+	if repair != nil || len(recs) != 3 || recs[0].Type != recBegin || recs[1].Type != recSnapshot || recs[2].Type != typ {
 		last := byte(0)
 		if len(recs) > 0 {
 			last = recs[len(recs)-1].Type
 		}
-		t.Fatalf("%s: %d records ending in type %d (torn tail %+v), want exactly recBegin + type %d",
+		t.Fatalf("%s: %d records ending in type %d (torn tail %+v), want exactly recBegin + recSnapshot + type %d",
 			filepath.Base(path), len(recs), last, repair, typ)
 	}
 	return recs
 }
 
 // requireCheckpointDir fails unless every log in dir is recBegin plus
-// a terminal record.
+// recSnapshot plus a terminal record.
 func requireCheckpointDir(t testing.TB, dir string) {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, "*.wal"))
@@ -336,7 +336,7 @@ func TestDurableRestartReport(t *testing.T) {
 // body, cut inside an event; the recovered report is byte-identical to
 // an offline profiler run over the events those bytes decode to, the
 // session reports the bytes its log kept, and the log is rewritten to
-// recBegin + recFail, so the next restart only reads it.
+// recBegin + recSnapshot + recFail, so the next restart only reads it.
 func TestMidStreamRecovery(t *testing.T) {
 	cfg := durableConfig(t)
 	raw := kernelTrace(t, "typesum", "train", false)
@@ -388,7 +388,8 @@ func TestMidStreamRecovery(t *testing.T) {
 	}
 
 	// Recovery checkpointed the replay: the log is now recBegin +
-	// recFail, so a second recovery serves the same bytes without replay.
+	// recSnapshot + recFail, so a second recovery serves the same bytes
+	// without replay.
 	requireCheckpointLog(t, st.path("interrupted"), recFail)
 	if err := srv.Shutdown(t.Context()); err != nil {
 		t.Fatal(err)
@@ -412,8 +413,8 @@ func TestMidStreamRecovery(t *testing.T) {
 // records in the WAL's old codec (plain and context-carrying), a torn
 // tail — recovers to the reference report over the events it holds,
 // with no encoder of that codec in the daemon, and is rewritten to
-// recBegin + recFail. Such logs held no received bytes, so the session
-// reports 0.
+// recBegin + recSnapshot + recFail. Such logs held no received bytes,
+// so the session reports 0.
 func TestRecoverOlderDaemonLog(t *testing.T) {
 	cfg := durableConfig(t)
 	meta, err := json.Marshal(sessionMeta{ID: "older", Profile: cfg.Profile, Predictor: cfg.Predictor})
@@ -444,6 +445,91 @@ func TestRecoverOlderDaemonLog(t *testing.T) {
 		t.Error("recovered report differs from an offline run over the logged events")
 	}
 	requireCheckpointLog(t, path, recFail)
+}
+
+// TestRecoveryDecodesNoSnapshot: recovering a finished log decodes its
+// begin and terminal records and leaves the checkpoint snapshot for the
+// session's first read, so it allocates as often for a snapshot of
+// 10,000 branches as for one of 10.
+func TestRecoveryDecodesNoSnapshot(t *testing.T) {
+	cfg := durableConfig(t)
+	srv := startServer(t, cfg)
+	sites := []int{10, 10000}
+	for _, n := range sites {
+		events := make([]trace.Event, 20000)
+		for i := range events {
+			events[i] = trace.Event{PC: trace.PC(0x400000 + 4*(i%n)), Taken: i%3 != 0}
+		}
+		var body bytes.Buffer
+		w, err := trace.NewWriter(&body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.BranchBatch(events)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if code, resp := postTrace(t, srv, fmt.Sprintf("/v1/ingest?session=sites-%d", n), body.Bytes()); code != 200 {
+			t.Fatalf("ingest: %d: %s", code, resp)
+		}
+	}
+	if err := srv.Shutdown(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	allocs := make([]float64, len(sites))
+	for i, n := range sites {
+		path := srv.store.path(fmt.Sprintf("sites-%d", n))
+		allocs[i] = testing.AllocsPerRun(10, func() {
+			if _, err := srv.store.recoverOne(path); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("recovering a finished log of %d branches allocates %v times, of %d branches %v times; want equal",
+			sites[0], allocs[0], sites[1], allocs[1])
+	}
+}
+
+// TestCorruptCheckpointReadsAsInterrupted: the checkpoint record
+// precedes the terminal record, so a finished log whose checkpoint
+// frame or terminal frame is corrupt keeps no terminal record in its
+// valid prefix and recovers as an interrupted session with no input,
+// rewritten to a finished log of its own.
+func TestCorruptCheckpointReadsAsInterrupted(t *testing.T) {
+	corpusLog := filepath.Join("testdata", "corpus", "split-done-http.wal")
+	finished, err := os.ReadFile(corpusLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := wal.ReadAll(corpusLog)
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("corpus log: %d records, %v", len(recs), err)
+	}
+	// The file is the magic, then each record framed by 9 bytes.
+	snapAt := 6 + 9 + len(recs[0].Payload) + 9
+	for _, c := range []struct {
+		frame string
+		at    int // the byte flipped
+	}{
+		{"checkpoint", snapAt + len(recs[1].Payload)/2},
+		{"terminal", len(finished) - 1},
+	} {
+		t.Run(c.frame, func(t *testing.T) {
+			cfg := durableConfig(t)
+			corrupt := slices.Clone(finished)
+			corrupt[c.at] ^= 0xff
+			if err := os.WriteFile(filepath.Join(cfg.DataDir, "split-done-http.wal"), corrupt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv := startServer(t, cfg)
+			info := findSession(t, sessionList(t, srv), "split-done-http")
+			if info.State != "failed" || info.Error != recoveredReason || info.Events != 0 || info.Bytes != 0 {
+				t.Errorf("recovered %+v, want an interrupted session with no input", info)
+			}
+			requireCheckpointLog(t, srv.store.path("split-done-http"), recFail)
+		})
+	}
 }
 
 // TestHTTPLogRecoversEveryCut: an HTTP session's live log, in every
@@ -718,38 +804,33 @@ func TestLifecycleReadersRace(t *testing.T) {
 	}
 }
 
-// TestCompactionShrinksLog: an older daemon's finished log, which still
-// holds every event record ahead of its terminal record, is rewritten
-// once at the next start to recBegin + terminal — byte for byte the log
-// this daemon leaves — and still reproduces the original report; the
-// start after that only reads it.
-func TestCompactionShrinksLog(t *testing.T) {
+// TestOlderFinishedLogRewrittenOnce: an older daemon's finished log,
+// which still holds event records between recBegin and its terminal
+// record, is rewritten once at the next start without them — byte for
+// byte the corpus's two-record finished log it was built from — and
+// still reproduces that log's report; the start after that only reads
+// it.
+func TestOlderFinishedLogRewrittenOnce(t *testing.T) {
 	cfg := durableConfig(t)
-	srv := startServer(t, cfg)
-
-	raw := kernelTrace(t, "fsm", "train", false)
-	if code, body := postTrace(t, srv, "/v1/ingest?session=fat&kernel=fsm", raw); code != 200 {
-		t.Fatalf("ingest: %d: %s", code, body)
-	}
-	_, want := get(t, srv, "/v1/report?session=fat")
-	if err := srv.Shutdown(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	logPath := filepath.Join(cfg.DataDir, "fat.wal")
-	recs := requireCheckpointLog(t, logPath, recDone)
-	finished, err := os.ReadFile(logPath)
+	corpusLog := filepath.Join("testdata", "corpus", "done-http")
+	finished, err := os.ReadFile(corpusLog + ".wal")
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := os.ReadFile(corpusLog + ".report.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, repair, err := wal.ReadAll(corpusLog + ".wal")
+	if err != nil || repair != nil || len(recs) != 2 {
+		t.Fatalf("corpus log: %d records, torn tail %+v, %v; want recBegin + terminal", len(recs), repair, err)
+	}
 
-	// Rebuild the log an older daemon would have left: event records
-	// between recBegin and the terminal record. Recovery never decodes
-	// the event records of a finished log, so the golden ones stand in
-	// for the session's.
+	// Recovery never decodes the event records of a finished log, so
+	// the golden ones stand in for the session's.
 	events, _ := olderDaemonEventRecords(t)
-	oldLog := append([]wal.Record{recs[0]}, events...)
-	oldLog = append(oldLog, recs[1])
-	if err := wal.Rewrite(logPath, oldLog); err != nil {
+	logPath := filepath.Join(cfg.DataDir, "done-http.wal")
+	if err := wal.Rewrite(logPath, slices.Concat(recs[:1], events, recs[1:])); err != nil {
 		t.Fatal(err)
 	}
 	full, err := os.Stat(logPath)
@@ -757,48 +838,48 @@ func TestCompactionShrinksLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2 := startServer(t, cfg)
+	srv := startServer(t, cfg)
 	rewritten, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rewritten, finished) {
-		t.Errorf("recovery left a %d-byte log (from %d bytes), want the %d-byte log a finished session leaves",
+		t.Errorf("recovery left a %d-byte log (from %d bytes), want the %d-byte finished log without its event records",
 			len(rewritten), full.Size(), len(finished))
 	}
-	code, got := get(t, srv2, "/v1/report?session=fat")
+	code, got := get(t, srv, "/v1/report?session=done-http")
 	if code != 200 {
 		t.Fatalf("report from rewritten log: %d: %s", code, got)
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("rewritten log does not reproduce the original report")
 	}
-	if err := srv2.Shutdown(t.Context()); err != nil {
+	if err := srv.Shutdown(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 
-	// A log that already is recBegin + terminal is only read.
+	// A finished log without event records is only read.
 	before, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv3 := startServer(t, cfg)
+	srv2 := startServer(t, cfg)
 	after, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
-		t.Error("a restart rewrote a log that already was recBegin + checkpoint")
+		t.Error("a restart rewrote a finished log without event records")
 	}
-	if code, again := get(t, srv3, "/v1/report?session=fat"); code != 200 || !bytes.Equal(again, want) {
+	if code, again := get(t, srv2, "/v1/report?session=done-http"); code != 200 || !bytes.Equal(again, want) {
 		t.Errorf("report after the second restart: %d, identical %v", code, bytes.Equal(again, want))
 	}
 }
 
 // TestFinishedLogIsCheckpoint: a session finished over either ingest
 // front, completed or failed, leaves a log of exactly recBegin + its
-// terminal record by the time its summary is returned — no event
-// record waits for a later pass.
+// checkpoint + its terminal record by the time its summary is returned
+// — no event record waits for a later pass.
 func TestFinishedLogIsCheckpoint(t *testing.T) {
 	cfg := durableConfig(t)
 	srv := startWireServer(t, cfg)

@@ -77,7 +77,7 @@ type Session struct {
 	plog      *sessionLog
 	store     *Store
 	recovered bool // rebuilt from the WAL after a daemon restart
-	persisted bool // the log is recBegin + the terminal checkpoint
+	persisted bool // the log is finished: recBegin + checkpoint + terminal
 
 	events atomic.Int64 // decoded events so far
 	bytes  atomic.Int64 // raw bytes received from the client
@@ -160,9 +160,9 @@ func (s *Session) failLocked(reason error) {
 // terminateLocked is the terminal step complete and fail share (mu
 // held, engine drained): it keeps the engine's snapshot as the
 // session's checkpoint, releases the engine, and ends the WAL as
-// recBegin plus the checkpoint (with the byte/event totals) as the
-// terminal record. A persistence error does not fail the session — the
-// checkpoint is intact in memory — but the session is then never
+// recBegin plus the checkpoint plus the terminal record with the
+// byte/event totals. A persistence error does not fail the session —
+// the checkpoint is intact in memory — but the session is then never
 // idled, since disk could not be trusted to reproduce it.
 func (s *Session) terminateLocked(state SessionState, reason string) {
 	snap, err := s.eng.Snapshot()
@@ -181,16 +181,15 @@ func (s *Session) terminateLocked(state SessionState, reason string) {
 		return
 	}
 	term := terminalRecord{
-		Reason:   reason,
-		Events:   s.events.Load(),
-		Bytes:    s.bytes.Load(),
-		Snapshot: snap,
+		Reason: reason,
+		Events: s.events.Load(),
+		Bytes:  s.bytes.Load(),
 	}
 	typ := recDone
 	if state == SessionFailed {
 		typ = recFail
 	}
-	if err := plog.finish(typ, term); err != nil {
+	if err := plog.finish(snap, typ, term); err != nil {
 		plog.st.metrics.WALErrors.Add(1)
 		fmt.Fprintf(os.Stderr, "serve: session %s: writing checkpoint: %v\n", s.ID, err)
 		return

@@ -48,7 +48,7 @@ type Server struct {
 // NewServer validates cfg and assembles the service (not yet
 // listening). With cfg.DataDir set it also recovers every session
 // logged in the data directory into the registry — interrupted
-// sessions replayed, and every log ended as recBegin + checkpoint —
+// sessions replayed, and every log ended as a finished log —
 // before returning, so the daemon never serves while state is missing.
 func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {

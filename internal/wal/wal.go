@@ -155,8 +155,13 @@ type Log struct {
 	policy SyncPolicy
 	dirty  bool
 	closed bool
-	stop   chan struct{}
-	done   chan struct{}
+	// err is the first failed background sync. After a failed fsync
+	// the kernel may mark the dirty pages clean, so a later fsync can
+	// succeed although data was lost: the log stops syncing, and every
+	// later Append and Close returns err.
+	err  error
+	stop chan struct{}
+	done chan struct{}
 }
 
 // Create creates a new, empty log at path. It fails if the file already
@@ -223,8 +228,10 @@ func (l *Log) flusher() {
 			return
 		case <-t.C:
 			l.mu.Lock()
-			if l.dirty && !l.closed {
-				l.syncLocked()
+			if l.dirty && !l.closed && l.err == nil {
+				if err := l.syncLocked(); err != nil {
+					l.err = fmt.Errorf("wal: background sync: %w", err)
+				}
 			}
 			l.mu.Unlock()
 		}
@@ -233,14 +240,18 @@ func (l *Log) flusher() {
 
 // Append frames and writes one record. Under SyncAlways it is durable
 // when Append returns; under SyncInterval within one interval; under
-// SyncNever when the OS gets around to it. The frame header is built
-// in the log's own scratch, so a steady stream of appends allocates
-// nothing.
+// SyncNever when the OS gets around to it. After a failed background
+// sync it writes nothing and returns that error. The frame header is
+// built in the log's own scratch, so a steady stream of appends
+// allocates nothing.
 func (l *Log) Append(typ byte, payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("wal: append to closed log")
+	}
+	if l.err != nil {
+		return l.err
 	}
 	if err := writeRecord(l.w, &l.hdr, typ, payload); err != nil {
 		return err
@@ -281,7 +292,8 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Close flushes, fsyncs and closes the log. Idempotent.
+// Close flushes, fsyncs and closes the log, and returns the first
+// failed background sync ahead of its own errors. Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -289,7 +301,10 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	err := l.w.Flush()
+	err := l.err
+	if ferr := l.w.Flush(); err == nil {
+		err = ferr
+	}
 	if serr := l.f.Sync(); err == nil {
 		err = serr
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -341,6 +342,51 @@ func TestIntervalFlusherSyncs(t *testing.T) {
 			t.Fatalf("interval flusher never made the record visible (recs=%d err=%v)", len(recs), err)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestIntervalFlusherKeepsSyncError: a background fsync that fails is
+// not dropped. The next Append writes nothing and returns the error,
+// and so does Close.
+func TestIntervalFlusherKeepsSyncError(t *testing.T) {
+	l, err := Create(tmpLog(t), SyncPolicy{Mode: SyncInterval, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	// With the buffer written out, the flusher's next tick has nothing
+	// to write and only its fsync fails, which leaves the buffered
+	// writer without an error of its own.
+	if err := l.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l.f.Close()
+	l.dirty = true
+	buffered := l.w.Buffered()
+	l.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		l.mu.Lock()
+		failed := l.err != nil
+		l.mu.Unlock()
+		if failed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the interval flusher kept no error in 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := l.Append(1, []byte("lost")); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("append after a failed background sync = %v, want an error wrapping os.ErrClosed", err)
+	}
+	l.mu.Lock()
+	if n := l.w.Buffered(); n != buffered {
+		t.Errorf("append after a failed background sync buffered %d bytes", n-buffered)
+	}
+	l.mu.Unlock()
+	if err := l.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("close after a failed background sync = %v, want an error wrapping os.ErrClosed", err)
 	}
 }
 

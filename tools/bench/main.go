@@ -2,7 +2,8 @@
 // path a branch stream can take to a report (the plain profiler, engine
 // replay, daemon HTTP and wire ingest, in memory and durable, and the
 // decode, predict and profile kernels beneath them) is a row of one
-// table, timed once per pass. A second table holds the guards: each is
+// table, timed once per pass, and so is a durable daemon's start over
+// finished sessions. A second table holds the guards: each is
 // the throughput ratio of one row to a baseline row measured in the
 // same process, held to a floor. Same-process ratios stay meaningful on
 // a loaded runner where absolute rates do not; the floors catch gross
@@ -46,6 +47,9 @@ const (
 	// VM kernel, so per-event statistics work dominates its rows.
 	wideSites  = 20000
 	wideEvents = 6_000_000
+	// startSessions is how many finished wide sessions the daemon-start
+	// row's data directory holds.
+	startSessions = 4
 )
 
 var metrics = []core.Metric{core.MetricAccuracy, core.MetricBias}
@@ -55,9 +59,9 @@ func main() {
 	history := flag.String("history", "results/BENCH_history.jsonl", "append-only log that gets one line per run (empty disables)")
 	flag.Parse()
 
-	rows, guards, tr := tables()
+	rows, guards, cleanup := tables()
 	err := measure(rows, timedPasses)
-	tr.close()
+	cleanup()
 	must(err)
 	res := evaluate(rows, guards, timedPasses)
 	res.print()
@@ -75,9 +79,11 @@ func main() {
 // transport row, are record-only. The record-only sweeps run
 // bsearch/train, a dense hot loop, and the wide synthetic population,
 // at the decode worker counts a multi-core host would use, and the
-// record-only BTR3 rows run ext-mt's multi-context streams. The
-// transport rows share the returned daemons.
-func tables() (rows []*row, guards []*guard, tr *transport) {
+// record-only BTR3 rows run ext-mt's multi-context streams, and the
+// record-only daemon-start row recovers finished wide sessions. The
+// transport rows share two daemons, which cleanup stops; it also
+// removes the data directories.
+func tables() (rows []*row, guards []*guard, cleanup func()) {
 	fsm := kernel("fsm", "train", true)
 	bsearch := kernel("bsearch", "train", false)
 	pop := synth.DefaultPopulationConfig("bench-wide", 0x5eed)
@@ -121,7 +127,7 @@ func tables() (rows []*row, guards []*guard, tr *transport) {
 		hold(add(spread.profileRow(m)), base, floorLayout)
 	}
 
-	tr = newTransport(fsm)
+	tr := newTransport(fsm)
 	add(tr.httpRow("http-btr1", false))
 	gzipRow := add(tr.httpRow("http-btr1-gzip", true))
 	hold(add(tr.wireRow("wire", tr.srv, nil)), gzipRow, floorWire)
@@ -137,8 +143,13 @@ func tables() (rows []*row, guards []*guard, tr *transport) {
 			add(w.daemonRow(m, false))
 		}
 	}
+	start, startDir := wide.daemonStartRow(core.MetricAccuracy, startSessions)
+	add(start)
 	rows = append(rows, contextRows(workers)...)
-	return rows, guards, tr
+	return rows, guards, func() {
+		tr.close()
+		os.RemoveAll(startDir)
+	}
 }
 
 // kernel records one VM kernel run on one of its standard inputs.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"time"
 
@@ -126,6 +127,51 @@ func (w *workload) daemonRow(m core.Metric, durable bool) *row {
 		var rep core.Report
 		return &rep, json.Unmarshal(js, &rep)
 	})
+}
+
+// daemonStartRow prefills a data directory, once, with the given
+// number of finished sessions of the workload, each a BTR1 post to a
+// durable daemon (default -fsync policy), and returns a row whose pass
+// starts a daemon over it: serve.NewServer, which recovers every
+// logged session. The row's events are the logged sessions' events. After the
+// timer stops, the first session's report, reloaded from its log, must
+// equal the plain profiler's. The caller removes the returned
+// directory.
+func (w *workload) daemonStartRow(m core.Metric, sessions int) (*row, string) {
+	cfg := serve.DefaultConfig()
+	cfg.Addr = "127.0.0.1:0"
+	cfg.Predictor, cfg.Profile = predictor, config(m)
+	dir, err := os.MkdirTemp("", "bench-start-")
+	must(err)
+	cfg.DataDir = dir
+	srv, err := start(cfg)
+	must(err)
+	for i := range sessions {
+		_, err := body(http.Post(fmt.Sprintf("http://%s/v1/ingest?session=start-%d", srv.Addr(), i),
+			"application/octet-stream", bytes.NewReader(w.btr1)))
+		must(err)
+	}
+	stop(srv)
+	r := w.row("daemon-start durable", func() (fetch, error) {
+		srv, err := serve.NewServer(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return func() ([]byte, error) {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/report?session=start-0", nil))
+			if rec.Code != http.StatusOK {
+				return nil, fmt.Errorf("/v1/report: HTTP %d: %s", rec.Code, rec.Body)
+			}
+			var rep core.Report
+			if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
+				return nil, err
+			}
+			return json.Marshal(&rep)
+		}, nil
+	})
+	r.Metric, r.Events, r.ref = m.String(), int64(sessions)*w.n, w.refs[m]
+	return r, dir
 }
 
 func config(m core.Metric) core.Config {
