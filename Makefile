@@ -6,7 +6,7 @@
 #   make race            race-detector pass over the concurrent subsystems
 #   make fuzz-seeds      run the fuzz corpora as regular regression tests
 #   make e2e-crash       kill-9 crash-recovery drill against the durable daemon
-#   make e2e-cluster     kill-9 node-failure drill + 10k-session load storm through the router
+#   make e2e-cluster     kill-9 node-failure drill + two load storms through the router
 #   make perfbench-check go vet + go test inside the perfbench module
 #   make bench           throughput floors + report identity over every ingest path (results/BENCH.json)
 #   make results         regenerate the committed results/ directory
@@ -70,13 +70,16 @@ e2e-crash:
 
 # The cluster resilience drill: SIGKILL one of three node processes
 # while sessions stream through the router (only the dead node's
-# sessions fail, mark-down within the heartbeat budget), then a
-# 10k-concurrent-session storm through a freshly spawned multi-process
-# cluster asserting routed reports byte-identical to a single node and
-# a flat router heap.
+# sessions fail, mark-down within the heartbeat budget), then two
+# storms through a freshly spawned multi-process cluster asserting
+# routed reports byte-identical to a single node and a flat router
+# heap: 10k concurrent short sessions, and 1k sessions held after
+# 5,000 events each, past a full 4,096-event chunk, so a relay that
+# buffered chunks per session would show in the heap.
 e2e-cluster:
 	$(GO) test -run 'TestKillNodeMidStream' -count=1 ./internal/cluster
 	$(GO) run ./cmd/loadgen -selftest -sessions 10000
+	$(GO) run ./cmd/loadgen -selftest -sessions 1000 -events 20000
 
 # perfbench/ is its own module (go.mod), so the root ./... skips it,
 # yet it compiles against the serve, engine, trace and wire internals:

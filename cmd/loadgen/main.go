@@ -85,9 +85,7 @@ func main() {
 
 	var refReport []byte
 	if *selftest {
-		var cleanup func()
-		*wireAddr, *httpAddr, refReport, cleanup = bootCluster(*nNodes, *slice, *sessions, *hb, events)
-		defer cleanup()
+		*wireAddr, *httpAddr, refReport = bootCluster(*nNodes, *slice, *sessions, *hb, events)
 	} else if *wireAddr == "" {
 		fail(fmt.Errorf("need -wire (router wire address) or -selftest"))
 	}
@@ -136,9 +134,10 @@ func main() {
 		}
 	}
 	if !ok {
-		os.Exit(1)
+		exit(1)
 	}
 	fmt.Println("loadgen: PASS")
+	exit(0)
 }
 
 // stormStats is what one full open-hold-finish cycle measured.
@@ -243,20 +242,26 @@ func storm(wireAddr, httpAddr string, sessions, conns, pump int, events []trace.
 	return st
 }
 
+// helpers are the selftest fleet's processes. They block forever, so
+// every way out of loadgen goes through exit, which stops them: a
+// helper left running would also keep the inherited stderr open, and a
+// piped run would never end.
+var helpers []*exec.Cmd
+
+// exit stops the helpers and exits with code.
+func exit(code int) {
+	for _, p := range helpers {
+		p.Process.Kill()
+		p.Wait()
+	}
+	os.Exit(code)
+}
+
 // bootCluster spawns the selftest fleet — n member nodes, one
 // reference node outside the ring, one router — and produces the
 // reference report by ingesting the storm's exact stream into the
 // reference node.
-func bootCluster(n int, slice int64, sessions int, hb time.Duration, events []trace.Event) (wireAddr, httpAddr string, refReport []byte, cleanup func()) {
-	var procs []*exec.Cmd
-	cleanup = func() {
-		for _, p := range procs {
-			if p.Process != nil {
-				p.Process.Kill()
-				p.Wait()
-			}
-		}
-	}
+func bootCluster(n int, slice int64, sessions int, hb time.Duration, events []trace.Event) (wireAddr, httpAddr string, refReport []byte) {
 	boot := func(role string, extraEnv ...string) (http, wire string) {
 		exe, err := os.Executable()
 		if err != nil {
@@ -280,7 +285,7 @@ func bootCluster(n int, slice int64, sessions int, hb time.Duration, events []tr
 		if err := cmd.Start(); err != nil {
 			fail(err)
 		}
-		procs = append(procs, cmd)
+		helpers = append(helpers, cmd)
 		deadline := time.Now().Add(15 * time.Second)
 		for {
 			if raw, err := os.ReadFile(addrFile); err == nil && len(raw) > 0 {
@@ -292,7 +297,6 @@ func bootCluster(n int, slice int64, sessions int, hb time.Duration, events []tr
 				return parts[0], parts[1]
 			}
 			if time.Now().After(deadline) {
-				cleanup()
 				fail(fmt.Errorf("%s helper never published its addresses", role))
 			}
 			time.Sleep(10 * time.Millisecond)
@@ -329,7 +333,7 @@ func bootCluster(n int, slice int64, sessions int, hb time.Duration, events []tr
 		fail(fmt.Errorf("reference ingest: HTTP %d", resp.StatusCode))
 	}
 	refReport = httpGet(refHTTP, "/v1/report?session=ref")
-	return wireAddr, httpAddr, refReport, cleanup
+	return wireAddr, httpAddr, refReport
 }
 
 // runNode is the re-exec'd member (and reference) node role.
@@ -444,5 +448,5 @@ func scrapeHeap(addr string) int64 {
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "loadgen:", err)
-	os.Exit(1)
+	exit(1)
 }

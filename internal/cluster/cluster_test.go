@@ -17,6 +17,7 @@ import (
 	"twodprof/internal/progs"
 	"twodprof/internal/serve"
 	"twodprof/internal/trace"
+	"twodprof/internal/wal"
 	"twodprof/internal/wire"
 )
 
@@ -29,14 +30,18 @@ func testProfile() core.Config {
 	return cfg
 }
 
-// startNode boots one in-process profiled node with both fronts.
-func startNode(t testing.TB) *serve.Server {
+// startNode boots one in-process profiled node with both fronts. A
+// non-empty dataDir makes its sessions durable there, every appended
+// record in the file when its append returns.
+func startNode(t testing.TB, dataDir string) *serve.Server {
 	t.Helper()
 	cfg := serve.DefaultConfig()
 	cfg.Addr = "127.0.0.1:0"
 	cfg.WireAddr = "127.0.0.1:0"
 	cfg.Profile = testProfile()
 	cfg.DrainTimeout = 5 * time.Second
+	cfg.DataDir = dataDir
+	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncAlways}
 	srv, err := serve.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -58,13 +63,20 @@ func startCluster(t testing.TB, n int, mutate func(*Config)) (*Router, []*serve.
 	nodes := make([]*serve.Server, n)
 	members := make([]Node, n)
 	for i := range nodes {
-		nodes[i] = startNode(t)
+		nodes[i] = startNode(t, "")
 		members[i] = Node{
 			Name:     fmt.Sprintf("n%d", i+1),
 			HTTPAddr: nodes[i].Addr(),
 			WireAddr: nodes[i].WireAddr(),
 		}
 	}
+	return startRouter(t, members, mutate), nodes
+}
+
+// startRouter boots a router fronting members, on loopback with both
+// fronts; mutate, when non-nil, adjusts its config first.
+func startRouter(t testing.TB, members []Node, mutate func(*Config)) *Router {
+	t.Helper()
 	cfg := Config{
 		Addr:      "127.0.0.1:0",
 		WireAddr:  "127.0.0.1:0",
@@ -86,7 +98,7 @@ func startCluster(t testing.TB, n int, mutate func(*Config)) (*Router, []*serve.
 		defer cancel()
 		rt.Shutdown(ctx)
 	})
-	return rt, nodes
+	return rt
 }
 
 // kernelEvents runs a bundled kernel and returns its event stream.
@@ -153,7 +165,7 @@ func TestClusterRoutesAndReportsVerbatim(t *testing.T) {
 	btr1 := encodeBTR1(t, events)
 
 	// Single-node reference.
-	ref := startNode(t)
+	ref := startNode(t, "")
 	if status, body, _ := httpPost(t, "http://"+ref.Addr()+"/v1/ingest?session=ref", btr1); status != http.StatusOK {
 		t.Fatalf("reference ingest: %d %s", status, body)
 	}

@@ -18,7 +18,6 @@ import (
 
 	"twodprof/internal/core"
 	"twodprof/internal/serve"
-	"twodprof/internal/trace"
 	"twodprof/internal/wire"
 )
 
@@ -586,7 +585,6 @@ type relaySink struct {
 	sess   *wire.Session
 	owner  string
 	done   bool
-	evs    []trace.Event // Send's input, reused across chunks
 }
 
 func (rs *relaySink) finish() {
@@ -597,19 +595,16 @@ func (rs *relaySink) finish() {
 	}
 }
 
-// Events relays one decoded chunk. (The chunk was decoded by the
-// router's wire server and is re-encoded by the client session, so
-// here the router is a producer feeding Send the []trace.Event it
-// takes. The codec is cheap and symmetric, and reusing the normal
-// client path keeps flow control end to end: node backpressure stalls
-// the router's relay, which stalls the origin client.)
-func (rs *relaySink) Events(b *trace.SoABatch, _ []byte) error {
-	rs.evs = b.AppendEvents(rs.evs[:0])
-	if err := rs.sess.Send(rs.evs); err != nil {
+// Events forwards one chunk body to the node as received; the node's
+// session decodes it. SendChunk waits for one of the node's credits,
+// so the router acks a client's chunk only once it has gone to the
+// node: node backpressure stalls the relay, which stalls the client.
+func (rs *relaySink) Events(body []byte) error {
+	err := rs.sess.SendChunk(body)
+	if err != nil {
 		rs.finish()
-		return err
 	}
-	return nil
+	return err
 }
 
 // End completes the relayed session and hands back the node's summary.

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"twodprof/internal/cluster"
 	"twodprof/internal/core"
 	"twodprof/internal/engine"
 	"twodprof/internal/refprof"
@@ -38,6 +39,7 @@ const (
 	pathHTTP            // daemon HTTP ingest of BTR1/BTR2/BTR3 bytes
 	pathWire            // daemon wire ingest through wire.Session.Send
 	pathWAL             // daemon recovery of a durable session's live log cut after k input records
+	pathRouted          // a daemon behind a cluster.Router, through its wire or its HTTP front
 	numPaths
 )
 
@@ -181,24 +183,25 @@ func fuzzDaemon(t *testing.T, cfg core.Config, pred, dir string) *serve.Server {
 	return srv
 }
 
-// call serves one request through the daemon's handler and returns the
-// body of its 200 response.
-func call(t *testing.T, srv *serve.Server, method, target string, body []byte) []byte {
+// call serves one request through a daemon's or a router's handler
+// and returns the body of its 200 response.
+func call(t *testing.T, h http.Handler, method, target string, body []byte) []byte {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%s %s: status %d: %s", method, target, rec.Code, rec.Body)
 	}
 	return rec.Body.Bytes()
 }
 
-// fuzzDaemonReport fetches a session's /v1/report in compact JSON, the
-// encoding the reference reports use.
-func fuzzDaemonReport(t *testing.T, srv *serve.Server, id string) []byte {
+// fuzzDaemonReport fetches a session's /v1/report from a daemon's or a
+// router's handler in compact JSON, the encoding the reference reports
+// use.
+func fuzzDaemonReport(t *testing.T, h http.Handler, id string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := json.Compact(&buf, call(t, srv, http.MethodGet, "/v1/report?session="+id, nil)); err != nil {
+	if err := json.Compact(&buf, call(t, h, http.MethodGet, "/v1/report?session="+id, nil)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -220,12 +223,35 @@ func stopFuzzDaemon(srv *serve.Server) {
 	srv.Shutdown(ctx)
 }
 
-// wireIngest streams events into a started daemon's wire front in
-// Send calls of random length, runs beforeEnd (when non-nil) and
-// completes the session.
-func wireIngest(t *testing.T, srv *serve.Server, params wire.BeginParams, events []trace.Event, r *rng.Source, chunk int, beforeEnd func()) {
+// startFuzzRouter starts a router in front of one started daemon and
+// stops it with the test.
+func startFuzzRouter(t *testing.T, srv *serve.Server) *cluster.Router {
 	t.Helper()
-	c, err := wire.Dial(srv.WireAddr(), 5*time.Second)
+	rt, err := cluster.NewRouter(cluster.Config{
+		Addr:     "127.0.0.1:0",
+		WireAddr: "127.0.0.1:0",
+		Nodes:    []cluster.Node{{Name: "n1", HTTPAddr: srv.Addr(), WireAddr: srv.WireAddr()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		rt.Shutdown(ctx)
+	})
+	return rt
+}
+
+// wireIngest streams events into the wire front at addr, a started
+// daemon's or router's, in Send calls of random length, runs beforeEnd
+// (when non-nil) and completes the session.
+func wireIngest(t *testing.T, addr string, params wire.BeginParams, events []trace.Event, r *rng.Source, chunk int, beforeEnd func()) {
+	t.Helper()
+	c, err := wire.Dial(addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,10 +443,10 @@ func encodeBTR3With(t testing.TB, events []trace.Event, opts trace.BTR2Options) 
 // path: path%numPaths is the ingress path, path/numPaths%4 picks
 // Workers 1, 2, 4 or 8. The daemon paths have no worker knob:
 // path/numPaths%3 picks the BTR1, BTR2 or BTR3 body of the HTTP path
-// instead, and path/numPaths%4 the WAL path's front: wire, or an HTTP
-// body in BTR1, BTR2 or BTR3. They run under shared aggregation, or
-// private with one context, because a private multi-context daemon
-// session does not finish yet.
+// instead, and path/numPaths%4 the front of the WAL and routed paths:
+// wire, or an HTTP body in BTR1, BTR2 or BTR3. They run under shared
+// aggregation, or private with one context, because a private
+// multi-context daemon session does not finish yet.
 func FuzzEngineDifferential(f *testing.F) {
 	for i, c := range differentialSeeds {
 		f.Add(seedOf(i), c.n, c.slice, c.execTh, c.flags, c.path, c.chunk)
@@ -500,6 +526,9 @@ var differentialSeeds = []struct {
 	{5000, 199, 2, 0x25, 1*numPaths + pathWAL, 1500}, // BTR1 body, bimodal, private
 	{6000, 300, 4, 0x85, 2*numPaths + pathWAL, 700},  // BTR2 body, bimodal, compressed
 	{6000, 777, 3, 0x83, 3*numPaths + pathWAL, 333},  // BTR3 body, bias, compressed
+
+	{5000, 250, 2, 0x85, 3*numPaths + pathRouted, 400}, // BTR3 body, bimodal, compressed
+	{6000, 500, 4, 0x01, pathRouted, 900},              // wire, 4 contexts
 }
 
 // differential runs one FuzzEngineDifferential case; on the WAL path it
@@ -529,7 +558,7 @@ func differential(t *testing.T, seed uint64, n, slice uint16, execTh, flags, pat
 	switch p {
 	case pathHTTP:
 		format = pathBTR1 + int(path)/numPaths%3
-	case pathWAL:
+	case pathWAL, pathRouted:
 		format = []int{pathWire, pathBTR1, pathBTR2, pathBTR3}[int(path)/numPaths%4]
 	}
 	if daemon {
@@ -591,13 +620,23 @@ func differential(t *testing.T, seed uint64, n, slice uint16, execTh, flags, pat
 	case pathHTTP:
 		encode(format)
 		srv := fuzzDaemon(t, cfg, pred, "")
-		call(t, srv, http.MethodPost, "/v1/ingest?session=f&agg="+agg, raw)
-		compareJSON(t, what, fuzzDaemonReport(t, srv, "f"), want[0])
+		call(t, srv.Handler(), http.MethodPost, "/v1/ingest?session=f&agg="+agg, raw)
+		compareJSON(t, what, fuzzDaemonReport(t, srv.Handler(), "f"), want[0])
 		return
 	case pathWire:
 		srv := startFuzzDaemon(t, fuzzDaemon(t, cfg, pred, ""))
-		wireIngest(t, srv, wire.BeginParams{ID: "f", Aggregation: agg}, events, r, int(chunk), nil)
-		compareJSON(t, what, fuzzDaemonReport(t, srv, "f"), want[0])
+		wireIngest(t, srv.WireAddr(), wire.BeginParams{ID: "f", Aggregation: agg}, events, r, int(chunk), nil)
+		compareJSON(t, what, fuzzDaemonReport(t, srv.Handler(), "f"), want[0])
+		return
+	case pathRouted:
+		rt := startFuzzRouter(t, startFuzzDaemon(t, fuzzDaemon(t, cfg, pred, "")))
+		if format == pathWire {
+			wireIngest(t, rt.WireAddr(), wire.BeginParams{ID: "f", Aggregation: agg}, events, r, int(chunk), nil)
+		} else {
+			encode(format)
+			call(t, rt.Handler(), http.MethodPost, "/v1/ingest?session=f&agg="+agg, raw)
+		}
+		compareJSON(t, what, fuzzDaemonReport(t, rt.Handler(), "f"), want[0])
 		return
 	case pathWAL:
 		// Copy the live log once it holds the stream, finish the
@@ -609,7 +648,7 @@ func differential(t *testing.T, seed uint64, n, slice uint16, execTh, flags, pat
 		var live []wal.Record
 		if format == pathWire {
 			srv := startFuzzDaemon(t, fuzzDaemon(t, cfg, pred, dir))
-			wireIngest(t, srv, wire.BeginParams{ID: "f", Aggregation: agg}, events, r, int(chunk), func() {
+			wireIngest(t, srv.WireAddr(), wire.BeginParams{ID: "f", Aggregation: agg}, events, r, int(chunk), func() {
 				live = awaitLiveLog(t, logPath, func(input []wal.Record) bool {
 					return len(logEvents(t, input)) == len(events)
 				})
@@ -630,7 +669,7 @@ func differential(t *testing.T, seed uint64, n, slice uint16, execTh, flags, pat
 		}
 		// A restarted daemon replays the cut log as an interrupted
 		// session, through the trailing partial-slice rule.
-		got := fuzzDaemonReport(t, fuzzDaemon(t, cfg, pred, dir), "f")
+		got := fuzzDaemonReport(t, fuzzDaemon(t, cfg, pred, dir).Handler(), "f")
 		compareJSON(t, fmt.Sprintf("%s, %d of %d input records, %d of %d events", what, cut.kept, cut.records, len(prefix), len(events)),
 			got, refReports(t, prefix, cfg, pred, private)[0])
 		return

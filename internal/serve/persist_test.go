@@ -711,8 +711,6 @@ func TestLifecycleReadersRace(t *testing.T) {
 	events := traceEvents(t, kernelTrace(t, "fsm", "train", false))
 	events = events[:min(len(events), 3*trace.ReadBatchEvents)]
 	chunk := chunkBody(t, 0, events)
-	var batch trace.SoABatch
-	batch.FromEvents(events)
 	const sessions = 6
 	runs := make([]*ingestRun, sessions)
 	for i := range runs {
@@ -775,7 +773,7 @@ func TestLifecycleReadersRace(t *testing.T) {
 
 	for i, run := range runs {
 		for k := 0; k < 3; k++ {
-			if err := (&wireSink{run: run}).Events(&batch, chunk); err != nil {
+			if err := (&wireSink{run: run}).Events(chunk); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1096,8 +1094,8 @@ func TestDurableIngestOversizedChunk(t *testing.T) {
 
 // TestDurableIngestZeroAlloc extends the engine's zero-alloc contract
 // through both durable tees at -fsync never: once warmed up, a wire
-// chunk (log append of its body, engine) and an HTTP body read (log
-// append) allocate nothing.
+// chunk (decode, log append of its body, engine) and an HTTP body read
+// (log append) allocate nothing.
 func TestDurableIngestZeroAlloc(t *testing.T) {
 	cfg := durableConfig(t)
 	cfg.Fsync = wal.SyncPolicy{Mode: wal.SyncNever}
@@ -1116,12 +1114,8 @@ func TestDurableIngestZeroAlloc(t *testing.T) {
 	}
 	sink := &wireSink{run: run}
 	chunk := chunkBody(t, 0, events)
-	var b trace.SoABatch
-	if err := wire.DecodeChunk(&b, chunk); err != nil {
-		t.Fatal(err)
-	}
 	apply := func() {
-		if err := sink.Events(&b, chunk); err != nil {
+		if err := sink.Events(chunk); err != nil {
 			t.Fatal(err)
 		}
 	}

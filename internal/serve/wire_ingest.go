@@ -51,13 +51,20 @@ func wireError(e *ingestError) *wire.Error {
 }
 
 // wireSink drives one admitted session from the wire server's stream
-// goroutine.
-type wireSink struct{ run *ingestRun }
+// goroutine, and is the one place a received wire chunk is decoded.
+type wireSink struct {
+	run   *ingestRun
+	batch trace.SoABatch // the decoded chunk, reused across chunks
+}
 
-// Events logs one chunk body as received, as a recChunk record on a
-// durable daemon, and then applies its decoded events. The body's size
-// stands in for the HTTP body bytes the other front meters.
-func (ws *wireSink) Events(b *trace.SoABatch, body []byte) error {
+// Events decodes one chunk body, failing the session on one that does
+// not decode, then logs it as received (recChunk, on a durable daemon)
+// and applies its events. Its size is metered as the HTTP body bytes are.
+func (ws *wireSink) Events(body []byte) error {
+	if err := wire.DecodeChunk(&ws.batch, body); err != nil {
+		ws.run.fail(err)
+		return &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
+	}
 	ws.run.session.bytes.Add(int64(len(body)))
 	ws.run.s.metrics.Bytes.Add(int64(len(body)))
 	if plog := ws.run.session.plog; plog != nil {
@@ -67,7 +74,7 @@ func (ws *wireSink) Events(b *trace.SoABatch, body []byte) error {
 			return err
 		}
 	}
-	ws.run.events(b)
+	ws.run.events(&ws.batch)
 	return nil
 }
 

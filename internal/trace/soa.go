@@ -137,8 +137,8 @@ func (b *SoABatch) TakenBit(i int) bool {
 }
 
 // AppendEvents converts the batch back to AoS events, appending to
-// dst: the bridge into producer-edge APIs that take []Event, such as
-// the router relaying a decoded chunk through wire.Session.Send.
+// dst: the bridge into code that takes []Event, such as a test that
+// compares a decoded batch with the events it encoded.
 func (b *SoABatch) AppendEvents(dst []Event) []Event {
 	for i, pc := range b.PCs {
 		dst = append(dst, Event{PC: pc, Ctx: b.Ctx(i), Taken: b.TakenBit(i)})

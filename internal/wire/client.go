@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -27,7 +26,6 @@ type Client struct {
 
 	wmu  sync.Mutex
 	wbuf []byte
-	body []byte
 
 	mu      sync.Mutex
 	streams map[uint64]*Session
@@ -166,21 +164,6 @@ func (c *Client) writeFrame(typ byte, stream uint64, body []byte) error {
 	return err
 }
 
-// writeChunk encodes and writes one chunk frame, reusing the shared
-// scratch buffers under the write lock. All events must belong to ctx.
-func (c *Client) writeChunk(stream uint64, ctx trace.Context, events []trace.Event) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	body, err := appendChunk(c.body[:0], ctx, events)
-	c.body = body
-	if err != nil {
-		return err
-	}
-	c.wbuf = appendFrame(c.wbuf[:0], msgChunk, stream, c.body)
-	_, err = c.c.Write(c.wbuf)
-	return err
-}
-
 // recvMsg is one server→client message routed to a session.
 type recvMsg struct {
 	typ  byte
@@ -196,7 +179,8 @@ type Session struct {
 	// + done/error, with headroom.
 	recv    chan recvMsg
 	credits int
-	dead    error // set once the stream has failed or finished
+	dead    error  // set once the stream has failed or finished
+	body    []byte // Send's chunk encoding, reused across chunks
 }
 
 // Begin opens a session stream and waits for the server to accept it.
@@ -291,42 +275,58 @@ func (s *Session) Send(events []trace.Event) error {
 		for n < len(events) && n < clientChunkEvents && events[n].Ctx == ctx {
 			n++
 		}
-		// Refill credits from any acks already delivered, then block
-		// until at least one credit is free.
-		for {
-			select {
-			case m, ok := <-s.recv:
-				if !ok {
-					return s.fail(s.c.connErr())
-				}
-				if err := s.handle(m); err != nil {
-					return s.fail(err)
-				}
-				continue
-			default:
-			}
-			break
+		var err error
+		if s.body, err = appendChunk(s.body[:0], ctx, events[:n]); err != nil {
+			// Nothing of the chunk was written: abandon the stream so
+			// the server fails the session instead of waiting on it.
+			s.Abort()
+			return s.fail(fmt.Errorf("wire: encoding chunk: %w", err))
 		}
-		for s.credits == 0 {
-			m, ok := <-s.recv
-			if !ok {
-				return s.fail(s.c.connErr())
-			}
-			if err := s.handle(m); err != nil {
-				return s.fail(err)
-			}
+		if err = s.SendChunk(s.body); err != nil {
+			return err
 		}
-		if err := s.c.writeChunk(s.id, ctx, events[:n]); err != nil {
-			if errors.Is(err, trace.ErrPCDelta) {
-				// Nothing of the chunk was written: abandon the stream so
-				// the server fails the session instead of waiting on it.
-				s.Abort()
-			}
-			return s.fail(fmt.Errorf("wire: sending chunk: %w", err))
-		}
-		s.credits--
 		events = events[n:]
 	}
+	return nil
+}
+
+// SendChunk writes one encoded chunk body as a frame, as a router
+// relaying a client's chunk holds it; Send writes every chunk through
+// it. Like Send, it blocks until a credit is free. A body longer than
+// any chunk encodes to aborts the stream unwritten, as CodeBadRequest;
+// any other bad body fails the session at the server, which decodes it.
+func (s *Session) SendChunk(body []byte) error {
+	if s.dead != nil {
+		return s.dead
+	}
+	if len(body) > maxChunkBody {
+		s.Abort()
+		return s.fail(&Error{Code: CodeBadRequest, Msg: fmt.Sprintf("chunk body of %d bytes", len(body))})
+	}
+	// Fold in the acks already delivered; block only while no credit is free.
+wait:
+	for {
+		var m recvMsg
+		var ok bool
+		select {
+		case m, ok = <-s.recv:
+		default:
+			if s.credits > 0 {
+				break wait
+			}
+			m, ok = <-s.recv
+		}
+		if !ok {
+			return s.fail(s.c.connErr())
+		}
+		if err := s.handle(m); err != nil {
+			return s.fail(err)
+		}
+	}
+	if err := s.c.writeFrame(msgChunk, s.id, body); err != nil {
+		return s.fail(fmt.Errorf("wire: sending chunk: %w", err))
+	}
+	s.credits--
 	return nil
 }
 

@@ -24,8 +24,9 @@
 // On top of the frames sits a small message set (msg.go): a version
 // handshake, session begin/end, BTR2-style event chunks, credit-based
 // flow control and typed errors. Client (client.go) and Server
-// (server.go) implement the two ends; the server feeds any Handler,
-// which internal/serve implements with its ingest engine.
+// (server.go) implement the two ends. The server hands chunk bodies
+// undecoded to any Handler: internal/serve decodes them into its ingest
+// engine, and the router in internal/cluster forwards them to a node.
 package wire
 
 import (

@@ -47,6 +47,11 @@ const DefaultWindow = 8
 // MaxChunkEvents caps the events in a single chunk frame.
 const MaxChunkEvents = 1 << 16
 
+// maxChunkBody bounds every body DecodeChunk accepts (three header and
+// MaxChunkEvents event uvarints). Framed on any stream id it stays far
+// below MaxFrame, so a body SendChunk writes never breaks the framing.
+const maxChunkBody = (3 + MaxChunkEvents) * binary.MaxVarintLen64
+
 // appendHello encodes the msgHello body.
 func appendHello(dst []byte) []byte {
 	dst = append(dst, handshakeMagic...)
@@ -107,8 +112,8 @@ func appendChunk(dst []byte, ctx trace.Context, events []trace.Event) ([]byte, e
 // DecodeChunk decodes a msgChunk body into b, replacing its contents,
 // with the context lane filled when the chunk's context is not 0.
 // Decoding rides trace.Chunk.DecodeSoA, the same 8-wide kernel BTR2
-// replay uses. The daemon logs chunk bodies as received, so its crash
-// recovery decodes them here too.
+// replay uses. The daemon's session decodes every chunk here, and so
+// does its crash recovery over the logged bodies.
 func DecodeChunk(b *trace.SoABatch, body []byte) error {
 	count, n := binary.Uvarint(body)
 	if n <= 0 {
@@ -300,14 +305,14 @@ func marshalJSON(v any) []byte {
 
 // SessionSink consumes one session stream on the server side. The wire
 // server calls it from the stream's own goroutine: Events for each
-// decoded chunk (in stream order; blocking here is the backpressure
-// path that stops the client), then exactly one of End or Abort.
+// chunk (in stream order; blocking here is the backpressure path that
+// stops the client), then exactly one of End or Abort.
 type SessionSink interface {
-	// Events applies one chunk: b holds its decoded events, and body
-	// the chunk body as received, which DecodeChunk decodes to b (a
-	// durable daemon logs body as is). The batch is only valid for the
-	// duration of the call (the server reuses it for the next chunk).
-	Events(b *trace.SoABatch, body []byte) error
+	// Events takes one chunk body as received: a node's session decodes
+	// it, a router forwards it. A body that does not decode is answered
+	// with an *Error of CodeBadRequest. An error ends this stream only;
+	// its siblings on the connection go on.
+	Events(body []byte) error
 	// End completes the session and returns its final summary.
 	End() (Summary, error)
 	// Abort tears the session down after a mid-stream failure.

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"twodprof/internal/trace"
 )
 
 // Stats is the wire server's counter block. The embedding service
@@ -21,7 +19,7 @@ type Stats struct {
 	ConnsTotal   atomic.Int64 // connections ever accepted
 	Streams      atomic.Int64 // session streams currently open
 	StreamsTotal atomic.Int64 // session streams ever begun
-	Bytes        atomic.Int64 // chunk payload bytes received
+	Bytes        atomic.Int64 // chunk body bytes the sinks accepted
 	Rejects      atomic.Int64 // begins refused by the handler
 	ConnErrors   atomic.Int64 // connections torn down on a protocol or I/O error
 }
@@ -41,11 +39,11 @@ type ServerOptions struct {
 	Stats *Stats
 }
 
-// Server accepts wire connections and feeds every session stream into a
-// Handler. One goroutine per connection reads and demultiplexes frames;
-// one goroutine per stream decodes chunks and drives the handler's
-// SessionSink, so a stream blocked on engine backpressure never stalls
-// its siblings on the same connection.
+// Server accepts wire connections and hands every session stream's
+// chunk bodies, undecoded, to a Handler's SessionSink. One goroutine per
+// connection reads and demultiplexes frames; one goroutine per stream
+// drives its sink, so a stream blocked on engine backpressure never
+// stalls its siblings on the same connection.
 type Server struct {
 	h    Handler
 	opts ServerOptions
@@ -293,9 +291,9 @@ func (sc *serverConn) removeStream(id uint64) {
 }
 
 // runStream is one stream's goroutine: open the handler session, then
-// decode and apply chunks until end/abort, acking each applied chunk so
-// the client's credits — and therefore the engine's backpressure —
-// track what the profiler has actually consumed.
+// hand it chunk bodies until end/abort, acking each chunk once the sink
+// returns, so the client's credits — and therefore the engine's
+// backpressure — track what the sink has actually consumed.
 func (sc *serverConn) runStream(st *serverStream) {
 	defer sc.srv.wg.Done()
 	defer sc.removeStream(st.id)
@@ -314,7 +312,6 @@ func (sc *serverConn) runStream(st *serverStream) {
 		return
 	}
 
-	var batch trace.SoABatch
 	for {
 		select {
 		case <-sc.die:
@@ -323,17 +320,11 @@ func (sc *serverConn) runStream(st *serverStream) {
 		case m := <-st.inbox:
 			switch m.typ {
 			case msgChunk:
-				if derr := DecodeChunk(&batch, m.body); derr != nil {
-					sink.Abort(derr)
-					_ = sc.writeFrame(msgError, st.id, appendError(nil, toWireError(derr)))
-					sc.teardown() // framing is poisoned; no resynchronisation
-					return
-				}
-				sc.srv.opts.Stats.Bytes.Add(int64(len(m.body)))
-				if aerr := sink.Events(&batch, m.body); aerr != nil {
+				if aerr := sink.Events(m.body); aerr != nil {
 					_ = sc.writeFrame(msgError, st.id, appendError(nil, toWireError(aerr)))
 					return
 				}
+				sc.srv.opts.Stats.Bytes.Add(int64(len(m.body)))
 				if aerr := sc.writeFrame(msgAck, st.id, appendAck(nil, 1)); aerr != nil {
 					sink.Abort(errConnClosed)
 					return

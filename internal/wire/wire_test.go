@@ -23,15 +23,19 @@ type testSink struct {
 	// block, when non-nil, is held closed by Events to simulate engine
 	// backpressure.
 	block chan struct{}
+	batch trace.SoABatch
 }
 
-func (ts *testSink) Events(b *trace.SoABatch, body []byte) error {
+func (ts *testSink) Events(body []byte) error {
 	if ts.block != nil {
 		<-ts.block
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.events = b.AppendEvents(ts.events)
+	if err := DecodeChunk(&ts.batch, body); err != nil {
+		return &Error{Code: CodeBadRequest, Msg: err.Error()}
+	}
+	ts.events = ts.batch.AppendEvents(ts.events)
 	ts.bytes += int64(len(body))
 	return nil
 }
@@ -475,13 +479,108 @@ func TestSendRejectsUnencodableDelta(t *testing.T) {
 	}
 }
 
+// TestSendChunkRefusesOversizedBody: the longest body any chunk
+// encodes to fits maxChunkBody and goes through, while a longer body
+// is refused before it is framed, as a bad request that aborts its own
+// stream only: a sibling on the connection finishes with its events.
+func TestSendChunkRefusesOversizedBody(t *testing.T) {
+	th, addr, _ := startWire(t, ServerOptions{})
+	c, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	big, err := c.Begin(BeginParams{ID: "big"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling, err := c.Begin(BeginParams{ID: "sibling"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// From a base PC of 2^63, PCs alternating 2^62-1 apart make the
+	// base and every later event word MaxVarintLen64 bytes long.
+	full := make([]trace.Event, MaxChunkEvents)
+	for i := range full {
+		full[i] = trace.Event{PC: 1<<63 + trace.PC(i%2)*(1<<62-1), Taken: true}
+	}
+	body, err := appendChunk(nil, 1<<32-1, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > maxChunkBody {
+		t.Fatalf("a %d-event chunk encodes to %d bytes, over maxChunkBody %d", len(full), len(body), maxChunkBody)
+	}
+	if err := big.SendChunk(body); err != nil {
+		t.Fatal(err)
+	}
+	var werr *Error
+	if err := big.SendChunk(make([]byte, maxChunkBody+1)); !errors.As(err, &werr) || werr.Code != CodeBadRequest {
+		t.Fatalf("SendChunk of an oversized body = %v, want a *Error with code %s", err, CodeBadRequest)
+	}
+	sent := testEvents(3 * clientChunkEvents)
+	if err := sibling.Send(sent); err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := sibling.End(); err != nil || sum.Events != int64(len(sent)) {
+		t.Fatalf("sibling End = %+v, %v; want %d events", sum, err, len(sent))
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		ts := th.sink("big")
+		ts.mu.Lock()
+		aborted, got := ts.aborted, len(ts.events)
+		ts.mu.Unlock()
+		if aborted != nil {
+			if got != len(full) {
+				t.Fatalf("server applied %d events, want the full chunk's %d", got, len(full))
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("sink never saw the stream aborted")
+		}
+	}
+}
+
+// TestStatsBytesCountsAcceptedBodies: the wire byte counter meters the
+// chunk bodies a sink took, not one it refused.
+func TestStatsBytesCountsAcceptedBodies(t *testing.T) {
+	stats := &Stats{}
+	_, addr, _ := startWire(t, ServerOptions{Stats: stats})
+	c, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.Begin(BeginParams{ID: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := appendChunk(nil, 0, testEvents(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{good, {0xff, 0xff, 0xff}} {
+		if err := s.SendChunk(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var werr *Error
+	if _, err := s.End(); !errors.As(err, &werr) || werr.Code != CodeBadRequest {
+		t.Fatalf("End after a bad body = %v, want a *Error with code %s", err, CodeBadRequest)
+	}
+	if got := stats.Bytes.Load(); got != int64(len(good)) {
+		t.Fatalf("Stats.Bytes = %d, want the accepted body's %d", got, len(good))
+	}
+}
+
 // failingSink refuses every chunk, as a node's ingest does when its
 // session fails mid-stream.
 type failingSink struct{}
 
-func (failingSink) Events(*trace.SoABatch, []byte) error { return errors.New("sink failed") }
-func (failingSink) End() (Summary, error)                { return Summary{}, nil }
-func (failingSink) Abort(error)                          {}
+func (failingSink) Events([]byte) error   { return errors.New("sink failed") }
+func (failingSink) End() (Summary, error) { return Summary{}, nil }
+func (failingSink) Abort(error)           {}
 
 // failingHandler hands session "bad" a failingSink and every other
 // session a recording one.

@@ -1,11 +1,11 @@
 // Command bench guards the per-event cost of the profiling pass. Every
 // path a branch stream can take to a report (the plain profiler, engine
-// replay, daemon HTTP and wire ingest, in memory and durable, and the
-// decode, predict and profile kernels beneath them) is a row of one
-// table, timed once per pass, and so is a durable daemon's start over
-// finished sessions. A second table holds the guards: each is
-// the throughput ratio of one row to a baseline row measured in the
-// same process, held to a floor. Same-process ratios stay meaningful on
+// replay, daemon HTTP and wire ingest, in memory and durable, directly
+// and through a router, and the decode, predict and profile kernels
+// beneath them) is a row of one table, timed once per pass, and so is
+// a durable daemon's start over finished sessions. A second table holds
+// the guards: each is the throughput ratio of one row to a baseline row
+// measured in the same process, held to a floor. Same-process ratios stay meaningful on
 // a loaded runner where absolute rates do not; the floors catch gross
 // regressions, such as a kernel falling back to its scalar path, not
 // micro-variance. Every report a row yields must equal the plain
@@ -76,13 +76,14 @@ func main() {
 // The guarded rows run the fsm/train kernel, except the layout pair,
 // which profiles one synthetic stream in two PC layouts; fsm/train's
 // durable rows, which add the WAL to the daemon row and to the wire
-// transport row, are record-only. The record-only sweeps run
+// transport row, and its router rows, which add the router hop to the
+// HTTP BTR1 and wire rows, are record-only. The record-only sweeps run
 // bsearch/train, a dense hot loop, and the wide synthetic population,
 // at the decode worker counts a multi-core host would use, and the
 // record-only BTR3 rows run ext-mt's multi-context streams, and the
 // record-only daemon-start row recovers finished wide sessions. The
-// transport rows share two daemons, which cleanup stops; it also
-// removes the data directories.
+// transport rows share two daemons and a router in front of the first,
+// which cleanup stops; it also removes the data directories.
 func tables() (rows []*row, guards []*guard, cleanup func()) {
 	fsm := kernel("fsm", "train", true)
 	bsearch := kernel("bsearch", "train", false)
@@ -128,11 +129,13 @@ func tables() (rows []*row, guards []*guard, cleanup func()) {
 	}
 
 	tr := newTransport(fsm)
-	add(tr.httpRow("http-btr1", false))
-	gzipRow := add(tr.httpRow("http-btr1-gzip", true))
+	add(tr.httpRow("http-btr1", tr.srv, false))
+	gzipRow := add(tr.httpRow("http-btr1-gzip", tr.srv, true))
 	hold(add(tr.wireRow("wire", tr.srv, nil)), gzipRow, floorWire)
 	hold(add(tr.wireRow("wire-shared-conn", tr.srv, tr.shared)), gzipRow, floorWire)
 	add(tr.wireRow("wire durable", tr.durable, nil))
+	add(tr.httpRow("router http", tr.rt, false))
+	add(tr.wireRow("router wire", tr.rt, nil))
 
 	for _, w := range []*workload{bsearch, wide} {
 		for _, m := range metrics {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"twodprof/internal/bpred"
+	"twodprof/internal/cluster"
 	"twodprof/internal/core"
 	"twodprof/internal/engine"
 	"twodprof/internal/serve"
@@ -304,13 +305,15 @@ func predictRows(w *workload) (perEvent, soa *row) {
 }
 
 // transport is one daemon, with HTTP and wire listeners, that every
-// in-memory transport row streams the workload into, so those rows
-// differ only in how the stream reaches it, and a second, durable one
-// (a data directory of its own, default -fsync policy) for the durable
-// row. Each pass is one new session.
+// in-memory transport row streams the workload into, directly or
+// through a router in front of it, so those rows differ only in how
+// the stream reaches it, and a second, durable one (a data directory
+// of its own, default -fsync policy) for the durable row. Each pass is
+// one new session.
 type transport struct {
 	w       *workload
 	srv     *serve.Server
+	rt      *cluster.Router // srv's router, its only node
 	durable *serve.Server
 	dir     string // durable's data directory, removed at close
 	shared  *wire.Client
@@ -318,10 +321,25 @@ type transport struct {
 	ref     []byte
 }
 
+// front is where a transport row sends its stream and reads its
+// report: a daemon, or the router in front of one.
+type front interface {
+	Addr() string
+	WireAddr() string
+}
+
 func newTransport(w *workload) *transport {
 	cfg := serve.DefaultConfig()
 	cfg.Addr, cfg.WireAddr = "127.0.0.1:0", "127.0.0.1:0"
 	srv, err := start(cfg)
+	must(err)
+	rt, err := cluster.NewRouter(cluster.Config{
+		Addr:     "127.0.0.1:0",
+		WireAddr: "127.0.0.1:0",
+		Nodes:    []cluster.Node{{Name: "bench", HTTPAddr: srv.Addr(), WireAddr: srv.WireAddr()}},
+	})
+	must(err)
+	_, err = rt.Start()
 	must(err)
 	shared, err := wire.Dial(srv.WireAddr(), 5*time.Second)
 	must(err)
@@ -329,25 +347,28 @@ func newTransport(w *workload) *transport {
 	must(err)
 	durable, err := start(cfg)
 	must(err)
-	return &transport{w: w, srv: srv, durable: durable, dir: cfg.DataDir, shared: shared}
+	return &transport{w: w, srv: srv, rt: rt, durable: durable, dir: cfg.DataDir, shared: shared}
 }
 
 func (t *transport) close() {
 	t.shared.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	t.rt.Shutdown(ctx)
 	stop(t.srv)
 	stop(t.durable)
 	os.RemoveAll(t.dir)
 }
 
 // row is a transport row: each pass streams the workload as one new
-// session into srv through send, and every report must equal the first
-// HTTP BTR1 report.
-func (t *transport) row(name string, srv *serve.Server, send func(id string) error) *row {
+// session into f through send, and every report, read from f, must
+// equal the first HTTP BTR1 report.
+func (t *transport) row(name string, f front, send func(id string) error) *row {
 	r := t.w.row(name, func() (fetch, error) {
 		t.seq++
 		id := fmt.Sprintf("bench-%d", t.seq)
 		return func() ([]byte, error) {
-			return body(http.Get("http://" + srv.Addr() + "/v1/report?session=" + id))
+			return body(http.Get("http://" + f.Addr() + "/v1/report?session=" + id))
 		}, send(id)
 	})
 	r.ref = &t.ref
@@ -355,10 +376,10 @@ func (t *transport) row(name string, srv *serve.Server, send func(id string) err
 }
 
 // httpRow encodes the stream as BTR1, gzip-wrapped when gz is set, and
-// posts it. Encoding is part of the pass: every transport pays its own
-// encoder, as the wire client does inside Send.
-func (t *transport) httpRow(name string, gz bool) *row {
-	return t.row(name, t.srv, func(id string) error {
+// posts it to f. Encoding is part of the pass: every transport pays its
+// own encoder, as the wire client does inside Send.
+func (t *transport) httpRow(name string, f front, gz bool) *row {
+	return t.row(name, f, func(id string) error {
 		var buf bytes.Buffer
 		var dst io.Writer = &buf
 		var zw *gzip.Writer
@@ -379,20 +400,20 @@ func (t *transport) httpRow(name string, gz bool) *row {
 				return err
 			}
 		}
-		_, err = body(http.Post("http://"+t.srv.Addr()+"/v1/ingest?session="+id, "application/octet-stream", &buf))
+		_, err = body(http.Post("http://"+f.Addr()+"/v1/ingest?session="+id, "application/octet-stream", &buf))
 		return err
 	})
 }
 
-// wireRow streams the events as one binary-protocol session into srv:
+// wireRow streams the events as one binary-protocol session into f:
 // over a fresh connection per session, or multiplexed over conn, one
 // persistent connection (the cluster relay's shape), when it is set.
-func (t *transport) wireRow(name string, srv *serve.Server, conn *wire.Client) *row {
-	return t.row(name, srv, func(id string) error {
+func (t *transport) wireRow(name string, f front, conn *wire.Client) *row {
+	return t.row(name, f, func(id string) error {
 		c := conn
 		if c == nil {
 			var err error
-			if c, err = wire.Dial(srv.WireAddr(), 5*time.Second); err != nil {
+			if c, err = wire.Dial(f.WireAddr(), 5*time.Second); err != nil {
 				return err
 			}
 			defer c.Close()
